@@ -110,8 +110,6 @@ fn main() -> ExitCode {
     perf::datagen_enumerate_suite(&mut c);
     eprintln!("== simd_kernels ==");
     perf::simd_kernels_suite(&mut c);
-    eprintln!("== quantized_infer ==");
-    perf::quantized_infer_suite(&mut c);
 
     let mut f = std::fs::File::create(&args.out_path).expect("cannot create bench output file");
     for r in c.results() {

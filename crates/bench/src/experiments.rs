@@ -434,10 +434,9 @@ pub fn main_comparison(preset: SizePreset, seed: u64) -> MainComparison {
     .expect("training diverged");
 
     eprintln!("[main] CircuitGPS head-only fine-tune...");
-    let mut head_ft = CircuitGps::new(default_model(PeKind::Dspd, seed));
     let mut bytes = Vec::new();
-    cirgps.save(&mut bytes).expect("checkpoint");
-    head_ft.load(&bytes[..]).expect("load checkpoint");
+    cirgps.save_checkpoint(&mut bytes).expect("checkpoint");
+    let (mut head_ft, _) = CircuitGps::load_checkpoint(&bytes[..]).expect("load checkpoint");
     finetune_regression(
         &mut head_ft,
         &train,
@@ -447,8 +446,7 @@ pub fn main_comparison(preset: SizePreset, seed: u64) -> MainComparison {
     .expect("training diverged");
 
     eprintln!("[main] CircuitGPS all-parameters fine-tune...");
-    let mut all_ft = CircuitGps::new(default_model(PeKind::Dspd, seed));
-    all_ft.load(&bytes[..]).expect("load checkpoint");
+    let (mut all_ft, _) = CircuitGps::load_checkpoint(&bytes[..]).expect("load checkpoint");
     finetune_regression(
         &mut all_ft,
         &train,

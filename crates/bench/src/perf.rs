@@ -442,15 +442,15 @@ pub fn full_pipeline_suite(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-backend microkernel sweep: the hot GEMM widths, the elementwise
-/// sweeps and the dequantizing int8 GEMM, each timed on every backend
+/// Per-backend microkernel sweep: the hot GEMM widths and the
+/// elementwise sweeps, each timed on every backend
 /// this CPU can execute (scalar always, AVX2/AVX-512 where the feature
 /// probes pass). Bench ids carry the backend (`gemm_n32/avx2`), so a
 /// trajectory file shows the dispatch win directly and a regression in
 /// either path is attributable.
 pub fn simd_kernels_suite(c: &mut Criterion) {
     use cirgps_nn::simd::ops;
-    use cirgps_nn::{Backend, QuantMatrix, Tensor};
+    use cirgps_nn::{Backend, Tensor};
 
     const M: usize = 64;
     const K: usize = 128;
@@ -471,21 +471,11 @@ pub fn simd_kernels_suite(c: &mut Criterion) {
         for n in [8usize, 32, 64] {
             let a = fill(M * K, 7);
             let b_mat = fill(K * n, 11);
-            let w = Tensor::from_vec(K, n, fill(K * n, 11));
-            let q = QuantMatrix::quantize(&w);
             group.bench_function(format!("gemm_n{n}/{backend}"), |b| {
                 let mut out = vec![0.0f32; M * n];
                 b.iter(|| {
                     out.iter_mut().for_each(|v| *v = 0.0);
                     ops::gemm(backend, &a, &b_mat, &mut out, M, K, n);
-                    std::hint::black_box(&out);
-                })
-            });
-            group.bench_function(format!("gemm_quant_n{n}/{backend}"), |b| {
-                let mut out = vec![0.0f32; M * n];
-                b.iter(|| {
-                    out.iter_mut().for_each(|v| *v = 0.0);
-                    ops::gemm_quant(backend, &a, &q, &mut out, M);
                     std::hint::black_box(&out);
                 })
             });
@@ -502,48 +492,6 @@ pub fn simd_kernels_suite(c: &mut Criterion) {
         let x = Tensor::from_vec(256, 64, fill(256 * 64, 17));
         group.bench_function(format!("softmax_rows_256x64/{backend}"), |b| {
             b.iter(|| std::hint::black_box(ops::softmax_rows(backend, &x, 0.125)))
-        });
-    }
-    group.finish();
-}
-
-/// int8 weight-only quantized inference vs f32, through the full batched
-/// tape-free engine — the number the `--quantize` export flag buys (or
-/// costs) in production serving. Same rotating batch windows as
-/// `table5_inference`, so `/f32` here is comparable to
-/// `predict_link_batched/32` there.
-pub fn quantized_infer_suite(c: &mut Criterion) {
-    let d = DesignData::load(DesignKind::TimingControl, SizePreset::Tiny, 7);
-    let ds = d.link_dataset(&DatasetConfig {
-        max_per_type: 30,
-        ..Default::default()
-    });
-    let xcn = XcNormalizer::fit(&[&d.graph]);
-    let cap = CapNormalizer::paper_range();
-    let samples = prepare_link_dataset(&ds, PeKind::Dspd, &xcn, |v| cap.encode(v));
-    let windows: Vec<Vec<&PreparedSample>> = (0..samples.len())
-        .map(|start| {
-            (0..32)
-                .map(|j| &samples[(start + j) % samples.len()])
-                .collect()
-        })
-        .collect();
-
-    let mut group = c.benchmark_group("quantized_infer");
-    group.sample_size(10);
-    for int8 in [false, true] {
-        let mut model = CircuitGps::new(default_model(PeKind::Dspd, 7));
-        if int8 {
-            assert!(model.store_mut().quantize_int8() > 0);
-        }
-        let label = if int8 { "int8" } else { "f32" };
-        group.bench_function(format!("predict_link_batched32/{label}"), |b| {
-            let mut i = 0;
-            b.iter(|| {
-                let batch = &windows[i % windows.len()];
-                i += 1;
-                std::hint::black_box(model.predict_link_batch(batch))
-            })
         });
     }
     group.finish();

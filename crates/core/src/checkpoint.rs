@@ -23,12 +23,10 @@
 //! ([`TRAIN_STATE_SECTION`]) — without burdening readers that only want
 //! the model.
 //!
-//! Version 1 files (no length/footer, no sections) still load, as does
-//! the pre-container format (magic `CGPS`, a raw [`ParamStore`] dump
-//! with no config): [`CircuitGps::load_checkpoint`] falls back to
-//! constructing a [`ModelConfig::default`] model, exactly as old callers
-//! did by hand, and reports the file as [`CheckpointFormat::Legacy`] so
-//! front ends can warn.
+//! Version 1 files (no length/footer, no sections) still load. The
+//! pre-container format (magic `CGPS`, a raw [`ParamStore`] dump with no
+//! config) is recognized only to fail with the named
+//! [`CheckpointError::LegacyRawDump`] and a migration hint.
 //!
 //! [`ParamStore`]: cirgps_nn::ParamStore
 
@@ -43,7 +41,8 @@ use crate::model::CircuitGps;
 
 /// Container magic for the self-describing checkpoint format.
 pub const CHECKPOINT_MAGIC: &[u8; 4] = b"CGPC";
-/// Magic of the legacy raw parameter dump (no embedded config).
+/// Magic of the pre-container raw parameter dump (no embedded config),
+/// kept only to name the format in [`CheckpointError::LegacyRawDump`].
 pub const LEGACY_MAGIC: &[u8; 4] = b"CGPS";
 /// Highest container version this build can read and the version it
 /// writes.
@@ -51,11 +50,6 @@ pub const CHECKPOINT_VERSION: u32 = 2;
 /// Section name under which resumable-training state
 /// ([`crate::TrainState`]) is stored in a v2 container.
 pub const TRAIN_STATE_SECTION: &str = "train_state";
-/// Section name under which int8 weight quantization (per-tensor scales
-/// plus codes, see [`cirgps_nn::QuantMatrix`]) is stored in a v2
-/// container. Purely additive: readers predating the section — and
-/// checkpoints predating it — interoperate as pure f32.
-pub const QUANT_SECTION: &str = "quant";
 
 /// Most sections a v2 container may carry; far above anything written
 /// today, it only bounds the loop on (CRC-verified) input.
@@ -70,10 +64,6 @@ pub enum CheckpointFormat {
     /// The current container: embedded [`ModelConfig`], named optional
     /// sections, and a CRC32 integrity footer over the whole file.
     V2,
-    /// The pre-container raw weight dump; the model configuration is
-    /// assumed to be [`ModelConfig::default`]. Deprecated — re-save with
-    /// [`CircuitGps::save_checkpoint`] to embed the config.
-    Legacy,
 }
 
 /// Why reading or writing a checkpoint failed. Every variant names the
@@ -86,6 +76,10 @@ pub enum CheckpointError {
     /// The first four bytes are neither [`CHECKPOINT_MAGIC`] nor the
     /// legacy [`LEGACY_MAGIC`].
     BadMagic([u8; 4]),
+    /// The file is a pre-container raw weight dump ([`LEGACY_MAGIC`]).
+    /// It records no model config, so it is no longer read; the message
+    /// says how to migrate.
+    LegacyRawDump,
     /// The container version is newer than this build understands.
     UnsupportedVersion {
         /// Version recorded in the file.
@@ -107,19 +101,21 @@ pub enum CheckpointError {
     /// The parameter blob does not match the model built from the
     /// embedded config (names the parameter and both shapes).
     Params(ParamLoadError),
-    /// The `quant` section is malformed or inconsistent with the model
-    /// (truncated payload, unknown parameter, shape mismatch, or a
-    /// weight this model cannot serve quantized).
-    Quant(String),
 }
 
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint I/O: {e}"),
-            CheckpointError::BadMagic(m) => write!(
+            CheckpointError::BadMagic(m) => {
+                write!(f, "bad checkpoint magic {m:?} (expected \"CGPC\")")
+            }
+            CheckpointError::LegacyRawDump => write!(
                 f,
-                "bad checkpoint magic {m:?} (expected \"CGPC\" or legacy \"CGPS\")"
+                "pre-container raw weight dump (magic \"CGPS\") is no longer supported: it \
+                 records no model config. Re-train with `cirgps pretrain`/`finetune`, or load \
+                 it with an older release and re-save it as a \"CGPC\" container \
+                 (see docs/checkpoint-format.md)"
             ),
             CheckpointError::UnsupportedVersion { found, supported } => write!(
                 f,
@@ -133,7 +129,6 @@ impl std::fmt::Display for CheckpointError {
             ),
             CheckpointError::Config(msg) => write!(f, "embedded model config: {msg}"),
             CheckpointError::Params(e) => write!(f, "{e}"),
-            CheckpointError::Quant(msg) => write!(f, "checkpoint quant section: {msg}"),
         }
     }
 }
@@ -167,12 +162,12 @@ impl From<ParamLoadError> for CheckpointError {
 /// carried. [`CircuitGps::load_checkpoint`] is the model-only shorthand.
 #[derive(Debug)]
 pub struct Checkpoint {
-    /// The model, built from the embedded (or assumed-legacy) config.
+    /// The model, built from the embedded config.
     pub model: CircuitGps,
     /// Which on-disk format the file used.
     pub format: CheckpointFormat,
-    /// Named optional sections (v2 only; empty for v1/legacy files), in
-    /// file order.
+    /// Named optional sections (v2 only; empty for v1 files), in file
+    /// order.
     pub sections: Vec<(String, Vec<u8>)>,
 }
 
@@ -341,11 +336,6 @@ impl CircuitGps {
     /// [`TRAIN_STATE_SECTION`]). Readers that only want the model ignore
     /// sections they don't recognize.
     ///
-    /// If the parameter store holds int8 weight snapshots (after
-    /// [`cirgps_nn::ParamStore::quantize_int8`], e.g. the CLI's
-    /// `--quantize` export flag), they are appended automatically as the
-    /// [`QUANT_SECTION`] and reapplied on load.
-    ///
     /// # Errors
     ///
     /// Propagates I/O errors from the writer.
@@ -362,23 +352,9 @@ impl CircuitGps {
         write_u64(&mut body, cfg_block.len() as u64)?;
         body.write_all(&cfg_block)?;
         self.store().save_blob(&mut body)?;
-        let quant_payload =
-            if self.store().has_quant() && !sections.iter().any(|(n, _)| *n == QUANT_SECTION) {
-                let mut payload = Vec::new();
-                self.store().save_quant_blob(&mut payload)?;
-                Some(payload)
-            } else {
-                None
-            };
-        let n_sections = sections.len() + usize::from(quant_payload.is_some());
-        write_u32(&mut body, n_sections as u32)?;
+        write_u32(&mut body, sections.len() as u32)?;
         for (name, payload) in sections {
             write_str(&mut body, name)?;
-            write_u64(&mut body, payload.len() as u64)?;
-            body.write_all(payload)?;
-        }
-        if let Some(payload) = &quant_payload {
-            write_str(&mut body, QUANT_SECTION)?;
             write_u64(&mut body, payload.len() as u64)?;
             body.write_all(payload)?;
         }
@@ -409,35 +385,27 @@ impl CircuitGps {
         Ok((ck.model, ck.format))
     }
 
-    /// Reads a checkpoint — any supported format — and returns the model
+    /// Reads a checkpoint container (v1 or v2) and returns the model
     /// plus the container's optional sections.
     ///
-    /// For the versioned container the model is built from the
-    /// **embedded** config — no flags, no guessing, a non-default
-    /// architecture round-trips by itself. A v2 file's CRC32 footer is
-    /// verified over the raw bytes **before anything is parsed**, so a
-    /// torn or bit-flipped file cannot half-load. For a legacy raw
-    /// weight dump (magic `CGPS`) the model is built with
-    /// [`ModelConfig::default`], which is what every legacy call site
-    /// assumed; the returned [`CheckpointFormat::Legacy`] lets front
-    /// ends print a deprecation warning.
+    /// The model is built from the **embedded** config — no flags, no
+    /// guessing, a non-default architecture round-trips by itself. A v2
+    /// file's CRC32 footer is verified over the raw bytes **before
+    /// anything is parsed**, so a torn or bit-flipped file cannot
+    /// half-load. Sections this build does not interpret (for example a
+    /// stale `quant` section) are returned untouched and do not affect
+    /// the model.
     ///
     /// # Errors
     ///
-    /// Returns a named [`CheckpointError`] on bad magic, a
-    /// newer-than-supported version, a checksum mismatch, an invalid
-    /// embedded config, or a parameter name/shape mismatch.
+    /// Returns a named [`CheckpointError`] on bad magic, a pre-container
+    /// raw dump, a newer-than-supported version, a checksum mismatch, an
+    /// invalid embedded config, or a parameter name/shape mismatch.
     pub fn load_checkpoint_full<R: Read>(mut r: R) -> Result<Checkpoint, CheckpointError> {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if &magic == LEGACY_MAGIC {
-            let mut model = CircuitGps::new(ModelConfig::default());
-            model.store_mut().load_blob(&mut r)?;
-            return Ok(Checkpoint {
-                model,
-                format: CheckpointFormat::Legacy,
-                sections: Vec::new(),
-            });
+            return Err(CheckpointError::LegacyRawDump);
         }
         if &magic != CHECKPOINT_MAGIC {
             return Err(CheckpointError::BadMagic(magic));
@@ -522,19 +490,6 @@ impl CircuitGps {
                 "{} trailing bytes after the last section",
                 br.len()
             )));
-        }
-        // Reapply int8 weight snapshots so a `--quantize`-exported model
-        // serves quantized by default (callers wanting pure f32 clear
-        // the snapshots with `store_mut().clear_quant()`).
-        if let Some(payload) = sections
-            .iter()
-            .find(|(n, _)| n == QUANT_SECTION)
-            .map(|(_, p)| p.as_slice())
-        {
-            model
-                .store_mut()
-                .load_quant_blob(payload)
-                .map_err(CheckpointError::Quant)?;
         }
         Ok(Checkpoint {
             model,
@@ -664,16 +619,13 @@ mod tests {
         model
             .save_checkpoint_with_sections(
                 &mut bytes,
-                &[
-                    (TRAIN_STATE_SECTION, b"state-bytes"),
-                    ("quant_scales", &[1, 2, 3]),
-                ],
+                &[(TRAIN_STATE_SECTION, b"state-bytes"), ("notes", &[1, 2, 3])],
             )
             .unwrap();
         let ck = CircuitGps::load_checkpoint_full(&bytes[..]).unwrap();
         assert_eq!(ck.format, CheckpointFormat::V2);
         assert_eq!(ck.section(TRAIN_STATE_SECTION), Some(&b"state-bytes"[..]));
-        assert_eq!(ck.section("quant_scales"), Some(&[1u8, 2, 3][..]));
+        assert_eq!(ck.section("notes"), Some(&[1u8, 2, 3][..]));
         assert_eq!(ck.section("missing"), None);
         // The shorthand loader must accept the same file.
         let (loaded, fmt) = CircuitGps::load_checkpoint(&bytes[..]).unwrap();
@@ -682,93 +634,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_dump_still_loads_as_default_config() {
-        let s = sample();
+    fn legacy_raw_dump_is_a_named_error_with_migration_hint() {
         let model = CircuitGps::new(ModelConfig::default());
-        let want = model.predict_link(&s);
-        let mut bytes = Vec::new();
-        model.save(&mut bytes).unwrap(); // legacy raw dump
-        let (loaded, fmt) = CircuitGps::load_checkpoint(&bytes[..]).unwrap();
-        assert_eq!(fmt, CheckpointFormat::Legacy);
-        assert_eq!(loaded.cfg, ModelConfig::default());
-        assert_eq!(loaded.predict_link(&s).to_bits(), want.to_bits());
-    }
-
-    #[test]
-    fn quant_section_round_trips_and_serves_quantized() {
-        let s = sample();
-        let mut model = CircuitGps::new(non_default_config());
-        assert!(model.store_mut().quantize_int8() > 0);
-        let want = model.predict_link(&s);
-
-        let mut bytes = Vec::new();
-        model.save_checkpoint(&mut bytes).unwrap();
-        let ck = CircuitGps::load_checkpoint_full(&bytes[..]).unwrap();
-        assert!(ck.section(QUANT_SECTION).is_some(), "quant section written");
-        assert!(ck.model.store().has_quant(), "snapshots reapplied on load");
-        assert_eq!(
-            ck.model.predict_link(&s).to_bits(),
-            want.to_bits(),
-            "quantized predictions must round-trip bitwise"
-        );
-
-        // Clearing the snapshots reverts to the pure-f32 path.
-        let mut f32_model = CircuitGps::load_checkpoint_full(&bytes[..]).unwrap().model;
-        f32_model.store_mut().clear_quant();
-        let f32_pred = f32_model.predict_link(&s);
-        assert!(f32_pred.is_finite());
-    }
-
-    #[test]
-    fn checkpoint_without_quant_section_loads_pure_f32() {
-        let model = CircuitGps::new(non_default_config());
-        let mut bytes = Vec::new();
-        model.save_checkpoint(&mut bytes).unwrap();
-        let ck = CircuitGps::load_checkpoint_full(&bytes[..]).unwrap();
-        assert!(ck.section(QUANT_SECTION).is_none());
-        assert!(!ck.model.store().has_quant());
-    }
-
-    #[test]
-    fn corrupt_quant_section_is_a_named_error_not_a_panic() {
-        let model = CircuitGps::new(non_default_config());
-        // The CRC footer catches random bit flips; this test targets the
-        // section *parser* by writing well-framed containers whose quant
-        // payload is garbage (as a buggy or malicious writer would).
-        for payload in [
-            &b""[..],                         // truncated: no entry count
-            &[0xFF; 8][..],                   // absurd entry count
-            &1u64.to_le_bytes()[..],          // one entry, then truncation
-            &[1, 0, 0, 0, 0, 0, 0, 0, 3][..], // truncated mid-name
-        ] {
-            let mut bytes = Vec::new();
-            model
-                .save_checkpoint_with_sections(&mut bytes, &[(QUANT_SECTION, payload)])
-                .unwrap();
-            match CircuitGps::load_checkpoint_full(&bytes[..]) {
-                Err(CheckpointError::Quant(msg)) => {
-                    assert!(!msg.is_empty(), "quant error must explain itself")
-                }
-                other => panic!("payload {payload:?}: expected Quant error, got {other:?}"),
-            }
-        }
-        // A structurally valid payload naming an unknown parameter.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&1u64.to_le_bytes());
-        payload.extend_from_slice(&7u64.to_le_bytes());
-        payload.extend_from_slice(b"no.such");
-        payload.extend_from_slice(&1u64.to_le_bytes());
-        payload.extend_from_slice(&1u64.to_le_bytes());
-        payload.extend_from_slice(&1.0f32.to_le_bytes());
-        payload.push(5);
-        let mut bytes = Vec::new();
-        model
-            .save_checkpoint_with_sections(&mut bytes, &[(QUANT_SECTION, &payload)])
-            .unwrap();
-        match CircuitGps::load_checkpoint_full(&bytes[..]) {
-            Err(CheckpointError::Quant(msg)) => assert!(msg.contains("no.such"), "{msg}"),
-            other => panic!("expected Quant error naming the parameter, got {other:?}"),
-        }
+        let mut bytes = LEGACY_MAGIC.to_vec();
+        model.store().save_blob(&mut bytes).unwrap();
+        let err = CircuitGps::load_checkpoint(&bytes[..]).unwrap_err();
+        assert!(matches!(err, CheckpointError::LegacyRawDump), "{err:?}");
+        let msg = err.to_string();
+        assert!(msg.contains("\"CGPS\""), "must name the format: {msg}");
+        assert!(msg.contains("re-save"), "must say how to migrate: {msg}");
     }
 
     #[test]
@@ -849,19 +723,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_dump_of_non_default_model_reports_shape_mismatch_by_name() {
-        // The exact failure mode the self-describing container removes:
-        // a legacy dump of a non-default architecture loads against the
-        // assumed default config and must name the mismatched parameter
-        // and both shapes instead of a bare I/O error.
-        let model = CircuitGps::new(ModelConfig {
+    fn config_weight_mismatch_reports_shape_mismatch_by_name() {
+        // A container whose embedded config disagrees with its weights
+        // (written here by relabelling a non-default model as default)
+        // must name the mismatched parameter and both shapes instead of
+        // a bare I/O error.
+        let mut model = CircuitGps::new(ModelConfig {
             hidden_dim: 16,
             pe_dim: 4,
             heads: 2,
             ..ModelConfig::default()
         });
+        model.cfg = ModelConfig::default();
         let mut bytes = Vec::new();
-        model.save(&mut bytes).unwrap();
+        model.save_checkpoint(&mut bytes).unwrap();
         match CircuitGps::load_checkpoint(&bytes[..]) {
             Err(CheckpointError::Params(ParamLoadError::ShapeMismatch {
                 name,

@@ -1002,10 +1002,8 @@ mod tests {
         let owned = {
             let m2 = {
                 let mut bytes = Vec::new();
-                model.save(&mut bytes).unwrap();
-                let mut m = model_with(AttnKind::Transformer);
-                m.load(&bytes[..]).unwrap();
-                m
+                model.save_checkpoint(&mut bytes).unwrap();
+                CircuitGps::load_checkpoint(&bytes[..]).unwrap().0
             };
             let mut session = InferenceSession::new(m2, xcn.clone(), &g, cfg);
             session.predict_links(&links)

@@ -46,7 +46,7 @@ pub use checkpoint::{
     Checkpoint, CheckpointError, CheckpointFormat, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
     LEGACY_MAGIC, TRAIN_STATE_SECTION,
 };
-pub use cirgps_nn::{Backend, QuantMatrix};
+pub use cirgps_nn::Backend;
 pub use config::{AttnKind, FinetuneMode, ModelConfig, MpnnKind, TrainConfig};
 pub use durable::{crc32, write_atomic, Crc32};
 pub use infer::{InferenceSession, Query};

@@ -712,33 +712,6 @@ impl CircuitGps {
         let out = self.reg_output(&mut tape, s);
         tape.value(out).item()
     }
-
-    /// Serializes all parameters to a writer in the **legacy** raw-dump
-    /// format (magic `CGPS`, no embedded config). Prefer
-    /// [`CircuitGps::save_checkpoint`], whose container records the
-    /// [`ModelConfig`] so the file is loadable without out-of-band
-    /// knowledge of the architecture.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save<W: std::io::Write>(&self, w: W) -> std::io::Result<()> {
-        self.store.save(w)
-    }
-
-    /// Loads raw parameters from a reader into this model (must have
-    /// been built with the same [`ModelConfig`]); the in-memory
-    /// counterpart of [`CircuitGps::save`]. For files on disk prefer
-    /// [`CircuitGps::load_checkpoint`], which reconstructs the model
-    /// from the embedded config and also accepts this legacy format.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors or architecture mismatch (the error message
-    /// names the first mismatched parameter and both shapes).
-    pub fn load<R: std::io::Read>(&mut self, r: R) -> std::io::Result<()> {
-        self.store.load(r)
-    }
 }
 
 /// Helper trait impl: keep Performer random projections frozen after a
@@ -985,10 +958,10 @@ mod tests {
         let model = CircuitGps::new(cfg.clone());
         let p1 = model.predict_link(&s);
         let mut bytes = Vec::new();
-        model.save(&mut bytes).unwrap();
+        model.store().save_blob(&mut bytes).unwrap();
         let mut model2 = CircuitGps::new(ModelConfig { seed: 999, ..cfg });
         assert_ne!(model2.predict_link(&s), p1);
-        model2.load(&bytes[..]).unwrap();
+        model2.store_mut().load_blob(&bytes[..]).unwrap();
         let p2 = model2.predict_link(&s);
         assert!((p1 - p2).abs() < 1e-6, "{p1} vs {p2}");
     }

@@ -16,7 +16,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use cirgps_nn::{Adam, CosineSchedule, GradStore, Tape};
+use cirgps_nn::{Adam, BufferUpdate, CosineSchedule, GradStore, Tape};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -475,16 +475,19 @@ pub fn train_resumable(
             // inside these workers for very large sub-batches (above the
             // `CIRGPS_PAR_MACS` threshold); that oversubscribes briefly
             // but stays correct — set `CIRGPS_PAR_MACS=0` to keep
-            // batch-level threading only.
+            // batch-level threading only. Batch-norm running-stat
+            // updates are held back per sub-batch and applied in
+            // sub-batch order below, so they never depend on which
+            // worker finishes first.
             let n_sub = rayon::current_num_threads().clamp(1, batch.len().div_ceil(2).max(1));
             let sub_size = batch.len().div_ceil(n_sub);
-            let results: Vec<(f64, usize, GradStore)> = batch
+            let results: Vec<(f64, GradStore, Vec<BufferUpdate>)> = batch
                 .par_chunks(sub_size)
                 .enumerate()
                 .map(|(ci, chunk)| {
                     let subs: Vec<&PreparedSample> = chunk.iter().map(|&i| &samples[i]).collect();
                     let mut grads = GradStore::new(store);
-                    let loss_val = {
+                    let (loss_val, updates) = {
                         // Inner scope: dropping the tape returns its pooled
                         // buffers before the next sub-batch records.
                         let mut tape = Tape::new(
@@ -492,25 +495,29 @@ pub fn train_resumable(
                             true,
                             cfg.seed ^ (ci as u64) ^ ((epoch as u64) << 24) ^ ((step as u64) << 40),
                         );
+                        tape.defer_buffer_updates();
                         let loss = match task {
                             Task::LinkPrediction => model.loss_link_batch(&mut tape, &subs),
                             Task::Regression => model.loss_reg_batch(&mut tape, &subs),
                         };
                         tape.backward(loss, &mut grads);
-                        tape.value(loss).item()
+                        (tape.value(loss).item(), tape.take_buffer_updates())
                     };
                     // Gradients of a per-sub-batch *mean* loss: reweight by
                     // sub-batch size so merging yields the full-batch mean.
                     grads.scale(subs.len() as f32);
-                    (loss_val as f64 * subs.len() as f64, subs.len(), grads)
+                    (loss_val as f64 * subs.len() as f64, grads, updates)
                 })
                 .collect();
 
             let mut merged = GradStore::new(model.store());
             let mut batch_loss = 0.0f64;
-            for (loss, _, g) in results {
+            for (loss, g, updates) in results {
                 batch_loss += loss;
                 merged.merge(g);
+                for u in &updates {
+                    store.apply_buffer_update(u);
+                }
             }
             merged.scale(1.0 / batch.len() as f32);
             merged.clip_global_norm(cfg.clip);

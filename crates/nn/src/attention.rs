@@ -41,21 +41,14 @@ impl MultiHeadAttention {
         rng: &mut StdRng,
     ) -> Self {
         assert_eq!(dim % heads, 0, "dim {dim} not divisible by heads {heads}");
-        let attn = MultiHeadAttention {
+        MultiHeadAttention {
             wq: Linear::new(store, &format!("{name}.wq"), dim, dim, false, rng),
             wk: Linear::new(store, &format!("{name}.wk"), dim, dim, false, rng),
             wv: Linear::new(store, &format!("{name}.wv"), dim, dim, false, rng),
             wo: Linear::new(store, &format!("{name}.wo"), dim, dim, true, rng),
             heads,
             head_dim: dim / heads,
-        };
-        // The inference path packs Q/K/V into one GEMM straight from the
-        // raw f32 weights, so quantizing them would be silently ignored;
-        // only the output projection stays quantizable.
-        for w in [&attn.wq, &attn.wk, &attn.wv] {
-            store.set_quantizable(w.weight_id(), false);
         }
-        attn
     }
 
     /// Number of attention heads.
@@ -162,7 +155,7 @@ impl PerformerAttention {
             normal_init(heads * features, head_dim, 1.0, rng),
             false,
         );
-        let attn = PerformerAttention {
+        PerformerAttention {
             wq: Linear::new(store, &format!("{name}.wq"), dim, dim, false, rng),
             wk: Linear::new(store, &format!("{name}.wk"), dim, dim, false, rng),
             wv: Linear::new(store, &format!("{name}.wv"), dim, dim, false, rng),
@@ -171,13 +164,7 @@ impl PerformerAttention {
             heads,
             head_dim,
             features,
-        };
-        // Same as MultiHeadAttention: Q/K/V are packed from raw f32 at
-        // inference time, so they must not carry int8 snapshots.
-        for w in [&attn.wq, &attn.wk, &attn.wv] {
-            store.set_quantizable(w.weight_id(), false);
         }
-        attn
     }
 
     /// Number of random features per head.

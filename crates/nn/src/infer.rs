@@ -119,46 +119,6 @@ pub(crate) fn linear_fwd(xv: &Tensor, wv: &Tensor, bias: Option<&Tensor>, relu: 
     Tensor::from_vec(m, n, out)
 }
 
-/// [`linear_fwd`] against an int8-quantized weight: same bias seeding
-/// and ReLU epilogue, with the GEMM routed through the dequantizing
-/// kernels (see [`crate::quant`]).
-///
-/// # Panics
-///
-/// Panics on shape mismatch (`b` must be `1×n` when given).
-pub(crate) fn linear_fwd_quant(
-    xv: &Tensor,
-    qw: &crate::quant::QuantMatrix,
-    bias: Option<&Tensor>,
-    relu: bool,
-) -> Tensor {
-    let (m, k) = xv.shape();
-    assert_eq!(
-        k,
-        qw.rows(),
-        "linear shape mismatch: {:?} vs {}x{} (quant)",
-        xv.shape(),
-        qw.rows(),
-        qw.cols()
-    );
-    let n = qw.cols();
-    let mut out = pool::take_capacity(m * n);
-    match bias {
-        Some(bv) => {
-            assert_eq!(bv.shape(), (1, n), "bias must be 1x{n}");
-            for _ in 0..m {
-                out.extend_from_slice(bv.as_slice());
-            }
-        }
-        None => out.resize(m * n, 0.0),
-    }
-    crate::quant::gemm_quant(xv.as_slice(), qw, &mut out, m);
-    if relu {
-        relu_sweep_with(Backend::active(), &mut out);
-    }
-    Tensor::from_vec(m, n, out)
-}
-
 /// Row-wise softmax (append-only writes, vectorizable exp pass).
 ///
 /// The row max and the row sum stay scalar-sequential on every backend

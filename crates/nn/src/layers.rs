@@ -93,11 +93,6 @@ impl Linear {
             xavier_uniform(in_dim, out_dim, rng),
             true,
         );
-        // Linear weights route through the dequantizing GEMM when an
-        // int8 snapshot exists; layers whose inference path reads the
-        // raw f32 weight instead (the packed QKV projections) unmark
-        // theirs at construction.
-        store.set_quantizable(w, true);
         let b =
             bias.then(|| store.register(&format!("{name}.bias"), Tensor::zeros(1, out_dim), true));
         Linear {
@@ -140,29 +135,14 @@ impl Linear {
     }
 
     /// Tape-free forward (eval mode): same fused kernel as
-    /// [`Linear::forward`], reading weights straight from `params`. If
-    /// the store holds an int8 snapshot of this weight, the GEMM runs
-    /// through the dequantizing kernels instead.
+    /// [`Linear::forward`], reading weights straight from `params`.
     pub fn infer(&self, params: &ParamStore, x: &Tensor) -> Tensor {
-        match params.quant_of(self.w) {
-            Some(q) => crate::infer::linear_fwd_quant(x, q, self.b.map(|b| params.get(b)), false),
-            None => crate::infer::linear_fwd(
-                x,
-                params.get(self.w),
-                self.b.map(|b| params.get(b)),
-                false,
-            ),
-        }
+        crate::infer::linear_fwd(x, params.get(self.w), self.b.map(|b| params.get(b)), false)
     }
 
     /// Tape-free `relu(xW + b)` (eval mode).
     pub fn infer_relu(&self, params: &ParamStore, x: &Tensor) -> Tensor {
-        match params.quant_of(self.w) {
-            Some(q) => crate::infer::linear_fwd_quant(x, q, self.b.map(|b| params.get(b)), true),
-            None => {
-                crate::infer::linear_fwd(x, params.get(self.w), self.b.map(|b| params.get(b)), true)
-            }
-        }
+        crate::infer::linear_fwd(x, params.get(self.w), self.b.map(|b| params.get(b)), true)
     }
 
     /// Tape-free `(xW + b) + dx[dst] + ex[src]` with the gathered adds
@@ -176,12 +156,6 @@ impl Linear {
         ex: &Tensor,
         src: &[usize],
     ) -> Tensor {
-        if let Some(q) = params.quant_of(self.w) {
-            // Quantized route: dequantizing GEMM, gathered adds as a
-            // second sweep (bitwise-equal to the fused epilogue).
-            let ce = crate::infer::linear_fwd_quant(x, q, self.b.map(|b| params.get(b)), false);
-            return crate::infer::add_gathered2_inplace(ce, dx, dst, ex, src);
-        }
         crate::infer::linear_add_gathered2(
             x,
             params.get(self.w),
@@ -307,17 +281,8 @@ impl BatchNorm1d {
         let beta = tape.param(self.beta);
         if tape.is_training() {
             let (y, mean, var) = tape.batch_norm(x, gamma, beta, self.eps, None);
-            let m = self.momentum;
-            tape.params().update_buffer(self.running_mean, |rm| {
-                for (r, &b) in rm.as_mut_slice().iter_mut().zip(mean.as_slice()) {
-                    *r = (1.0 - m) * *r + m * b;
-                }
-            });
-            tape.params().update_buffer(self.running_var, |rv| {
-                for (r, &b) in rv.as_mut_slice().iter_mut().zip(var.as_slice()) {
-                    *r = (1.0 - m) * *r + m * b;
-                }
-            });
+            tape.momentum_update(self.running_mean, mean, self.momentum);
+            tape.momentum_update(self.running_var, var, self.momentum);
             y
         } else {
             let mean = tape.params().buffer(self.running_mean);
@@ -567,6 +532,50 @@ mod tests {
         let y = bn.forward(&mut tape, x);
         // 5.0 is the running mean, so the normalized output should be ~0.
         assert!(tape.value(y).item().abs() < 0.05);
+    }
+
+    #[test]
+    fn deferred_running_stat_updates_apply_in_caller_order() {
+        let batches = [
+            Tensor::from_rows(&[&[1.0, -2.0], &[3.0, 0.5], &[4.0, 7.0]]),
+            Tensor::from_rows(&[&[-6.0, 2.0], &[0.25, 9.0]]),
+        ];
+        // Reference: sub-batches forwarded one after another.
+        let mut seq = ParamStore::new();
+        let bn_seq = BatchNorm1d::new(&mut seq, "bn", 2);
+        for b in &batches {
+            let mut tape = Tape::new(&seq, true, 0);
+            let x = tape.input(b.clone());
+            bn_seq.forward(&mut tape, x);
+        }
+        // Deferred: record in reverse (a late worker finishing first),
+        // then apply in sub-batch order.
+        let mut par = ParamStore::new();
+        let bn_par = BatchNorm1d::new(&mut par, "bn", 2);
+        let mut held: Vec<_> = batches
+            .iter()
+            .rev()
+            .map(|b| {
+                let mut tape = Tape::new(&par, true, 0);
+                tape.defer_buffer_updates();
+                let x = tape.input(b.clone());
+                bn_par.forward(&mut tape, x);
+                tape.take_buffer_updates()
+            })
+            .collect();
+        assert_eq!(par.buffer(bn_par.running_mean), Tensor::zeros(1, 2));
+        held.reverse();
+        for u in held.iter().flatten() {
+            par.apply_buffer_update(u);
+        }
+        for (a, b) in [
+            (bn_seq.running_mean, bn_par.running_mean),
+            (bn_seq.running_var, bn_par.running_var),
+        ] {
+            let (want, got) = (seq.buffer(a), par.buffer(b));
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&want), bits(&got));
+        }
     }
 
     #[test]

@@ -50,7 +50,6 @@ mod layers;
 mod optim;
 mod params;
 pub mod pool;
-pub mod quant;
 pub mod simd;
 mod tape;
 mod tensor;
@@ -60,10 +59,10 @@ pub use gatedgcn::{EdgeIndex, GatedGcn};
 pub use layers::{Activation, BatchNorm1d, Embedding, Linear, Mlp};
 pub use optim::{Adam, CosineSchedule, Sgd};
 pub use params::{
-    normal_init, xavier_uniform, BufferId, GradStore, ParamId, ParamLoadError, ParamStore,
+    normal_init, xavier_uniform, BufferId, BufferUpdate, GradStore, ParamId, ParamLoadError,
+    ParamStore,
 };
 pub use pool::PoolStats;
-pub use quant::QuantMatrix;
 pub use simd::Backend;
 pub use tape::{Tape, Var};
 pub use tensor::Tensor;

@@ -13,22 +13,17 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::quant::QuantMatrix;
 use crate::tensor::Tensor;
 
 /// Why loading a parameter blob into a [`ParamStore`] failed.
 ///
 /// Every variant names what was expected and what the blob contained, so
 /// a CLI can surface "which parameter, which shapes" instead of a bare
-/// I/O error. Converts into [`std::io::Error`] (kind `InvalidData`,
-/// except [`ParamLoadError::Io`] which keeps its kind) for callers on
-/// `io::Result` signatures.
+/// I/O error.
 #[derive(Debug)]
 pub enum ParamLoadError {
     /// Underlying reader failed (or the blob was truncated).
     Io(io::Error),
-    /// The 4-byte legacy magic was not `CGPS`.
-    BadMagic([u8; 4]),
     /// The blob holds a different number of parameter tensors.
     ParamCount {
         /// Tensors in the store being loaded into.
@@ -65,9 +60,6 @@ impl std::fmt::Display for ParamLoadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ParamLoadError::Io(e) => write!(f, "reading parameter blob: {e}"),
-            ParamLoadError::BadMagic(m) => {
-                write!(f, "bad checkpoint magic {m:?} (expected \"CGPS\")")
-            }
             ParamLoadError::ParamCount { expected, found } => write!(
                 f,
                 "checkpoint has {found} params, model expects {expected} \
@@ -110,15 +102,6 @@ impl From<io::Error> for ParamLoadError {
     }
 }
 
-impl From<ParamLoadError> for io::Error {
-    fn from(e: ParamLoadError) -> Self {
-        match e {
-            ParamLoadError::Io(e) => e,
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-        }
-    }
-}
-
 /// Handle to a trainable (or frozen) parameter tensor in a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ParamId(pub(crate) usize);
@@ -126,6 +109,16 @@ pub struct ParamId(pub(crate) usize);
 /// Handle to a non-trainable state buffer (e.g. batch-norm running stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BufferId(pub(crate) usize);
+
+/// A momentum update of a state buffer, `buf ← (1 − m)·buf + m·stat`
+/// (batch-norm running statistics), as recorded by a training forward
+/// pass. See [`crate::Tape::defer_buffer_updates`].
+#[derive(Debug)]
+pub struct BufferUpdate {
+    pub(crate) id: BufferId,
+    pub(crate) stat: Tensor,
+    pub(crate) momentum: f32,
+}
 
 /// Owns every parameter and state buffer of a model.
 ///
@@ -146,12 +139,6 @@ pub struct ParamStore {
     trainable: Vec<bool>,
     buffers: Vec<Mutex<Tensor>>,
     buffer_names: Vec<String>,
-    /// Whether each parameter is a weight matrix the int8 path may
-    /// quantize (set by the layer that registered it).
-    quantizable: Vec<bool>,
-    /// Per-parameter int8 snapshot, populated by
-    /// [`ParamStore::quantize_int8`] or a checkpoint's `quant` section.
-    quant: Vec<Option<QuantMatrix>>,
 }
 
 impl ParamStore {
@@ -169,8 +156,6 @@ impl ParamStore {
         self.params.push(init);
         self.names.push(name.to_string());
         self.trainable.push(trainable);
-        self.quantizable.push(false);
-        self.quant.push(None);
         ParamId(self.params.len() - 1)
     }
 
@@ -187,12 +172,7 @@ impl ParamStore {
     }
 
     /// Mutably borrows a parameter tensor (used by optimizers).
-    ///
-    /// Invalidates any int8 snapshot of the parameter: the quantized
-    /// codes would otherwise go stale the moment an optimizer step
-    /// mutates the f32 values.
     pub fn get_mut(&mut self, id: ParamId) -> &mut Tensor {
-        self.quant[id.0] = None;
         &mut self.params[id.0]
     }
 
@@ -226,115 +206,6 @@ impl ParamStore {
         n
     }
 
-    /// Marks a parameter as eligible for int8 weight quantization.
-    ///
-    /// Layers call this for weight matrices whose inference path goes
-    /// through a dequantizing GEMM (currently [`crate::Linear`] weights,
-    /// except the attention QKV projections, which are re-packed from
-    /// raw f32 at inference time). Biases, embeddings and batch-norm
-    /// parameters stay f32.
-    pub fn set_quantizable(&mut self, id: ParamId, quantizable: bool) {
-        self.quantizable[id.0] = quantizable;
-        if !quantizable {
-            self.quant[id.0] = None;
-        }
-    }
-
-    /// Whether a parameter is eligible for int8 quantization.
-    pub fn is_quantizable(&self, id: ParamId) -> bool {
-        self.quantizable[id.0]
-    }
-
-    /// Quantizes every quantizable parameter to int8, returning how many
-    /// tensors were snapshotted. Inference then routes those weights
-    /// through the dequantizing GEMM kernels (see [`crate::QuantMatrix`]).
-    pub fn quantize_int8(&mut self) -> usize {
-        let mut n = 0;
-        for i in 0..self.params.len() {
-            if self.quantizable[i] {
-                self.quant[i] = Some(QuantMatrix::quantize(&self.params[i]));
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// Drops every int8 snapshot, reverting inference to pure f32.
-    pub fn clear_quant(&mut self) {
-        for q in &mut self.quant {
-            *q = None;
-        }
-    }
-
-    /// The int8 snapshot of a parameter, if one exists.
-    pub fn quant_of(&self, id: ParamId) -> Option<&QuantMatrix> {
-        self.quant[id.0].as_ref()
-    }
-
-    /// Whether any parameter currently has an int8 snapshot.
-    pub fn has_quant(&self) -> bool {
-        self.quant.iter().any(Option::is_some)
-    }
-
-    /// Serializes the int8 snapshots as a `quant` section payload
-    /// (sorted by parameter index, i.e. registration order).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the writer.
-    pub fn save_quant_blob<W: Write>(&self, w: W) -> io::Result<()> {
-        let entries: Vec<(&str, &QuantMatrix)> = self
-            .quant
-            .iter()
-            .enumerate()
-            .filter_map(|(i, q)| q.as_ref().map(|q| (self.names[i].as_str(), q)))
-            .collect();
-        crate::quant::write_quant_blob(w, &entries)
-    }
-
-    /// Loads int8 snapshots from a `quant` section payload (the
-    /// counterpart of [`ParamStore::save_quant_blob`]).
-    ///
-    /// Every entry must name a known parameter, match its shape, and be
-    /// marked quantizable in this store — a checkpoint quantizing a
-    /// weight this model re-packs from f32 would silently lose the
-    /// quantization, so it is rejected instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns a descriptive message on truncation, corruption, an
-    /// unknown parameter name, or a shape/eligibility mismatch.
-    pub fn load_quant_blob<R: Read>(&mut self, r: R) -> Result<usize, String> {
-        let entries = crate::quant::read_quant_blob(r)?;
-        let mut loaded = 0;
-        for (name, q) in entries {
-            let idx = self
-                .names
-                .iter()
-                .position(|n| *n == name)
-                .ok_or_else(|| format!("quant section names unknown parameter {name:?}"))?;
-            let shape = self.params[idx].shape();
-            if (q.rows(), q.cols()) != shape {
-                return Err(format!(
-                    "quant section shape mismatch for {name:?}: model expects {}x{}, \
-                     section has {}x{}",
-                    shape.0,
-                    shape.1,
-                    q.rows(),
-                    q.cols()
-                ));
-            }
-            if !self.quantizable[idx] {
-                return Err(format!(
-                    "quant section quantizes {name:?}, which this model cannot serve quantized"
-                ));
-            }
-            self.quant[idx] = Some(q);
-            loaded += 1;
-        }
-        Ok(loaded)
-    }
-
     /// Number of registered parameters (tensors, not scalars).
     pub fn len(&self) -> usize {
         self.params.len()
@@ -366,9 +237,13 @@ impl ParamStore {
         self.buffers[id.0].lock().clone()
     }
 
-    /// Applies `f` to a buffer under its lock.
-    pub fn update_buffer(&self, id: BufferId, f: impl FnOnce(&mut Tensor)) {
-        f(&mut self.buffers[id.0].lock());
+    /// Applies a momentum update to its buffer under the buffer's lock.
+    pub fn apply_buffer_update(&self, u: &BufferUpdate) {
+        let m = u.momentum;
+        let mut buf = self.buffers[u.id.0].lock();
+        for (r, &b) in buf.as_mut_slice().iter_mut().zip(u.stat.as_slice()) {
+            *r = (1.0 - m) * *r + m * b;
+        }
     }
 
     /// Iterates over `(id, name, tensor)` for all parameters.
@@ -468,40 +343,6 @@ impl ParamStore {
             *self.buffers[i].lock() = t;
         }
         Ok(())
-    }
-
-    /// Serializes all parameters and buffers in the **legacy** raw-dump
-    /// format: the 4-byte magic `CGPS` followed by the
-    /// [`ParamStore::save_blob`] records. The format does not record the
-    /// model configuration; prefer the self-describing checkpoint
-    /// container (`CircuitGps::save_checkpoint` in `circuitgps`).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the writer.
-    pub fn save<W: Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(b"CGPS")?;
-        self.save_blob(&mut w)
-    }
-
-    /// Loads parameter *values* from a legacy-format reader (the
-    /// counterpart of [`ParamStore::save`]) into this store.
-    ///
-    /// The store must already contain parameters with matching names and
-    /// shapes (i.e. build the model first, then load the checkpoint).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on I/O failure, bad magic, or name/shape
-    /// mismatch (a [`ParamLoadError`] converted to `io::Error`, keeping
-    /// the named message).
-    pub fn load<R: Read>(&mut self, mut r: R) -> io::Result<()> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != b"CGPS" {
-            return Err(ParamLoadError::BadMagic(magic).into());
-        }
-        self.load_blob(&mut r).map_err(Into::into)
     }
 }
 
@@ -730,12 +571,12 @@ mod tests {
         s.register("w", xavier_uniform(3, 5, &mut rng), true);
         let buf_id = s.register_buffer("bn.mean", Tensor::row(&[1.0, 2.0]));
         let mut bytes = Vec::new();
-        s.save(&mut bytes).unwrap();
+        s.save_blob(&mut bytes).unwrap();
 
         let mut s2 = ParamStore::new();
         let w2 = s2.register("w", Tensor::zeros(3, 5), true);
         s2.register_buffer("bn.mean", Tensor::zeros(1, 2));
-        s2.load(&bytes[..]).unwrap();
+        s2.load_blob(&bytes[..]).unwrap();
         assert_eq!(s2.get(w2), s.get(ParamId(0)));
         assert_eq!(s2.buffer(BufferId(0)), s.buffer(buf_id));
     }
@@ -745,11 +586,14 @@ mod tests {
         let mut s = ParamStore::new();
         s.register("w", Tensor::zeros(2, 2), true);
         let mut bytes = Vec::new();
-        s.save(&mut bytes).unwrap();
+        s.save_blob(&mut bytes).unwrap();
 
         let mut s2 = ParamStore::new();
         s2.register("w", Tensor::zeros(3, 3), true);
-        assert!(s2.load(&bytes[..]).is_err());
+        assert!(matches!(
+            s2.load_blob(&bytes[..]),
+            Err(ParamLoadError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]
@@ -761,61 +605,6 @@ mod tests {
         let pre = g.clip_global_norm(1.0);
         assert!((pre - 5.0).abs() < 1e-6);
         assert!((g.global_norm() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn quantize_marks_and_optimizer_writes_invalidate() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut s = ParamStore::new();
-        let w = s.register("w", xavier_uniform(4, 8, &mut rng), true);
-        let b = s.register("b", xavier_uniform(1, 8, &mut rng), true);
-        s.set_quantizable(w, true);
-        assert_eq!(s.quantize_int8(), 1);
-        assert!(s.quant_of(w).is_some());
-        assert!(s.quant_of(b).is_none());
-        // Mutating a parameter (the optimizer path) drops its snapshot.
-        s.get_mut(w).as_mut_slice()[0] += 1.0;
-        assert!(s.quant_of(w).is_none());
-        assert!(!s.has_quant());
-    }
-
-    #[test]
-    fn quant_blob_round_trips_and_validates() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut s = ParamStore::new();
-        let w = s.register("w", xavier_uniform(4, 8, &mut rng), true);
-        s.set_quantizable(w, true);
-        s.quantize_int8();
-        let mut bytes = Vec::new();
-        s.save_quant_blob(&mut bytes).unwrap();
-
-        let mut s2 = ParamStore::new();
-        let w2 = s2.register("w", Tensor::zeros(4, 8), true);
-        s2.set_quantizable(w2, true);
-        assert_eq!(s2.load_quant_blob(&bytes[..]).unwrap(), 1);
-        assert_eq!(s2.quant_of(w2), s.quant_of(w));
-
-        // Unknown name, wrong shape and non-quantizable targets are all
-        // named errors rather than silent drops.
-        let mut s3 = ParamStore::new();
-        s3.register("other", Tensor::zeros(4, 8), true);
-        assert!(s3
-            .load_quant_blob(&bytes[..])
-            .unwrap_err()
-            .contains("unknown"));
-        let mut s4 = ParamStore::new();
-        let w4 = s4.register("w", Tensor::zeros(2, 8), true);
-        s4.set_quantizable(w4, true);
-        assert!(s4
-            .load_quant_blob(&bytes[..])
-            .unwrap_err()
-            .contains("shape"));
-        let mut s5 = ParamStore::new();
-        s5.register("w", Tensor::zeros(4, 8), true);
-        assert!(s5
-            .load_quant_blob(&bytes[..])
-            .unwrap_err()
-            .contains("cannot serve quantized"));
     }
 
     #[test]

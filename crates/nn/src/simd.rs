@@ -44,7 +44,7 @@
 //! * [`Backend::force`] does the same programmatically (the CLI's
 //!   `--backend` flag) with a `Result` instead of a panic.
 //!
-//! See `docs/simd-quant.md` for the dispatch table and measurements.
+//! See `docs/simd.md` for the dispatch table and measurements.
 
 use std::sync::OnceLock;
 
@@ -840,75 +840,6 @@ pub(crate) mod avx2 {
             j += 1;
         }
     }
-
-    /// Dequantizing `out += a · (q·scale)` for compile-time width `N`
-    /// (multiple of 8). Same per-element chain as the scalar quant
-    /// kernel: one FMA per k-step onto each column's accumulator, with
-    /// the weight dequantized as `(q as f32) * scale` (both exact ops).
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn gemm_quant_fixed<const N: usize>(
-        a: &[f32],
-        q: &[i8],
-        scale: f32,
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-    ) {
-        debug_assert_eq!(N % 8, 0);
-        let nv = N / 8;
-        let ap = a.as_ptr();
-        let qp = q.as_ptr();
-        let op = out.as_mut_ptr();
-        let vs = _mm256_set1_ps(scale);
-        let mut i = 0;
-        while nv <= 4 && i + 2 <= m {
-            let ar0 = ap.add(i * k);
-            let ar1 = ap.add((i + 1) * k);
-            let o0 = op.add(i * N);
-            let o1 = op.add((i + 1) * N);
-            let mut acc0 = [_mm256_setzero_ps(); 4];
-            let mut acc1 = [_mm256_setzero_ps(); 4];
-            for v in 0..nv {
-                acc0[v] = _mm256_loadu_ps(o0.add(v * 8));
-                acc1[v] = _mm256_loadu_ps(o1.add(v * 8));
-            }
-            for p in 0..k {
-                let x = _mm256_set1_ps(*ar0.add(p));
-                let y = _mm256_set1_ps(*ar1.add(p));
-                for v in 0..nv {
-                    let qv = _mm_loadl_epi64(qp.add(p * N + v * 8) as *const __m128i);
-                    let w = _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(qv)), vs);
-                    acc0[v] = _mm256_fmadd_ps(x, w, acc0[v]);
-                    acc1[v] = _mm256_fmadd_ps(y, w, acc1[v]);
-                }
-            }
-            for v in 0..nv {
-                _mm256_storeu_ps(o0.add(v * 8), acc0[v]);
-                _mm256_storeu_ps(o1.add(v * 8), acc1[v]);
-            }
-            i += 2;
-        }
-        while i < m {
-            let ar = ap.add(i * k);
-            let o = op.add(i * N);
-            let mut acc = [_mm256_setzero_ps(); 8];
-            for v in 0..nv {
-                acc[v] = _mm256_loadu_ps(o.add(v * 8));
-            }
-            for p in 0..k {
-                let x = _mm256_set1_ps(*ar.add(p));
-                for v in 0..nv {
-                    let qv = _mm_loadl_epi64(qp.add(p * N + v * 8) as *const __m128i);
-                    let w = _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(qv)), vs);
-                    acc[v] = _mm256_fmadd_ps(x, w, acc[v]);
-                }
-            }
-            for v in 0..nv {
-                _mm256_storeu_ps(o.add(v * 8), acc[v]);
-            }
-            i += 1;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1025,74 +956,6 @@ pub(crate) mod avx512 {
             i += 1;
         }
     }
-
-    /// Dequantizing `out += a · (q·scale)` for compile-time width `N`
-    /// (multiple of 16); 16-lane twin of
-    /// [`super::avx2::gemm_quant_fixed`].
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn gemm_quant_fixed<const N: usize>(
-        a: &[f32],
-        q: &[i8],
-        scale: f32,
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-    ) {
-        debug_assert_eq!(N % 16, 0);
-        let nv = N / 16;
-        let ap = a.as_ptr();
-        let qp = q.as_ptr();
-        let op = out.as_mut_ptr();
-        let vs = _mm512_set1_ps(scale);
-        let mut i = 0;
-        while nv <= 2 && i + 2 <= m {
-            let ar0 = ap.add(i * k);
-            let ar1 = ap.add((i + 1) * k);
-            let o0 = op.add(i * N);
-            let o1 = op.add((i + 1) * N);
-            let mut acc0 = [_mm512_setzero_ps(); 2];
-            let mut acc1 = [_mm512_setzero_ps(); 2];
-            for v in 0..nv {
-                acc0[v] = _mm512_loadu_ps(o0.add(v * 16));
-                acc1[v] = _mm512_loadu_ps(o1.add(v * 16));
-            }
-            for p in 0..k {
-                let x = _mm512_set1_ps(*ar0.add(p));
-                let y = _mm512_set1_ps(*ar1.add(p));
-                for v in 0..nv {
-                    let qv = _mm_loadu_si128(qp.add(p * N + v * 16) as *const __m128i);
-                    let w = _mm512_mul_ps(_mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(qv)), vs);
-                    acc0[v] = _mm512_fmadd_ps(x, w, acc0[v]);
-                    acc1[v] = _mm512_fmadd_ps(y, w, acc1[v]);
-                }
-            }
-            for v in 0..nv {
-                _mm512_storeu_ps(o0.add(v * 16), acc0[v]);
-                _mm512_storeu_ps(o1.add(v * 16), acc1[v]);
-            }
-            i += 2;
-        }
-        while i < m {
-            let ar = ap.add(i * k);
-            let o = op.add(i * N);
-            let mut acc = [_mm512_setzero_ps(); 4];
-            for v in 0..nv {
-                acc[v] = _mm512_loadu_ps(o.add(v * 16));
-            }
-            for p in 0..k {
-                let x = _mm512_set1_ps(*ar.add(p));
-                for v in 0..nv {
-                    let qv = _mm_loadu_si128(qp.add(p * N + v * 16) as *const __m128i);
-                    let w = _mm512_mul_ps(_mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(qv)), vs);
-                    acc[v] = _mm512_fmadd_ps(x, w, acc[v]);
-                }
-            }
-            for v in 0..nv {
-                _mm512_storeu_ps(o.add(v * 16), acc[v]);
-            }
-            i += 1;
-        }
-    }
 }
 
 /// Explicit-backend entry points for the cross-backend parity test
@@ -1105,7 +968,6 @@ pub(crate) mod avx512 {
 /// which dispatch on [`Backend::active`] instead.
 pub mod ops {
     use super::Backend;
-    use crate::quant::QuantMatrix;
     use crate::tensor::Tensor;
 
     fn check(backend: Backend) {
@@ -1165,14 +1027,6 @@ pub mod ops {
         assert_eq!(b.len(), n * k, "b length");
         assert_eq!(out.len(), m * n, "out length");
         crate::tensor::gemm_abt_with(backend, a, b, out, m, k, n);
-    }
-
-    /// Dequantizing `out += a · (q·s)` against an int8 weight.
-    pub fn gemm_quant(backend: Backend, a: &[f32], q: &QuantMatrix, out: &mut [f32], m: usize) {
-        check(backend);
-        assert_eq!(a.len(), m * q.rows(), "a length");
-        assert_eq!(out.len(), m * q.cols(), "out length");
-        crate::quant::gemm_quant_with(backend, a, q, out, m);
     }
 
     /// Eight-lane dot product (same reduction tree on every backend).

@@ -37,7 +37,7 @@ use crate::infer::{
     mha_block_diag_fwd, performer_block_diag_fwd, qkv_pack_weights, row_sum_fwd, scatter_add_rows,
     softmax_rows_fwd, stable_sigmoid,
 };
-use crate::params::{GradStore, ParamId, ParamStore};
+use crate::params::{BufferId, BufferUpdate, GradStore, ParamId, ParamStore};
 use crate::pool;
 use crate::tensor::{fast_exp, gemm_abt, gemm_atb, Tensor};
 
@@ -192,6 +192,9 @@ pub struct Tape<'p> {
     shapes: Vec<(usize, usize)>,
     training: bool,
     rng: StdRng,
+    /// State-buffer updates held back since
+    /// [`Tape::defer_buffer_updates`]; `None` applies them at once.
+    deferred: Option<Vec<BufferUpdate>>,
 }
 
 impl<'p> Tape<'p> {
@@ -205,7 +208,38 @@ impl<'p> Tape<'p> {
             shapes: Vec::new(),
             training,
             rng: StdRng::seed_from_u64(seed),
+            deferred: None,
         }
+    }
+
+    /// Holds back state-buffer updates (batch-norm running statistics)
+    /// instead of applying them during the forward pass; collect them
+    /// with [`Tape::take_buffer_updates`]. Training that records several
+    /// tapes on worker threads applies the collected updates in
+    /// sub-batch order, so the running statistics do not depend on
+    /// which thread finishes first.
+    pub fn defer_buffer_updates(&mut self) {
+        self.deferred.get_or_insert_with(Vec::new);
+    }
+
+    /// Records `buf ← (1 − momentum)·buf + momentum·stat` for a state
+    /// buffer: applied to the store now, or held back if
+    /// [`Tape::defer_buffer_updates`] was called.
+    pub fn momentum_update(&mut self, id: BufferId, stat: Tensor, momentum: f32) {
+        let u = BufferUpdate { id, stat, momentum };
+        match &mut self.deferred {
+            Some(held) => held.push(u),
+            None => self.params.apply_buffer_update(&u),
+        }
+    }
+
+    /// Removes and returns the held-back buffer updates, in the order the
+    /// forward pass recorded them.
+    pub fn take_buffer_updates(&mut self) -> Vec<BufferUpdate> {
+        self.deferred
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Whether the tape is in training mode.

@@ -97,9 +97,8 @@ impl Metrics {
     /// Renders the counters in Prometheus text format. `queue_depth`,
     /// `draining`, `brownout` and `recent_batch_us` are sampled by the
     /// caller (they live in the queue, the server and the engine, not
-    /// here); `backend`/`int8` describe the inference configuration and
-    /// are emitted as an info-style gauge so dashboards can tell which
-    /// SIMD backend and weight precision a deployment runs.
+    /// here); `backend` names the SIMD backend a deployment runs and is
+    /// emitted as an info-style gauge for dashboards.
     pub fn render(
         &self,
         queue_depth: usize,
@@ -107,7 +106,6 @@ impl Metrics {
         brownout: bool,
         recent_batch_us: u64,
         backend: &str,
-        int8: bool,
     ) -> String {
         let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let rows: [(&str, &str, u64); 24] = [
@@ -198,8 +196,7 @@ impl Metrics {
         ));
         out.push_str(&format!(
             "# TYPE cirgps_serve_backend_info gauge\n\
-             cirgps_serve_backend_info{{backend=\"{backend}\",precision=\"{}\"}} 1\n",
-            if int8 { "int8" } else { "f32" }
+             cirgps_serve_backend_info{{backend=\"{backend}\"}} 1\n"
         ));
         out
     }
@@ -218,7 +215,7 @@ mod tests {
         m.observe_latency_us(100);
         m.observe_latency_us(250);
         Metrics::inc(&m.http_predict);
-        let text = m.render(11, true, true, 1500, "scalar", false);
+        let text = m.render(11, true, true, 1500, "scalar");
         assert!(text.contains("cirgps_serve_batches_total 3"), "{text}");
         assert!(
             text.contains("cirgps_serve_batch_occupancy_sum 15"),
@@ -252,13 +249,13 @@ mod tests {
         );
         assert!(text.contains("cirgps_serve_retry_after_s 0"), "{text}");
         assert!(
-            text.contains("cirgps_serve_backend_info{backend=\"scalar\",precision=\"f32\"} 1"),
+            text.contains("cirgps_serve_backend_info{backend=\"scalar\"} 1"),
             "{text}"
         );
         m.sweep_pairs_total.fetch_add(100, Ordering::Relaxed);
         m.sweep_forwards_total.fetch_add(9, Ordering::Relaxed);
         Metrics::inc(&m.http_sweep);
-        let text = m.render(0, false, false, 0, "avx2", true);
+        let text = m.render(0, false, false, 0, "avx2");
         assert!(
             text.contains("cirgps_serve_requests_sweep_total 1"),
             "{text}"
@@ -272,7 +269,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("cirgps_serve_backend_info{backend=\"avx2\",precision=\"int8\"} 1"),
+            text.contains("cirgps_serve_backend_info{backend=\"avx2\"} 1"),
             "{text}"
         );
     }

@@ -9,7 +9,7 @@
 //! server borrows its model and graph for the whole serve call and
 //! needs no `'static` plumbing.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -288,18 +288,21 @@ impl Server {
                     self.engine.run_worker(&mut session);
                 });
             }
+            // Shed connections still lingering after their 503 (see
+            // `shed_linger`), oldest first.
+            let mut shed: VecDeque<(TcpStream, Instant)> = VecDeque::new();
             for stream in listener.incoming() {
                 if self.shutdown.load(Ordering::SeqCst) || self.draining.load(Ordering::SeqCst) {
                     break;
                 }
-                let Ok(stream) = stream else { continue };
+                let Ok(mut stream) = stream else { continue };
+                shed.retain_mut(|(s, since)| since.elapsed() < SHED_LINGER && drain_arrived(s));
                 // Accept-level shedding: past the connection cap, answer
                 // 503 on the accept thread and close instead of spawning
                 // yet another thread for a load we cannot serve.
                 if self.conns().streams.len() >= self.cfg.max_connections {
                     Metrics::inc(&self.engine.metrics().rejected_max_conns);
                     let retry_after = self.retry_after_secs().to_string();
-                    let mut stream = stream;
                     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
                     let _ = write_response(
                         &mut stream,
@@ -308,6 +311,7 @@ impl Server {
                         &[("retry-after", &retry_after), ("connection", "close")],
                         b"{\"error\":\"too many connections, retry later\"}",
                     );
+                    shed_linger(&mut shed, stream);
                     continue;
                 }
                 s.spawn(move || self.handle_connection(stream));
@@ -598,7 +602,6 @@ impl Server {
                         self.engine.in_brownout(),
                         self.engine.recent_batch_us(),
                         circuitgps::Backend::active().name(),
-                        self.model.store().has_quant(),
                     ),
                 )
             }
@@ -981,4 +984,44 @@ enum PredictError {
 
 fn bad(msg: &str) -> PredictError {
     PredictError::Bad(msg.to_string())
+}
+
+/// How long a shed connection may linger half-closed after its 503.
+const SHED_LINGER: Duration = Duration::from_secs(2);
+/// Most shed connections lingering at once; the oldest is closed first.
+const SHED_LINGER_CAP: usize = 64;
+
+/// Half-closes a shed connection after its 503 and keeps it open, so
+/// request bytes the peer is still sending do not hit a closed socket.
+/// Closing with unread bytes makes the kernel answer with RST, which can
+/// reach the client before it reads the 503 and its `Retry-After`. The
+/// accept loop sweeps the lingering connections on every accept and
+/// never waits on one.
+fn shed_linger(shed: &mut VecDeque<(TcpStream, Instant)>, mut stream: TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_nonblocking(true).is_err() || !drain_arrived(&mut stream) {
+        return;
+    }
+    if shed.len() == SHED_LINGER_CAP {
+        shed.pop_front();
+    }
+    shed.push_back((stream, Instant::now()));
+}
+
+/// Discards the bytes that have already arrived on a non-blocking
+/// stream. Returns whether the peer is still connected.
+fn drain_arrived(stream: &mut TcpStream) -> bool {
+    let mut buf = [0u8; 4096];
+    // Bounded so a peer streaming a large body cannot hold the accept
+    // thread; the rest is read on a later sweep.
+    for _ in 0..64 {
+        match stream.read(&mut buf) {
+            Ok(0) => return false,
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
+    }
+    true
 }

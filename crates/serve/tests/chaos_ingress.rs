@@ -119,6 +119,16 @@ fn http_lenient(
     (status, retry_after, String::from_utf8_lossy(&body).into())
 }
 
+/// Shuts the server down when dropped, so a panicking test body unwinds
+/// out of `thread::scope` instead of waiting on `serve` forever.
+struct ShutdownOnDrop<'a>(&'a Server, SocketAddr);
+
+impl Drop for ShutdownOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.shutdown(self.1);
+    }
+}
+
 fn predict_body(pair: (u32, u32)) -> String {
     format!("{{\"task\":\"link\",\"pairs\":[[{},{}]]}}", pair.0, pair.1)
 }
@@ -164,6 +174,7 @@ fn ingress_faults_and_overload_are_survived_with_named_answers() {
 
     std::thread::scope(|s| {
         s.spawn(|| server.serve(listener));
+        let _shutdown = ShutdownOnDrop(&server, addr);
 
         // --- Scenario 1: torn response ------------------------------
         // The next response is truncated after 20 wire bytes: the
@@ -317,7 +328,5 @@ fn ingress_faults_and_overload_are_survived_with_named_answers() {
         let (status, _, body) = http_lenient(addr, "GET", "/healthz", "");
         assert_eq!(status, 200);
         assert!(body.contains("\"status\":\"ok\""), "{body}");
-
-        server.shutdown(addr);
     });
 }

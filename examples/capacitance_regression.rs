@@ -49,17 +49,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut pretrained = CircuitGps::new(ModelConfig::default());
     pretrain_link(&mut pretrained, train, &tcfg)?;
     let mut checkpoint = Vec::new();
-    pretrained.save(&mut checkpoint)?;
+    pretrained.save_checkpoint(&mut checkpoint)?;
 
     // Strategy 2: freeze encoders + GPS layers, train only the head.
-    let mut head_ft = CircuitGps::new(ModelConfig::default());
-    head_ft.load(&checkpoint[..])?;
+    let (mut head_ft, _) = CircuitGps::load_checkpoint(&checkpoint[..])?;
     finetune_regression(&mut head_ft, train, FinetuneMode::HeadOnly, &tcfg)?;
     let m2 = evaluate_regression(&head_ft, test);
 
     // Strategy 3: fine-tune everything from the pre-trained init.
-    let mut all_ft = CircuitGps::new(ModelConfig::default());
-    all_ft.load(&checkpoint[..])?;
+    let (mut all_ft, _) = CircuitGps::load_checkpoint(&checkpoint[..])?;
     finetune_regression(&mut all_ft, train, FinetuneMode::All, &tcfg)?;
     let m3 = evaluate_regression(&all_ft, test);
 

@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Save the meta-learner checkpoint, as the paper does before
     // fine-tuning or zero-shot transfer.
     let mut checkpoint = Vec::new();
-    model.save(&mut checkpoint)?;
+    model.save_checkpoint(&mut checkpoint)?;
     println!("checkpoint: {} bytes", checkpoint.len());
 
     let train_m = evaluate_link(&model, &train);

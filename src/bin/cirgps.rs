@@ -29,10 +29,9 @@ use cirgps::graph::{netlist_to_graph, CircuitGraph, GraphStats, XcSpec};
 use cirgps::model::corpus::CorpusSpec;
 use cirgps::model::{
     evaluate_link, evaluate_regression, finetune_regression_with_progress, interrupt,
-    prepare_link_dataset, sweep_pairs, train_resumable, write_atomic, CandidatePairs,
-    CheckpointFormat, CircuitGps, FinetuneMode, InferenceSession, LinkMetrics, ModelConfig,
-    PreparedSample, RegMetrics, ResumableTrain, SweepConfig, SweepTask, Task, TrainConfig,
-    TrainState, TRAIN_STATE_SECTION,
+    prepare_link_dataset, sweep_pairs, train_resumable, write_atomic, CandidatePairs, CircuitGps,
+    FinetuneMode, InferenceSession, LinkMetrics, ModelConfig, PreparedSample, RegMetrics,
+    ResumableTrain, SweepConfig, SweepTask, Task, TrainConfig, TrainState, TRAIN_STATE_SECTION,
 };
 use cirgps::netlist::{Netlist, SpfFile, SpiceFile};
 use cirgps::sample::{CapNormalizer, DatasetConfig, LinkDataset, SamplerConfig, XcNormalizer};
@@ -118,7 +117,7 @@ USAGE:
                 [--epochs N] [--batch-size N] [--lr F] [--seed N]
                 [--per-type N] [--hidden-dim N] [--layers N] [--heads N]
                 [--pe-dim N] [--dropout F] [--holdout PCT] [--eval-every N]
-                [--checkpoint-every N] [--resume] [--quantize]
+                [--checkpoint-every N] [--resume]
                 [--metrics-out FILE.json] --out FILE.ckpt
       Pre-train CircuitGPS on coupling link prediction over one or more
       design pairs (comma-separated lists, aligned by position), then
@@ -152,15 +151,11 @@ USAGE:
                           writes a final snapshot (docs/robustness.md)
         --metrics-out F   write a JSON training log (per-epoch loss,
                           periodic + final eval metrics)
-        --quantize        snapshot weights as int8 (per-tensor symmetric
-                          scales) before saving; the checkpoint carries a
-                          `quant` section and predict/sweep/serve default
-                          to int8 inference (docs/simd-quant.md)
 
   cirgps finetune --model PRE.ckpt --netlist FILE.sp --top NAME
                 --spf FILE.spf --shots N [--unfreeze-all]
                 [--epochs N] [--batch-size N] [--lr F] [--seed N]
-                [--per-type N] [--eval-every N] [--quantize]
+                [--per-type N] [--eval-every N]
                 [--metrics-out FILE.json] --out FILE.ckpt
       Few-shot fine-tune a pre-trained checkpoint for capacitance
       regression on a target design: N labeled positive pairs train the
@@ -181,7 +176,7 @@ USAGE:
 
   cirgps predict --netlist FILE.sp --top NAME --spf FILE.spf
                 [--task link|cap] [--batch-size N] [--per-type N]
-                [--model FILE.ckpt] [--backend B] [--precision P]
+                [--model FILE.ckpt] [--backend B]
                 [--out FILE.json]
       Score the design's candidate coupling pairs with the batched
       tape-free inference engine (block-diagonal attention).
@@ -197,11 +192,7 @@ USAGE:
                           predictions)
         --backend B       force the SIMD dispatch backend: scalar, avx2
                           or avx512 (default: best available; errors if
-                          the CPU lacks it — docs/simd-quant.md)
-        --precision P     f32 or int8. Default follows the checkpoint:
-                          int8 when it carries a `quant` section, f32
-                          otherwise. int8 quantizes in-process when the
-                          checkpoint shipped no codes
+                          the CPU lacks it — docs/simd.md)
         --out FILE.json   write JSON lines there instead of stdout
       Output: one JSON object per candidate pair.
 
@@ -209,7 +200,7 @@ USAGE:
                 [--task link|cap] [--pairs FILE] [--per-node-cap N]
                 [--max-pairs N] [--chunk N] [--threads N]
                 [--format jsonl|csv] [--out FILE] [--no-dedup]
-                [--backend B] [--precision P]
+                [--backend B]
       Plan and execute a full-chip sweep: score *every* candidate pair
       of the design (or an explicit pair list) as one batched job with
       shared subgraph extraction and neighborhood deduplication,
@@ -235,16 +226,15 @@ USAGE:
         --out FILE        write results there instead of stdout
         --no-dedup        disable neighborhood deduplication (for
                           measurement; results are identical)
-        --backend/--precision
-                          SIMD backend + int8/f32 knobs, exactly as in
-                          `cirgps predict` (docs/simd-quant.md)
+        --backend B       SIMD backend, exactly as in `cirgps predict`
+                          (docs/simd.md)
       Prints planner statistics (pairs, unique forwards, dedup rate,
       amortized µs/pair) to stderr.
 
   cirgps serve  --netlist FILE.sp --top NAME [--model FILE.ckpt]
                 [--addr HOST:PORT] [--max-batch N] [--max-wait-us N]
                 [--workers N] [--queue-cap N] [--cache-cap N]
-                [--backend B] [--precision P]
+                [--backend B]
                 [--drain-timeout-ms N] [--request-timeout-ms N]
       Run the long-lived inference daemon: model, graph and sample
       caches stay warm, and concurrent HTTP queries are coalesced into
@@ -277,10 +267,9 @@ USAGE:
                        408 (default 10000)
         --max-conns    concurrent-connection cap; excess connections are
                        shed with 503 + Retry-After (default 256)
-        --backend/--precision
-                       SIMD backend + int8/f32 knobs, exactly as in
-                       `cirgps predict`; the selection is reported on
-                       /metrics (docs/simd-quant.md)
+        --backend      SIMD backend, exactly as in `cirgps predict`;
+                       the selection is reported on /metrics
+                       (docs/simd.md)
       Endpoints: GET /healthz, GET /metrics, POST /v1/predict,
       POST /v1/sweep (chunked JSONL bulk sweep).
 
@@ -550,61 +539,11 @@ fn apply_backend_flag(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Applies `--precision f32|int8` to a loaded model. Without the flag
-/// the checkpoint decides: one exported with `--quantize` carries a
-/// `quant` section and serves int8, anything else serves f32. `f32`
-/// drops any loaded int8 codes; `int8` quantizes in-process when the
-/// checkpoint did not ship codes (same math as `--quantize` at export).
-fn apply_precision_flag(
-    flags: &HashMap<String, String>,
-    model: &mut CircuitGps,
-) -> Result<(), String> {
-    match flags.get("precision").map(String::as_str) {
-        None => Ok(()),
-        Some("f32") => {
-            model.store_mut().clear_quant();
-            Ok(())
-        }
-        Some("int8") => {
-            if !model.store().has_quant() {
-                let n = model.store_mut().quantize_int8();
-                eprintln!("quantized {n} weight tensors to int8 (in-process, per-tensor scales)");
-            }
-            Ok(())
-        }
-        Some(other) => Err(format!(
-            "unknown --precision {other:?} (expected f32 or int8)"
-        )),
-    }
-}
-
-/// Applies `--quantize` before a checkpoint export: snapshots every
-/// quantizable weight as int8 so the saved file carries a `quant`
-/// section and downstream `predict`/`sweep`/`serve` default to int8.
-fn apply_quantize_flag(
-    flags: &HashMap<String, String>,
-    model: &mut CircuitGps,
-) -> Result<(), String> {
-    if flag_bool(flags, "quantize")? {
-        let n = model.store_mut().quantize_int8();
-        eprintln!("quantized {n} weight tensors to int8 for export (per-tensor scales)");
-    }
-    Ok(())
-}
-
-/// Loads a checkpoint file via the self-describing container, printing a
-/// deprecation warning when the file is a legacy raw weight dump.
+/// Loads a checkpoint file via the self-describing container.
 fn load_checkpoint_file(path: &str) -> Result<CircuitGps, String> {
     let f = fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let (model, fmt) = CircuitGps::load_checkpoint(std::io::BufReader::new(f))
+    let (model, _format) = CircuitGps::load_checkpoint(std::io::BufReader::new(f))
         .map_err(|e| format!("loading checkpoint {path}: {e}"))?;
-    if fmt == CheckpointFormat::Legacy {
-        eprintln!(
-            "warning: {path} is a legacy raw weight dump (deprecated); the model config is \
-             assumed to be the default. Re-save it as a self-describing checkpoint, e.g. by \
-             re-running `cirgps pretrain`/`finetune` (see docs/checkpoint-format.md)."
-        );
-    }
     Ok(model)
 }
 
@@ -757,7 +696,6 @@ fn cmd_pretrain(flags: &HashMap<String, String>) -> Result<(), String> {
             "eval-every",
             "checkpoint-every",
             "resume",
-            "quantize",
             "metrics-out",
             "out",
         ],
@@ -951,7 +889,6 @@ fn cmd_pretrain(flags: &HashMap<String, String>) -> Result<(), String> {
         &json_link(&lm),
         hist.seconds,
     )?;
-    apply_quantize_flag(flags, &mut model)?;
     save_checkpoint_file(&model, out)?;
     println!(
         "wrote {out}: {} trainable params, {} epochs, final loss {:.4}, {final_label} AUC {:.3}",
@@ -980,7 +917,6 @@ fn cmd_finetune(flags: &HashMap<String, String>) -> Result<(), String> {
             "lr",
             "seed",
             "eval-every",
-            "quantize",
             "metrics-out",
             "out",
         ],
@@ -1085,7 +1021,6 @@ fn cmd_finetune(flags: &HashMap<String, String>) -> Result<(), String> {
         &json_reg(&rm),
         hist.seconds,
     )?;
-    apply_quantize_flag(flags, &mut model)?;
     save_checkpoint_file(&model, out)?;
     println!(
         "wrote {out}: fine-tuned on {} shots ({} mode), holdout MAE {:.4}",
@@ -1339,7 +1274,6 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
             "per-type",
             "model",
             "backend",
-            "precision",
             "out",
         ],
     )?;
@@ -1369,11 +1303,10 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
         },
     );
 
-    let mut model = match flags.get("model") {
+    let model = match flags.get("model") {
         Some(path) => load_checkpoint_file(path)?,
         None => CircuitGps::new(ModelConfig::default()),
     };
-    apply_precision_flag(flags, &mut model)?;
     let xcn = XcNormalizer::fit(&[&graph]);
     let mut session = InferenceSession::new(
         model,
@@ -1486,7 +1419,6 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
             "out",
             "no-dedup",
             "backend",
-            "precision",
         ],
     )?;
     apply_backend_flag(flags)?;
@@ -1514,11 +1446,10 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
     let max_pairs: usize = flag_parse(flags, "max-pairs", 0)?;
 
     let (graph, _map) = netlist_to_graph(&netlist);
-    let mut model = match flags.get("model") {
+    let model = match flags.get("model") {
         Some(path) => load_checkpoint_file(path)?,
         None => CircuitGps::new(ModelConfig::default()),
     };
-    apply_precision_flag(flags, &mut model)?;
     // Same normalization and extraction parameters as `cirgps predict`
     // over the *plain* graph — the bitwise parity contract depends on
     // matching its inputs exactly.
@@ -1651,7 +1582,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             "ingress-timeout-ms",
             "max-conns",
             "backend",
-            "precision",
         ],
     )?;
     apply_backend_flag(flags)?;
@@ -1716,7 +1646,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 
     let netlist = load_netlist(flags)?;
     let (graph, _map) = netlist_to_graph(&netlist);
-    let mut model = match flags.get("model") {
+    let model = match flags.get("model") {
         Some(path) => load_checkpoint_file(path)?,
         None => {
             eprintln!(
@@ -1727,15 +1657,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             CircuitGps::new(ModelConfig::default())
         }
     };
-    apply_precision_flag(flags, &mut model)?;
     eprintln!(
-        "inference backend: {}, precision: {}",
-        cirgps::nn::Backend::active().name(),
-        if model.store().has_quant() {
-            "int8"
-        } else {
-            "f32"
-        }
+        "inference backend: {}",
+        cirgps::nn::Backend::active().name()
     );
 
     let cfg = ServeConfig {

@@ -425,11 +425,13 @@ fn cli_training_pipeline_end_to_end() {
 }
 
 /// A shape-mismatched checkpoint must produce the named error (param
-/// name + expected vs found shape), not a bare I/O error; a valid legacy
-/// dump must load with a deprecation warning.
+/// name + expected vs found shape), not a bare I/O error; a
+/// pre-container `CGPS` raw dump must fail with a named error and a
+/// migration hint; a stale `quant` section written by older builds is
+/// ignored and predictions stay bitwise-equal to the plain file's.
 #[test]
-fn cli_checkpoint_mismatch_and_legacy_warnings() {
-    use cirgps::model::{CircuitGps, ModelConfig};
+fn cli_checkpoint_mismatch_and_legacy_errors() {
+    use cirgps::model::{CircuitGps, ModelConfig, LEGACY_MAGIC};
 
     let dir = std::env::temp_dir().join(format!("cirgps_cli_ckpt_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -443,36 +445,42 @@ fn cli_checkpoint_mismatch_and_legacy_warnings() {
     assert!(out.status.success());
     let sp = format!("{dir_s}/TIMING_CONTROL.sp");
     let spf = format!("{dir_s}/TIMING_CONTROL.spf");
+    let predict = |model: &str, out_path: &str| {
+        cirgps()
+            .args([
+                "predict",
+                "--model",
+                model,
+                "--netlist",
+                &sp,
+                "--top",
+                "TIMING_CONTROL",
+                "--spf",
+                &spf,
+                "--per-type",
+                "5",
+                "--out",
+                out_path,
+            ])
+            .output()
+            .expect("run predict")
+    };
 
-    // Legacy dump of a NON-default architecture: loading assumes the
-    // default config, so the loader must name the mismatched parameter
-    // and both shapes.
+    // A container whose embedded config (default) disagrees with its
+    // weights (a smaller architecture): the loader must name the
+    // mismatched parameter and both shapes.
     let bad = format!("{dir_s}/bad.ckpt");
-    let model = CircuitGps::new(ModelConfig {
+    let mut model = CircuitGps::new(ModelConfig {
         hidden_dim: 16,
         pe_dim: 4,
         heads: 2,
         ..ModelConfig::default()
     });
+    model.cfg = ModelConfig::default();
     model
-        .save(std::fs::File::create(&bad).unwrap())
-        .expect("write legacy dump");
-    let out = cirgps()
-        .args([
-            "predict",
-            "--model",
-            &bad,
-            "--netlist",
-            &sp,
-            "--top",
-            "TIMING_CONTROL",
-            "--spf",
-            &spf,
-            "--per-type",
-            "5",
-        ])
-        .output()
-        .expect("run predict");
+        .save_checkpoint(std::fs::File::create(&bad).unwrap())
+        .expect("write mismatched checkpoint");
+    let out = predict(&bad, &format!("{dir_s}/bad.jsonl"));
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("shape mismatch for param"), "{err}");
@@ -480,33 +488,60 @@ fn cli_checkpoint_mismatch_and_legacy_warnings() {
     assert!(err.contains("checkpoint has"), "{err}");
     assert!(err.contains("enc."), "should name the parameter: {err}");
 
-    // A default-config legacy dump still loads — with the deprecation
-    // warning steering users to the self-describing container.
+    // A pre-container raw dump (magic + param blob) is refused by name.
     let legacy = format!("{dir_s}/legacy.ckpt");
     let model = CircuitGps::new(ModelConfig::default());
-    model
-        .save(std::fs::File::create(&legacy).unwrap())
-        .expect("write legacy dump");
-    let out = cirgps()
-        .args([
-            "predict",
-            "--model",
-            &legacy,
-            "--netlist",
-            &sp,
-            "--top",
-            "TIMING_CONTROL",
-            "--spf",
-            &spf,
-            "--per-type",
-            "5",
-        ])
-        .output()
-        .expect("run predict");
+    let mut bytes = LEGACY_MAGIC.to_vec();
+    model.store().save_blob(&mut bytes).unwrap();
+    std::fs::write(&legacy, &bytes).expect("write legacy dump");
+    let out = predict(&legacy, &format!("{dir_s}/legacy.jsonl"));
+    assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "legacy load failed: {err}");
-    assert!(err.contains("legacy raw weight dump"), "{err}");
-    assert!(err.contains("deprecated"), "{err}");
+    assert!(err.contains("raw weight dump"), "{err}");
+    assert!(err.contains("\"CGPS\""), "{err}");
+    assert!(err.contains("re-save"), "{err}");
+
+    // A stale `quant` section (one weight: name, rows, cols, f32 scale,
+    // one i8 code per element) loads as an ignored unknown section.
+    let (name, rows, cols) = model
+        .store()
+        .iter()
+        .find(|(_, name, t)| name.ends_with(".weight") && t.rows() > 1)
+        .map(|(_, name, t)| (name.to_string(), t.rows(), t.cols()))
+        .expect("a weight matrix");
+    let mut stale_section = 1u64.to_le_bytes().to_vec();
+    stale_section.extend_from_slice(&(name.len() as u64).to_le_bytes());
+    stale_section.extend_from_slice(name.as_bytes());
+    stale_section.extend_from_slice(&(rows as u64).to_le_bytes());
+    stale_section.extend_from_slice(&(cols as u64).to_le_bytes());
+    stale_section.extend_from_slice(&0.01f32.to_le_bytes());
+    stale_section.resize(stale_section.len() + rows * cols, 1);
+    let plain = format!("{dir_s}/plain.ckpt");
+    let stale = format!("{dir_s}/stale.ckpt");
+    model
+        .save_checkpoint(std::fs::File::create(&plain).unwrap())
+        .expect("write plain checkpoint");
+    model
+        .save_checkpoint_with_sections(
+            std::fs::File::create(&stale).unwrap(),
+            &[("quant", &stale_section)],
+        )
+        .expect("write checkpoint with a stale quant section");
+    let (plain_out, stale_out) = (
+        format!("{dir_s}/plain.jsonl"),
+        format!("{dir_s}/stale.jsonl"),
+    );
+    for (ckpt, out_path) in [(&plain, &plain_out), (&stale, &stale_out)] {
+        let out = predict(ckpt, out_path);
+        assert!(
+            out.status.success(),
+            "predict on {ckpt} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let want = std::fs::read(&plain_out).unwrap();
+    assert!(!want.is_empty());
+    assert_eq!(std::fs::read(&stale_out).unwrap(), want);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -822,7 +857,7 @@ fn serve_once(sp: &str, extra: &[&str]) -> String {
 
 /// The wire-format half of the parity contract: `predict` output files
 /// and `serve` response bodies must be byte-identical no matter which
-/// SIMD backend the process was forced onto, for both f32 and int8.
+/// SIMD backend the process was forced onto.
 #[test]
 fn cli_cross_backend_wire_format_is_stable() {
     let dir = std::env::temp_dir().join(format!("cirgps_cli_xbackend_{}", std::process::id()));
@@ -837,44 +872,40 @@ fn cli_cross_backend_wire_format_is_stable() {
     let sp = format!("{dir_s}/TIMING_CONTROL.sp");
     let spf = format!("{dir_s}/TIMING_CONTROL.spf");
 
-    for precision in ["f32", "int8"] {
-        let mut reference: Option<(String, Vec<u8>)> = None;
-        for backend in host_backends() {
-            let out_path = format!("{dir_s}/pred_{backend}_{precision}.jsonl");
-            let out = cirgps()
-                .args([
-                    "predict",
-                    "--netlist",
-                    &sp,
-                    "--top",
-                    "TIMING_CONTROL",
-                    "--spf",
-                    &spf,
-                    "--per-type",
-                    "20",
-                    "--backend",
-                    backend,
-                    "--precision",
-                    precision,
-                    "--out",
-                    &out_path,
-                ])
-                .output()
-                .expect("run predict");
-            assert!(
-                out.status.success(),
-                "predict --backend {backend} --precision {precision} failed: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            let bytes = std::fs::read(&out_path).expect("predict output");
-            assert!(!bytes.is_empty());
-            match &reference {
-                None => reference = Some((backend.to_string(), bytes)),
-                Some((ref_backend, ref_bytes)) => assert_eq!(
-                    ref_bytes, &bytes,
-                    "predict ({precision}) differs between {ref_backend} and {backend}"
-                ),
-            }
+    let mut reference: Option<(String, Vec<u8>)> = None;
+    for backend in host_backends() {
+        let out_path = format!("{dir_s}/pred_{backend}.jsonl");
+        let out = cirgps()
+            .args([
+                "predict",
+                "--netlist",
+                &sp,
+                "--top",
+                "TIMING_CONTROL",
+                "--spf",
+                &spf,
+                "--per-type",
+                "20",
+                "--backend",
+                backend,
+                "--out",
+                &out_path,
+            ])
+            .output()
+            .expect("run predict");
+        assert!(
+            out.status.success(),
+            "predict --backend {backend} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let bytes = std::fs::read(&out_path).expect("predict output");
+        assert!(!bytes.is_empty());
+        match &reference {
+            None => reference = Some((backend.to_string(), bytes)),
+            Some((ref_backend, ref_bytes)) => assert_eq!(
+                ref_bytes, &bytes,
+                "predict differs between {ref_backend} and {backend}"
+            ),
         }
     }
 
