@@ -1,6 +1,6 @@
 //! Tape-free batched inference: block-diagonal attention over packed
 //! subgraph batches, `predict_*_batch` entry points and an
-//! [`InferenceSession`] with a keyed [`PreparedSample`] cache.
+//! [`InferenceSession`] with a keyed answer cache.
 //!
 //! The evaluation path used to allocate a fresh autodiff tape per sample
 //! and run samples one at a time. This module executes the same forward
@@ -15,7 +15,7 @@
 //! graph as well, so even a zero-edge subgraph packed with edge-bearing
 //! ones predicts exactly as it does solo.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use circuit_graph::{CircuitGraph, NodeType, XC_DIM};
 use cirgps_nn::infer::{colvec_zip, concat_cols, gather_rows, scatter_add_rows, stable_sigmoid};
@@ -401,25 +401,26 @@ pub enum Query {
 }
 
 impl Query {
-    /// Cache key for this query (`(n, n)` for ground queries, matching
-    /// [`InferenceSession::predict_ground`]).
-    fn key(self) -> (u32, u32) {
+    /// The answer-cache key: the sample (`(n, n)` for ground queries,
+    /// matching [`InferenceSession::predict_ground`]) and whether the
+    /// regression head answers it.
+    fn key(self) -> (u32, u32, bool) {
         match self {
-            Query::Link(a, b) | Query::Coupling(a, b) => (a, b),
-            Query::Ground(n) => (n, n),
+            Query::Link(a, b) => (a, b, false),
+            Query::Coupling(a, b) => (a, b, true),
+            Query::Ground(n) => (n, n, true),
         }
-    }
-
-    /// Whether this query runs through the regression head.
-    fn is_reg(self) -> bool {
-        !matches!(self, Query::Link(..))
     }
 }
 
 /// A long-lived inference engine over one design: the model (owned or
 /// shared), the fitted [`XcNormalizer`], a subgraph sampler and a
-/// FIFO-bounded cache of [`PreparedSample`]s keyed by query, so repeated
-/// queries skip subgraph extraction and PE recomputation entirely.
+/// FIFO-bounded cache of *answers* keyed by `(a, b, head)`, so a repeated
+/// query skips subgraph extraction, PE and the forward pass entirely.
+///
+/// Caching answers is exact: a batched forward is bitwise equal to the
+/// per-sample one, so an answer does not depend on which batch computed
+/// it. Prepared samples live only while their chunk is forwarded.
 ///
 /// # Examples
 ///
@@ -439,15 +440,17 @@ impl Query {
 pub struct InferenceSession<'g> {
     model: ModelRef<'g>,
     xcn: XcNormalizer,
-    graph: &'g CircuitGraph,
     /// Enclosing-subgraph sampler for pair (link/coupling) queries.
     sampler: SubgraphSampler<'g>,
     /// Node-subgraph sampler for ground-capacitance queries — separate
     /// because the paper uses 1-hop subgraphs for links but 2-hop for
     /// node tasks.
     node_sampler: SubgraphSampler<'g>,
-    cache: HashMap<(u32, u32), PreparedSample>,
-    fifo: VecDeque<(u32, u32)>,
+    /// Answers keyed by `(a, b, reg)`: the sample (`(n, n)` for a ground
+    /// query) and whether the regression head produced the value, so a
+    /// link probability and a coupling prediction never alias.
+    answers: HashMap<(u32, u32, bool), f32>,
+    fifo: VecDeque<(u32, u32, bool)>,
     cache_capacity: usize,
     batch_size: usize,
     hits: u64,
@@ -456,11 +459,10 @@ pub struct InferenceSession<'g> {
 
 impl<'g> InferenceSession<'g> {
     /// Creates a session over `graph` with default batch size 32 and a
-    /// cache capacity of 65 536 prepared samples. `sampler_cfg` drives
+    /// cache capacity of 65 536 answers. `sampler_cfg` drives
     /// the pair queries; node (ground-capacitance) queries default to
     /// 2-hop subgraphs with the same node cap, matching the training
-    /// pipeline's convention (override with
-    /// [`InferenceSession::with_node_sampler_config`]).
+    /// pipeline's convention.
     pub fn new(
         model: CircuitGps,
         xcn: XcNormalizer,
@@ -476,7 +478,7 @@ impl<'g> InferenceSession<'g> {
     /// This is the serving-daemon constructor: `CircuitGps` forward
     /// passes take `&self`, so one model can back many concurrent
     /// sessions (one per scheduler worker, each with its own sampler
-    /// scratch and prepared-sample cache) without duplicating weights.
+    /// scratch and answer cache) without duplicating weights.
     /// The session is `Send`, so it can be handed to a worker thread.
     pub fn shared(
         model: &'g CircuitGps,
@@ -500,10 +502,9 @@ impl<'g> InferenceSession<'g> {
         InferenceSession {
             model,
             xcn,
-            graph,
             sampler: SubgraphSampler::new(graph, sampler_cfg),
             node_sampler: SubgraphSampler::new(graph, node_cfg),
-            cache: HashMap::new(),
+            answers: HashMap::new(),
             fifo: VecDeque::new(),
             cache_capacity: 65_536,
             batch_size: 32,
@@ -512,39 +513,19 @@ impl<'g> InferenceSession<'g> {
         }
     }
 
-    /// Overrides the sampler configuration used by
-    /// [`InferenceSession::predict_ground`]. Clears the cache: cached
-    /// node samples would otherwise reflect the old neighborhoods.
-    pub fn with_node_sampler_config(mut self, cfg: SamplerConfig) -> Self {
-        self.node_sampler = SubgraphSampler::new(self.graph, cfg);
-        self.clear_cache();
-        self
-    }
-
     /// Sets the batch size used by the `predict_*` methods.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `n` exceeds the cache capacity (the cache
-    /// must always be able to hold one full batch).
+    /// Panics if `n == 0`.
     pub fn with_batch_size(mut self, n: usize) -> Self {
         assert!(n > 0, "batch size must be positive");
-        assert!(
-            n <= self.cache_capacity,
-            "batch size {n} exceeds cache capacity {}",
-            self.cache_capacity
-        );
         self.batch_size = n;
         self
     }
 
-    /// Bounds the prepared-sample cache (FIFO eviction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is smaller than the batch size.
+    /// Bounds the answer cache (FIFO eviction; `0` caches nothing).
     pub fn with_cache_capacity(mut self, n: usize) -> Self {
-        assert!(n >= self.batch_size, "cache must hold at least one batch");
         self.cache_capacity = n;
         self
     }
@@ -554,19 +535,20 @@ impl<'g> InferenceSession<'g> {
         self.model.get()
     }
 
-    /// `(hits, misses)` of the prepared-sample cache.
+    /// `(hits, misses)` of the answer cache. A key repeated within one
+    /// batch is one miss (one forward) plus a hit per repeat.
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 
-    /// Number of cached prepared samples.
+    /// Number of cached answers.
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
+        self.answers.len()
     }
 
-    /// Drops every cached sample (e.g. after swapping model weights).
+    /// Drops every cached answer (e.g. after swapping model weights).
     pub fn clear_cache(&mut self) {
-        self.cache.clear();
+        self.answers.clear();
         self.fifo.clear();
     }
 
@@ -630,12 +612,11 @@ impl<'g> InferenceSession<'g> {
             let (pos, keys): (Vec<usize>, Vec<(u32, u32)>) = queries
                 .iter()
                 .enumerate()
-                .filter(|(_, q)| q.is_reg() == reg)
-                .map(|(i, q)| (i, q.key()))
+                .filter_map(|(i, q)| {
+                    let (a, b, r) = q.key();
+                    (r == reg).then_some((i, (a, b)))
+                })
                 .unzip();
-            if keys.is_empty() {
-                continue;
-            }
             for (i, p) in pos.into_iter().zip(self.predict_keys(&keys, reg)) {
                 out[i] = p;
             }
@@ -646,51 +627,51 @@ impl<'g> InferenceSession<'g> {
     fn predict_keys(&mut self, keys: &[(u32, u32)], reg: bool) -> Vec<f32> {
         let mut out = Vec::with_capacity(keys.len());
         for chunk in keys.chunks(self.batch_size) {
-            self.ensure_cached(chunk);
-            let batch: Vec<&PreparedSample> = chunk.iter().map(|k| &self.cache[k]).collect();
-            let model = self.model.get();
-            let preds = if reg {
-                model.predict_reg_batch(&batch)
-            } else {
-                model.predict_link_batch(&batch)
-            };
-            out.extend(preds);
+            // The chunk's misses, each forwarded once however often it
+            // repeats; the repeats count as hits.
+            let mut seen = HashSet::new();
+            let misses: Vec<(u32, u32)> = chunk
+                .iter()
+                .copied()
+                .filter(|&(a, b)| !self.answers.contains_key(&(a, b, reg)) && seen.insert((a, b)))
+                .collect();
+            self.misses += misses.len() as u64;
+            self.hits += (chunk.len() - misses.len()) as u64;
+            if !misses.is_empty() {
+                let samples: Vec<PreparedSample> =
+                    misses.iter().map(|&k| self.prepare(k)).collect();
+                let batch: Vec<&PreparedSample> = samples.iter().collect();
+                let model = self.model.get();
+                let preds = if reg {
+                    model.predict_reg_batch(&batch)
+                } else {
+                    model.predict_link_batch(&batch)
+                };
+                // Answers enter the cache only after the forward returned,
+                // so a panic mid-chunk leaves the cache untouched.
+                for (&(a, b), p) in misses.iter().zip(preds) {
+                    self.answers.insert((a, b, reg), p);
+                    self.fifo.push_back((a, b, reg));
+                }
+            }
+            out.extend(chunk.iter().map(|&(a, b)| self.answers[&(a, b, reg)]));
+            let excess = self.fifo.len().saturating_sub(self.cache_capacity);
+            for old in self.fifo.drain(..excess) {
+                self.answers.remove(&old);
+            }
         }
         out
     }
 
-    /// Prepares (or re-uses) the samples for `keys`, then evicts the
-    /// oldest entries *not* needed by the current chunk until the cache
-    /// fits its capacity again.
-    fn ensure_cached(&mut self, keys: &[(u32, u32)]) {
-        for &key in keys {
-            if self.cache.contains_key(&key) {
-                self.hits += 1;
-                continue;
-            }
-            self.misses += 1;
-            let (a, b) = key;
-            let sub = if a == b {
-                self.node_sampler.node_subgraph(a)
-            } else {
-                self.sampler.enclosing_subgraph(a, b)
-            };
-            let prepared = PreparedSample::new(sub, self.model.get().cfg.pe, &self.xcn, 1.0, 0.0);
-            self.cache.insert(key, prepared);
-            self.fifo.push_back(key);
-        }
-        if self.cache.len() > self.cache_capacity {
-            let needed: std::collections::HashSet<(u32, u32)> = keys.iter().copied().collect();
-            let mut retained = VecDeque::with_capacity(self.fifo.len());
-            while let Some(old) = self.fifo.pop_front() {
-                if self.cache.len() <= self.cache_capacity || needed.contains(&old) {
-                    retained.push_back(old);
-                } else {
-                    self.cache.remove(&old);
-                }
-            }
-            self.fifo = retained;
-        }
+    /// Extracts and prepares the subgraph for one query key: the 2-hop
+    /// node subgraph for `(n, n)`, the enclosing pair subgraph otherwise.
+    fn prepare(&mut self, (a, b): (u32, u32)) -> PreparedSample {
+        let sub = if a == b {
+            self.node_sampler.node_subgraph(a)
+        } else {
+            self.sampler.enclosing_subgraph(a, b)
+        };
+        PreparedSample::new(sub, self.model.get().cfg.pe, &self.xcn, 1.0, 0.0)
     }
 }
 
@@ -746,16 +727,20 @@ mod tests {
         (g.with_injected_links(&injected), links)
     }
 
+    /// The sampler every toy session and sample uses.
+    const TOY_CFG: SamplerConfig = SamplerConfig {
+        hops: 1,
+        max_nodes: 64,
+    };
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     fn toy_samples(n: usize) -> Vec<PreparedSample> {
         let (g, links) = toy_graph_and_links();
         let xcn = XcNormalizer::fit(&[&g]);
-        let mut sampler = SubgraphSampler::new(
-            &g,
-            SamplerConfig {
-                hops: 1,
-                max_nodes: 64,
-            },
-        );
+        let mut sampler = SubgraphSampler::new(&g, TOY_CFG);
         links
             .iter()
             .take(n)
@@ -867,20 +852,8 @@ mod tests {
         let iso = b.add_node(NodeType::Net, "iso");
         let g = b.build();
         let xcn = XcNormalizer::fit(&[&g]);
-        let mut pair_sampler = SubgraphSampler::new(
-            &g,
-            SamplerConfig {
-                hops: 1,
-                max_nodes: 64,
-            },
-        );
-        let mut node_sampler = SubgraphSampler::new(
-            &g,
-            SamplerConfig {
-                hops: 2,
-                max_nodes: 64,
-            },
-        );
+        let mut pair_sampler = SubgraphSampler::new(&g, TOY_CFG);
+        let mut node_sampler = SubgraphSampler::new(&g, SamplerConfig { hops: 2, ..TOY_CFG });
         let samples: Vec<PreparedSample> = vec![
             PreparedSample::new(
                 pair_sampler.enclosing_subgraph(hub, 1),
@@ -951,13 +924,9 @@ mod tests {
     fn session_caches_and_matches_direct_prediction() {
         let (g, links) = toy_graph_and_links();
         let xcn = XcNormalizer::fit(&[&g]);
-        let cfg = SamplerConfig {
-            hops: 1,
-            max_nodes: 64,
-        };
         let model = model_with(AttnKind::Performer { features: 8 });
         let direct = {
-            let mut sampler = SubgraphSampler::new(&g, cfg);
+            let mut sampler = SubgraphSampler::new(&g, TOY_CFG);
             let prepared: Vec<PreparedSample> = links
                 .iter()
                 .map(|&(a, b)| {
@@ -971,7 +940,7 @@ mod tests {
                 .collect::<Vec<f32>>()
         };
 
-        let mut session = InferenceSession::new(model, xcn, &g, cfg).with_batch_size(4);
+        let mut session = InferenceSession::new(model, xcn, &g, TOY_CFG).with_batch_size(4);
         let first = session.predict_links(&links);
         for (a, b) in first.iter().zip(&direct) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -994,10 +963,6 @@ mod tests {
 
         let (g, links) = toy_graph_and_links();
         let xcn = XcNormalizer::fit(&[&g]);
-        let cfg = SamplerConfig {
-            hops: 1,
-            max_nodes: 64,
-        };
         let model = model_with(AttnKind::Transformer);
         let owned = {
             let m2 = {
@@ -1005,7 +970,7 @@ mod tests {
                 model.save_checkpoint(&mut bytes).unwrap();
                 CircuitGps::load_checkpoint(&bytes[..]).unwrap().0
             };
-            let mut session = InferenceSession::new(m2, xcn.clone(), &g, cfg);
+            let mut session = InferenceSession::new(m2, xcn.clone(), &g, TOY_CFG);
             session.predict_links(&links)
         };
 
@@ -1015,7 +980,7 @@ mod tests {
             let handles: Vec<_> = links
                 .chunks(links.len() / 2)
                 .map(|chunk| {
-                    let mut session = InferenceSession::shared(&model, xcn.clone(), &g, cfg);
+                    let mut session = InferenceSession::shared(&model, xcn.clone(), &g, TOY_CFG);
                     assert_send(&session);
                     s.spawn(move || session.predict_links(chunk))
                 })
@@ -1033,18 +998,15 @@ mod tests {
     fn heterogeneous_predict_batch_matches_task_specific_calls() {
         let (g, links) = toy_graph_and_links();
         let xcn = XcNormalizer::fit(&[&g]);
-        let cfg = SamplerConfig {
-            hops: 1,
-            max_nodes: 64,
-        };
         let model = model_with(AttnKind::Performer { features: 8 });
-        let mut session = InferenceSession::shared(&model, xcn.clone(), &g, cfg).with_batch_size(4);
+        let mut session =
+            InferenceSession::shared(&model, xcn.clone(), &g, TOY_CFG).with_batch_size(4);
         let want_links = session.predict_links(&links[..4]);
         let want_caps = session.predict_couplings(&links[4..8]);
         let want_ground = session.predict_ground(&[links[0].0, links[1].0]);
 
         // Interleave the three kinds; results must come back in order.
-        let mut session2 = InferenceSession::shared(&model, xcn, &g, cfg).with_batch_size(4);
+        let mut session2 = InferenceSession::shared(&model, xcn, &g, TOY_CFG).with_batch_size(4);
         let queries: Vec<Query> = vec![
             Query::Link(links[0].0, links[0].1),
             Query::Coupling(links[4].0, links[4].1),
@@ -1077,18 +1039,17 @@ mod tests {
     }
 
     #[test]
-    fn session_cache_eviction_is_bounded_and_keeps_current_batch() {
+    fn session_cache_eviction_is_bounded_and_exact() {
         let (g, links) = toy_graph_and_links();
         let xcn = XcNormalizer::fit(&[&g]);
-        let cfg = SamplerConfig {
-            hops: 1,
-            max_nodes: 64,
-        };
         let model = model_with(AttnKind::Transformer);
-        let mut session = InferenceSession::new(model, xcn, &g, cfg)
+        let mut session = InferenceSession::new(model, xcn, &g, TOY_CFG)
             .with_batch_size(4)
             .with_cache_capacity(4);
-        let _ = session.predict_links(&links);
+        let first = session.predict_links(&links);
+        assert!(session.cache_len() <= 4, "cache exceeded its capacity");
+        // Evicted answers are recomputed bit for bit.
+        assert_eq!(bits(&session.predict_links(&links)), bits(&first));
         assert!(session.cache_len() <= 4, "cache exceeded its capacity");
 
         // Ground (node) predictions share the cache under (n, n) keys.
@@ -1097,5 +1058,41 @@ mod tests {
         assert!(regs
             .iter()
             .all(|v| v.is_finite() && (0.0..=1.0).contains(v)));
+        assert!(session.cache_len() <= 4, "cache exceeded its capacity");
+    }
+
+    #[test]
+    fn link_and_coupling_answers_for_one_pair_never_alias() {
+        let (g, links) = toy_graph_and_links();
+        let xcn = XcNormalizer::fit(&[&g]);
+        let model = model_with(AttnKind::Performer { features: 8 });
+        let (a, b) = links[0];
+        let sub = SubgraphSampler::new(&g, TOY_CFG).enclosing_subgraph(a, b);
+        let sample = PreparedSample::new(sub, model.cfg.pe, &xcn, 1.0, 0.0);
+        let want = [
+            model.predict_link_batch(&[&sample])[0],
+            model.predict_reg_batch(&[&sample])[0],
+        ];
+        assert_ne!(want[0].to_bits(), want[1].to_bits(), "heads must differ");
+        let mut session = InferenceSession::shared(&model, xcn, &g, TOY_CFG);
+        // The second pass answers from the cache, still per head.
+        for _ in 0..2 {
+            let got = session.predict_batch(&[Query::Link(a, b), Query::Coupling(a, b)]);
+            assert_eq!(bits(&got), bits(&want));
+        }
+        assert_eq!(session.cache_stats(), (2, 2));
+    }
+
+    #[test]
+    fn key_repeated_within_a_chunk_is_forwarded_once() {
+        let (g, links) = toy_graph_and_links();
+        let xcn = XcNormalizer::fit(&[&g]);
+        let model = model_with(AttnKind::Transformer);
+        let mut session = InferenceSession::shared(&model, xcn, &g, TOY_CFG).with_batch_size(4);
+        let got = session.predict_links(&[links[0], links[1], links[0]]);
+        assert_eq!(got[0].to_bits(), got[2].to_bits());
+        // Three queries, two forwards: the repeat is a hit, not a miss.
+        assert_eq!(session.cache_stats(), (1, 2));
+        assert_eq!(session.cache_len(), 2);
     }
 }

@@ -295,7 +295,7 @@ impl Engine {
     /// empty. Run one worker per scheduler thread, each with its own
     /// session (sessions share the model weights via
     /// [`InferenceSession::shared`], but keep private sampler scratch
-    /// and prepared-sample caches).
+    /// and answer caches).
     ///
     /// A panic inside the prediction (e.g. an out-of-range node id from
     /// an embedder that skipped validation) is caught: every query of

@@ -11,6 +11,12 @@
 //! the client half ([`write_request`], [`read_response`], chunked
 //! readers) used by `cirgps-client`, so a request framed by one half is
 //! by construction parseable by the other.
+//!
+//! Every writer assembles its head and body in one buffer and hands it
+//! to the stream in a single `write_all`. A message split over several
+//! small writes leaves its last segment waiting on Nagle's algorithm
+//! for the peer's delayed ACK, about 40 ms on Linux, unless the socket
+//! sets `TCP_NODELAY`; one write per message never waits.
 
 use std::io::{self, BufRead, Write};
 
@@ -229,8 +235,38 @@ fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one fixed-length response. `extra_headers` go out verbatim
-/// after the standard ones (e.g. `("retry-after", "3")` on `503`).
+/// One message as a single buffer: `head` (start line and standard
+/// headers), `extra_headers` verbatim, the blank line, then `body`.
+fn message(head: String, extra_headers: &[(&str, &str)], body: &[u8]) -> Vec<u8> {
+    let mut wire = head.into_bytes();
+    for (name, value) in extra_headers {
+        wire.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
+    }
+    wire.reserve(2 + body.len());
+    wire.extend_from_slice(b"\r\n");
+    wire.extend_from_slice(body);
+    wire
+}
+
+/// One fixed-length response as it goes on the wire. `extra_headers`
+/// go out verbatim after the standard ones (e.g. `("retry-after", "3")`
+/// on `503`).
+pub fn encode_response(
+    status: u16,
+    content_type: &str,
+    extra_headers: &[(&str, &str)],
+    body: &[u8],
+) -> Vec<u8> {
+    let head = format!(
+        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\n",
+        status_reason(status),
+        body.len()
+    );
+    message(head, extra_headers, body)
+}
+
+/// Writes one fixed-length response ([`encode_response`]) in a single
+/// write.
 ///
 /// # Errors
 ///
@@ -242,17 +278,7 @@ pub fn write_response(
     extra_headers: &[(&str, &str)],
     body: &[u8],
 ) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\n",
-        status_reason(status),
-        body.len()
-    )?;
-    for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
-    }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body)?;
+    stream.write_all(&encode_response(status, content_type, extra_headers, body))?;
     stream.flush()
 }
 
@@ -269,15 +295,16 @@ pub fn write_chunked_head(
     status: u16,
     content_type: &str,
 ) -> io::Result<()> {
-    write!(
-        stream,
+    let head = format!(
         "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ntransfer-encoding: chunked\r\n\r\n",
         status_reason(status)
-    )
+    );
+    stream.write_all(head.as_bytes())
 }
 
-/// Writes one body chunk (`<hex len>\r\n<data>\r\n`). Empty payloads are
-/// skipped — a zero-length chunk would terminate the body early.
+/// Writes one body chunk (`<hex len>\r\n<data>\r\n`) in a single write.
+/// Empty payloads are skipped — a zero-length chunk would terminate the
+/// body early.
 ///
 /// # Errors
 ///
@@ -286,9 +313,11 @@ pub fn write_chunk(stream: &mut impl Write, data: &[u8]) -> io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
-    write!(stream, "{:x}\r\n", data.len())?;
-    stream.write_all(data)?;
-    stream.write_all(b"\r\n")
+    let mut wire = Vec::with_capacity(data.len() + 20);
+    wire.extend_from_slice(format!("{:x}\r\n", data.len()).as_bytes());
+    wire.extend_from_slice(data);
+    wire.extend_from_slice(b"\r\n");
+    stream.write_all(&wire)
 }
 
 /// Terminates a chunked body (`0\r\n\r\n`) and flushes the stream.
@@ -301,8 +330,8 @@ pub fn finish_chunked(stream: &mut impl Write) -> io::Result<()> {
     stream.flush()
 }
 
-/// Writes one client request with a `Content-Length` body.
-/// `extra_headers` go out verbatim after the standard ones.
+/// Writes one client request with a `Content-Length` body in a single
+/// write. `extra_headers` go out verbatim after the standard ones.
 ///
 /// # Errors
 ///
@@ -314,16 +343,11 @@ pub fn write_request(
     extra_headers: &[(&str, &str)],
     body: &[u8],
 ) -> io::Result<()> {
-    write!(
-        stream,
+    let head = format!(
         "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n",
         body.len()
-    )?;
-    for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
-    }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body)?;
+    );
+    stream.write_all(&message(head, extra_headers, body))?;
     stream.flush()
 }
 
@@ -684,6 +708,68 @@ mod tests {
         assert!(head.chunked);
         assert_eq!(read_chunk(&mut r, 1 << 16).unwrap().unwrap(), b"line\n");
         assert!(read_chunk(&mut r, 1 << 16).unwrap().is_none());
+    }
+
+    /// A sink that counts `write` calls, accepting every byte offered.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        wire: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.wire.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_message_leaves_in_one_write() {
+        let body = b"{\"error\":\"queue full\"}";
+        let mut w = CountingWriter::default();
+        write_response(
+            &mut w,
+            503,
+            "application/json",
+            &[("retry-after", "1")],
+            body,
+        )
+        .unwrap();
+        assert_eq!(w.writes, 1, "write_response");
+        assert_eq!(
+            w.wire,
+            encode_response(503, "application/json", &[("retry-after", "1")], body)
+        );
+
+        let mut w = CountingWriter::default();
+        write_request(
+            &mut w,
+            "POST",
+            "/v1/predict",
+            &[("connection", "close")],
+            body,
+        )
+        .unwrap();
+        assert_eq!(w.writes, 1, "write_request");
+        assert!(w.wire.ends_with(body));
+
+        // A streamed response: one write for the head, one per chunk and
+        // one for the terminator.
+        let mut w = CountingWriter::default();
+        write_chunked_head(&mut w, 200, "application/jsonl").unwrap();
+        assert_eq!(w.writes, 1, "write_chunked_head");
+        write_chunk(&mut w, b"hello\n").unwrap();
+        assert_eq!(w.writes, 2, "write_chunk");
+        finish_chunked(&mut w).unwrap();
+        assert_eq!(w.writes, 3, "finish_chunked");
+        let resp = read_response(&mut BufReader::new(&w.wire[..]), 1 << 16).unwrap();
+        assert_eq!(resp.body, b"hello\n");
     }
 
     #[test]

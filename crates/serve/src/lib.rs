@@ -1,7 +1,7 @@
 //! # cirgps-serve
 //!
 //! A long-lived inference daemon for the CirGPS engine: keeps the model,
-//! design graph and prepared-sample caches warm in one process and
+//! design graph and per-worker answer caches warm in one process and
 //! serves concurrent link/capacitance queries over a hand-rolled
 //! HTTP/1.1 + JSON protocol on `std::net::TcpListener` (no external
 //! dependencies, matching the workspace's offline compat-shim

@@ -25,8 +25,8 @@ use subgraph_sample::{SamplerConfig, XcNormalizer};
 
 use crate::engine::{Engine, SubmitError, TaskKind};
 use crate::http::{
-    finish_chunked, read_request_limited, write_chunk, write_chunked_head, write_response,
-    IngressLimits, Request, RequestError,
+    encode_response, finish_chunked, read_request_limited, write_chunk, write_chunked_head,
+    write_response, IngressLimits, Request, RequestError,
 };
 use crate::json::{escape, Json};
 use crate::metrics::Metrics;
@@ -41,11 +41,13 @@ pub struct ServeConfig {
     /// Flush a partial batch after this long (the latency bound an idle
     /// singleton request pays while the batcher hopes for company).
     pub max_wait: Duration,
-    /// Scheduler threads, each with its own session and sample cache.
+    /// Scheduler threads, each with its own session and answer cache.
     pub workers: usize,
     /// Bounded queue depth; beyond it requests get `503`.
     pub queue_capacity: usize,
-    /// Per-worker prepared-sample cache capacity.
+    /// Per-worker answer cache capacity: the number of `f32` predictions
+    /// each worker keeps, keyed by query, so a repeated query skips
+    /// extraction, PE and the forward pass.
     pub cache_capacity: usize,
     /// Subgraph sampler for pair queries (ground queries use the same
     /// node cap at 2 hops, the training convention).
@@ -222,13 +224,9 @@ impl Server {
     /// # Panics
     ///
     /// Panics if the config is inconsistent (zero workers, zero batch,
-    /// queue smaller than one batch, cache smaller than one batch).
+    /// queue smaller than one batch).
     pub fn new(model: CircuitGps, graph: CircuitGraph, design: String, cfg: ServeConfig) -> Self {
         assert!(cfg.workers > 0, "need at least one scheduler worker");
-        assert!(
-            cfg.cache_capacity >= cfg.max_batch,
-            "cache must hold at least one batch"
-        );
         let engine = Engine::new(cfg.max_batch, cfg.max_wait, cfg.queue_capacity);
         let xcn = XcNormalizer::fit(&[&graph]);
         Server {
@@ -303,6 +301,7 @@ impl Server {
                 if self.conns().streams.len() >= self.cfg.max_connections {
                     Metrics::inc(&self.engine.metrics().rejected_max_conns);
                     let retry_after = self.retry_after_secs().to_string();
+                    let _ = stream.set_nodelay(true);
                     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
                     let _ = write_response(
                         &mut stream,
@@ -410,10 +409,9 @@ impl Server {
         extra: &[(&str, &str)],
         body: &[u8],
     ) -> std::io::Result<()> {
+        let mut wire = encode_response(status, content_type, extra, body);
         match cirgps_failpoints::eval("serve.ingress.write") {
             Some(FailAction::Truncate(n)) => {
-                let mut wire = Vec::new();
-                write_response(&mut wire, status, content_type, extra, body)?;
                 wire.truncate(n as usize);
                 writer.write_all(&wire)?;
                 let _ = writer.flush();
@@ -426,11 +424,14 @@ impl Server {
                 std::io::ErrorKind::BrokenPipe,
                 "response write failed (failpoint)",
             )),
-            None => write_response(writer, status, content_type, extra, body),
+            None => writer.write_all(&wire),
         }
     }
 
     fn handle_connection(&self, stream: TcpStream) {
+        // Responses leave in one write each (see `http`), so nothing is
+        // gained by holding a segment back for coalescing.
+        let _ = stream.set_nodelay(true);
         let _ = stream.set_write_timeout(Some(self.cfg.read_timeout));
         let Ok(read_half) = stream.try_clone() else {
             return;

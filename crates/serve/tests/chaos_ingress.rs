@@ -13,17 +13,18 @@
 //!    ingress deadline and is shed with `408`, counted;
 //! 3. an injected mid-sweep chunk failure (`serve.sweep.chunk=error`)
 //!    aborts one sweep without wedging its worker or the daemon;
-//! 4. an overload soak: the one worker is stalled while a burst of
-//!    well-formed, malformed, and oversized clients hits the daemon —
-//!    every request gets a bounded, *named* answer (200/400/413/503/504,
-//!    never a hang), the queue-full 503 carries a load-aware
-//!    `Retry-After`, and the daemon serves normally once the stall
-//!    clears.
+//! 4. an overload soak: the one worker is stalled on a popped batch,
+//!    then a burst of well-formed, malformed, and oversized clients hits
+//!    the daemon — more well-formed predicts than the queue and a batch
+//!    can hold, so some are provably shed — and every request gets a
+//!    bounded, *named* answer (200/400/413/503/504, never a hang), the
+//!    queue-full 503 carries a load-aware `Retry-After`, and the daemon
+//!    serves normally once the stall clears.
 #![cfg(feature = "failpoints")]
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use circuit_graph::{CircuitGraph, EdgeType, GraphBuilder, NodeType};
 use circuitgps::{AttnKind, CircuitGps, ModelConfig, MpnnKind};
@@ -35,6 +36,13 @@ use subgraph_sample::SamplerConfig;
 const STALL: Duration = Duration::from_millis(1500);
 /// Per-request deadline — under `STALL`, over a healthy prediction.
 const DEADLINE: Duration = Duration::from_millis(400);
+/// Queries the engine queue holds before it answers `503`.
+const QUEUE_CAPACITY: usize = 4;
+/// Queries one batch takes off the queue.
+const MAX_BATCH: usize = 2;
+/// Well-formed predicts in the soak burst: more than the queue plus a
+/// batch can ever hold, by a fixed margin.
+const BURST_PREDICTS: usize = QUEUE_CAPACITY + MAX_BATCH + 4;
 
 fn toy_graph() -> (CircuitGraph, Vec<(u32, u32)>) {
     let mut b = GraphBuilder::new();
@@ -152,10 +160,10 @@ fn ingress_faults_and_overload_are_survived_with_named_answers() {
         graph,
         "CHAOS".into(),
         ServeConfig {
-            max_batch: 2,
+            max_batch: MAX_BATCH,
             max_wait: Duration::from_millis(1),
             workers: 1,
-            queue_capacity: 4,
+            queue_capacity: QUEUE_CAPACITY,
             cache_capacity: 64,
             sampler: SamplerConfig {
                 hops: 1,
@@ -248,25 +256,41 @@ fn ingress_faults_and_overload_are_survived_with_named_answers() {
         assert_eq!(status, 200, "daemon must survive a sweep abort: {body}");
 
         // --- Scenario 4: overload soak ------------------------------
-        // Stall the one worker long enough that the queue (cap 4)
-        // saturates, then hit the daemon with a mixed burst. Every
-        // client must get a bounded, named answer.
+        // Stall the one worker on a trigger request's batch, and fire the
+        // burst only once that batch has left the queue. The sleeping
+        // worker then drains nothing: the queue holds `QUEUE_CAPACITY`
+        // burst predicts, at most `MAX_BATCH - 1` more can join the
+        // popped batch, and the rest must be shed. Every client must get
+        // a bounded, named answer.
         fp::set("serve.queue.pop", &format!("delay:{}", STALL.as_millis()));
-        let burst: Vec<(String, String)> = (0..10)
-            .map(|i| match i % 4 {
-                // Well-formed predicts: 200 (early, pre-stall), 503
-                // (queue full / admission), or 504 (stalled batch).
-                0 | 1 => (
+        let enqueued = counter(addr, "queries_total");
+        let burst: Vec<(String, String)> = (0..BURST_PREDICTS + 4)
+            .map(|i| match i {
+                // Well-formed predicts: 503 (queue full / admission) or
+                // 504 (queued behind the stalled batch).
+                i if i < BURST_PREDICTS => (
                     "/v1/predict".to_string(),
                     predict_body(pairs[i % pairs.len()]),
                 ),
                 // Malformed JSON: always 400, never queued.
-                2 => ("/v1/predict".to_string(), "{not json".to_string()),
+                i if i % 2 == 0 => ("/v1/predict".to_string(), "{not json".to_string()),
                 // Oversized body: always 413, never read.
                 _ => ("/v1/predict".to_string(), "x".repeat(8000)),
             })
             .collect();
         let answers: Vec<(u16, Option<u64>)> = std::thread::scope(|cs| {
+            let trigger = cs.spawn(|| {
+                let (status, retry_after, _) =
+                    http_lenient(addr, "POST", "/v1/predict", &predict_body(pairs[0]));
+                (status, retry_after)
+            });
+            // Nothing else submits, so once the trigger's query has been
+            // counted as enqueued, an empty queue means it was popped.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while counter(addr, "queries_total") == enqueued || counter(addr, "queue_depth") != 0 {
+                assert!(Instant::now() < deadline, "the trigger was never popped");
+                std::thread::sleep(Duration::from_millis(1));
+            }
             let handles: Vec<_> = burst
                 .iter()
                 .map(|(path, body)| {
@@ -276,7 +300,9 @@ fn ingress_faults_and_overload_are_survived_with_named_answers() {
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+            let mut answers: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+            answers.push(trigger.join().unwrap());
+            answers
         });
         for (i, &(status, retry_after)) in answers.iter().enumerate() {
             assert!(
@@ -291,11 +317,17 @@ fn ingress_faults_and_overload_are_survived_with_named_answers() {
                 );
             }
         }
-        // The burst of 10 against a queue of 4 with a stalled worker
-        // must have shed at least one request with 503.
+        // The burst overflows the queue behind a stalled worker: it must
+        // have shed at least one request with 503 — in fact every
+        // well-formed predict the queue and the popped batch cannot hold.
         assert!(
             answers.iter().any(|&(s, _)| s == 503),
             "no request was shed during the soak: {answers:?}"
+        );
+        let shed_503 = answers.iter().filter(|&&(s, _)| s == 503).count();
+        assert!(
+            shed_503 >= BURST_PREDICTS - QUEUE_CAPACITY - (MAX_BATCH - 1),
+            "only {shed_503} of {BURST_PREDICTS} burst predicts were shed: {answers:?}"
         );
         // Named rejections for the hostile clients, not hangups.
         assert!(

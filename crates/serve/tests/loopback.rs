@@ -12,7 +12,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Barrier;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use circuit_graph::{CircuitGraph, EdgeType, GraphBuilder, NodeType};
 use circuitgps::{AttnKind, CircuitGps, ModelConfig, MpnnKind};
@@ -882,5 +882,62 @@ fn connection_cap_sheds_with_load_aware_retry_after() {
             std::thread::sleep(Duration::from_millis(20));
         };
         assert!(counter(&metrics, "rejected_max_conns_total") >= 1);
+    });
+}
+
+/// A keep-alive client that leaves Nagle's algorithm on, as a plain
+/// `TcpStream` does, is answered without waiting on delayed ACKs: each
+/// response leaves the server in one write on a `TCP_NODELAY` socket. A
+/// response split over several writes costs such a client about 40 ms a
+/// request, the ACK delay, instead of a few milliseconds.
+#[test]
+fn keep_alive_client_with_nagle_on_sees_no_ack_stall() {
+    let (graph, pairs) = toy_graph();
+    let server = Server::new(
+        small_model(),
+        graph,
+        "TOY".into(),
+        ServeConfig {
+            max_wait: Duration::ZERO,
+            workers: 1,
+            read_timeout: Duration::from_secs(5),
+            ..ServeConfig::default()
+        },
+    );
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+
+    std::thread::scope(|s| {
+        s.spawn(|| server.serve(listener));
+        let _shutdown = ShutdownOnDrop(&server, addr);
+
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        let mut ms = Vec::new();
+        for i in 0..20 {
+            let (a, b) = pairs[i % pairs.len()];
+            let body = format!("{{\"task\":\"link\",\"pairs\":[[{a},{b}]]}}");
+            // One write per request, so the client's own Nagle cannot
+            // hold back a request tail either.
+            let wire = format!(
+                "POST /v1/predict HTTP/1.1\r\nHost: loopback\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            let t = Instant::now();
+            writer.write_all(wire.as_bytes()).expect("send");
+            let (status, resp) = read_response(&mut reader);
+            ms.push(t.elapsed().as_secs_f64() * 1e3);
+            assert_eq!(status, 200, "{resp}");
+        }
+        ms.sort_by(f64::total_cmp);
+        let median = ms[ms.len() / 2];
+        assert!(
+            median < 20.0,
+            "median keep-alive request took {median:.1} ms: {ms:?}"
+        );
     });
 }

@@ -245,7 +245,7 @@ USAGE:
                        (default 2000)
         --workers      scheduler threads (default 2)
         --queue-cap    queue depth before 503 backpressure (default 1024)
-        --cache-cap    per-worker prepared-sample cache (default 65536)
+        --cache-cap    per-worker answer cache, in predictions (default 65536)
         --drain-timeout-ms
                        on SIGTERM/SIGINT: how long the graceful drain
                        waits for open connections before force-closing
@@ -1354,7 +1354,7 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     let (hits, misses) = session.cache_stats();
     eprintln!(
-        "predicted {} pairs (task {task}, batch {batch_size}; sample cache {hits} hits / {misses} misses)",
+        "predicted {} pairs (task {task}, batch {batch_size}; answer cache {hits} hits / {misses} misses)",
         preds.len()
     );
     Ok(())
@@ -1632,11 +1632,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     if queue_cap < max_batch {
         return Err(format!(
             "--queue-cap {queue_cap} must hold at least one batch (--max-batch {max_batch})"
-        ));
-    }
-    if cache_cap < max_batch {
-        return Err(format!(
-            "--cache-cap {cache_cap} must hold at least one batch (--max-batch {max_batch})"
         ));
     }
     let addr = flags
