@@ -11,7 +11,6 @@ fn bench_energy(c: &mut Criterion) {
     let caps = net_capacitances(&d.design.netlist, &d.spf);
 
     let mut group = c.benchmark_group("fig4_energy_sim");
-    group.sample_size(10);
     group.bench_function("settle_once", |b| {
         let mut sim = SwitchSim::new(&d.design.netlist);
         b.iter(|| std::hint::black_box(sim.settle()))

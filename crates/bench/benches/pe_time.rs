@@ -3,7 +3,7 @@
 
 use ams_datagen::{DesignKind, SizePreset};
 use cirgps_bench::DesignData;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use graph_pe::{compute_pe, PeKind};
 use subgraph_sample::DatasetConfig;
 
@@ -23,17 +23,13 @@ fn bench_pe(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("table2_pe_time_per_graph");
     for pe in PeKind::TABLE2 {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(pe.paper_name()),
-            &pe,
-            |b, &pe| {
-                b.iter(|| {
-                    for s in &subs {
-                        std::hint::black_box(compute_pe(s, pe));
-                    }
-                })
-            },
-        );
+        group.bench_function(pe.paper_name(), |b| {
+            b.iter(|| {
+                for s in &subs {
+                    std::hint::black_box(compute_pe(s, pe));
+                }
+            })
+        });
     }
     group.finish();
 }

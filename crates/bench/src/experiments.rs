@@ -769,11 +769,16 @@ pub fn fig4(preset: SizePreset, seed: u64, cmp: &MainComparison) -> String {
                     .collect::<Vec<_>>()
             })
             .collect();
-        let outputs: Vec<(usize, f64)> = samples
-            .par_iter()
-            .map(|(ci, s)| (*ci, cmp.cap_norm.decode(cmp.model_all_ft.predict_reg(s))))
+        let refs: Vec<&PreparedSample> = samples.iter().map(|(_, s)| s).collect();
+        let outputs: Vec<f32> = refs
+            .par_chunks(32)
+            .flat_map_iter(|batch| cmp.model_all_ft.predict_reg_batch(batch))
             .collect();
-        let predicted: std::collections::HashMap<usize, f64> = outputs.into_iter().collect();
+        let predicted: std::collections::HashMap<usize, f64> = samples
+            .iter()
+            .zip(outputs)
+            .map(|(&(ci, _), p)| (ci, cmp.cap_norm.decode(p)))
+            .collect();
 
         // Assemble per-net capacitances (gt vs predicted couplings).
         let caps_gt = mini_spice::net_capacitances(&d.design.netlist, &d.spf);

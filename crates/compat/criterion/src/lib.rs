@@ -2,8 +2,8 @@
 //!
 //! The build environment has no crates.io access, so this crate
 //! re-implements the subset of `criterion` the workspace's benches use:
-//! [`Criterion`], [`BenchmarkGroup`], [`Bencher::iter`], [`BenchmarkId`],
-//! [`black_box`] and the [`criterion_group!`]/[`criterion_main!`] macros.
+//! [`Criterion`], [`BenchmarkGroup`], [`Bencher::iter`] and the
+//! [`criterion_group!`]/[`criterion_main!`] macros.
 //!
 //! Measurement model: each benchmark is warmed up once, then timed in
 //! doubling batches until the measured wall time reaches a target budget
@@ -11,86 +11,9 @@
 //! best (minimum) per-iteration time across batches is reported, which
 //! is robust to scheduler noise on shared machines.
 //!
-//! Results print as `group/name ... ns/iter` lines, and when the
-//! `CIRGPS_BENCH_JSON` environment variable names a file, each result is
-//! appended to it as a JSON line — the `bench_json` harness in
-//! `cirgps-bench` builds its `BENCH_<date>.json` snapshots from this.
+//! Results print as `group/name ... ns/iter` lines.
 
-use std::fmt::Display;
-use std::io::Write as _;
 use std::time::{Duration, Instant};
-
-/// Opaque value barrier preventing the optimizer from deleting work.
-pub fn black_box<T>(x: T) -> T {
-    std::hint::black_box(x)
-}
-
-/// One finished measurement.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Benchmark group name (empty when run outside a group).
-    pub group: String,
-    /// Benchmark name within the group.
-    pub name: String,
-    /// Best observed nanoseconds per iteration.
-    pub ns_per_iter: f64,
-    /// Total iterations executed while measuring.
-    pub iters: u64,
-}
-
-impl BenchResult {
-    /// Full `group/name` label.
-    pub fn label(&self) -> String {
-        if self.group.is_empty() {
-            self.name.clone()
-        } else {
-            format!("{}/{}", self.group, self.name)
-        }
-    }
-
-    /// Serializes the result as one JSON object (no external deps).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"group\":\"{}\",\"name\":\"{}\",\"ns_per_iter\":{:.2},\"iters\":{}}}",
-            escape(&self.group),
-            escape(&self.name),
-            self.ns_per_iter,
-            self.iters
-        )
-    }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if c.is_control() => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// Identifier combining a function name and a parameter, as in criterion.
-pub struct BenchmarkId {
-    label: String,
-}
-
-impl BenchmarkId {
-    /// `name/parameter` identifier.
-    pub fn new(name: impl Into<String>, parameter: impl Display) -> Self {
-        BenchmarkId {
-            label: format!("{}/{}", name.into(), parameter),
-        }
-    }
-
-    /// Identifier that is just the parameter.
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        BenchmarkId {
-            label: parameter.to_string(),
-        }
-    }
-}
 
 /// Timing loop handle passed to benchmark closures.
 pub struct Bencher {
@@ -102,13 +25,13 @@ pub struct Bencher {
 impl Bencher {
     /// Times `f`, running it repeatedly until the time budget is spent.
     pub fn iter<O>(&mut self, mut f: impl FnMut() -> O) {
-        black_box(f()); // warm-up
+        std::hint::black_box(f()); // warm-up
         let mut batch: u64 = 1;
         let started = Instant::now();
         loop {
             let t0 = Instant::now();
             for _ in 0..batch {
-                black_box(f());
+                std::hint::black_box(f());
             }
             let dt = t0.elapsed();
             self.iters += batch;
@@ -128,7 +51,6 @@ impl Bencher {
 
 /// Benchmark registry and runner.
 pub struct Criterion {
-    results: Vec<BenchResult>,
     budget: Duration,
 }
 
@@ -139,21 +61,12 @@ impl Default for Criterion {
             .and_then(|v| v.parse().ok())
             .unwrap_or(300);
         Criterion {
-            results: Vec::new(),
             budget: Duration::from_millis(ms),
         }
     }
 }
 
 impl Criterion {
-    /// Creates a runner with an explicit per-benchmark time budget.
-    pub fn with_budget(budget: Duration) -> Self {
-        Criterion {
-            results: Vec::new(),
-            budget,
-        }
-    }
-
     /// Starts a named benchmark group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -162,37 +75,20 @@ impl Criterion {
         }
     }
 
-    /// Runs one ungrouped benchmark.
-    pub fn bench_function(&mut self, name: impl Into<String>, f: impl FnMut(&mut Bencher)) {
-        let name = name.into();
-        self.run(String::new(), name, f);
-    }
-
-    /// All results measured so far.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-
-    fn run(&mut self, group: String, name: String, mut f: impl FnMut(&mut Bencher)) {
+    /// Measures one benchmark, prints its line and returns the best
+    /// nanoseconds per iteration and the iterations run.
+    fn run(&mut self, label: &str, mut f: impl FnMut(&mut Bencher)) -> (f64, u64) {
         let mut b = Bencher {
             budget: self.budget,
             best_ns: f64::INFINITY,
             iters: 0,
         };
         f(&mut b);
-        let result = BenchResult {
-            group,
-            name,
-            ns_per_iter: b.best_ns,
-            iters: b.iters,
-        };
         println!(
-            "{:<56} {:>14.1} ns/iter ({} iters)",
-            result.label(),
-            result.ns_per_iter,
-            result.iters
+            "{label:<56} {:>14.1} ns/iter ({} iters)",
+            b.best_ns, b.iters
         );
-        self.results.push(result);
+        (b.best_ns, b.iters)
     }
 }
 
@@ -203,54 +99,13 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Accepted for criterion compatibility; the shim sizes by wall time.
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Accepted for criterion compatibility; no-op.
-    pub fn measurement_time(&mut self, _t: Duration) -> &mut Self {
-        self
-    }
-
     /// Runs one benchmark in the group.
     pub fn bench_function(&mut self, name: impl Into<String>, f: impl FnMut(&mut Bencher)) {
-        self.c.run(self.group.clone(), name.into(), f);
-    }
-
-    /// Runs one parameterized benchmark in the group.
-    pub fn bench_with_input<I: ?Sized>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: impl FnMut(&mut Bencher, &I),
-    ) {
-        self.c.run(self.group.clone(), id.label, |b| f(b, input));
+        self.c.run(&format!("{}/{}", self.group, name.into()), f);
     }
 
     /// Ends the group.
     pub fn finish(self) {}
-}
-
-/// Appends results as JSON lines to the `CIRGPS_BENCH_JSON` file, if set.
-pub fn maybe_write_json(results: &[BenchResult]) {
-    let Ok(path) = std::env::var("CIRGPS_BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-    else {
-        eprintln!("warning: cannot open CIRGPS_BENCH_JSON file {path}");
-        return;
-    };
-    for r in results {
-        let _ = writeln!(f, "{}", r.to_json());
-    }
 }
 
 /// Bundles benchmark functions into a named group runner.
@@ -270,7 +125,6 @@ macro_rules! criterion_main {
         fn main() {
             let mut c = $crate::Criterion::default();
             $($group(&mut c);)+
-            $crate::maybe_write_json(c.results());
         }
     };
 }
@@ -281,21 +135,13 @@ mod tests {
 
     #[test]
     fn measures_something() {
-        let mut c = Criterion::with_budget(Duration::from_millis(5));
+        let mut c = Criterion {
+            budget: Duration::from_millis(5),
+        };
+        let (ns, iters) = c.run("g/count", |b| b.iter(|| (0..1000).sum::<u64>()));
+        assert!(ns.is_finite() && ns >= 0.0 && iters > 0);
         let mut group = c.benchmark_group("g");
-        group.sample_size(10);
-        group.bench_function("count", |b| b.iter(|| (0..1000).sum::<u64>()));
-        group.bench_with_input(BenchmarkId::new("param", 42), &3u64, |b, &x| {
-            b.iter(|| x * 2)
-        });
+        group.bench_function("free", |b| b.iter(|| 1 + 1));
         group.finish();
-        c.bench_function("free", |b| b.iter(|| 1 + 1));
-        assert_eq!(c.results().len(), 3);
-        assert!(c
-            .results()
-            .iter()
-            .all(|r| r.ns_per_iter.is_finite() && r.ns_per_iter >= 0.0));
-        assert_eq!(c.results()[1].label(), "g/param/42");
-        assert!(c.results()[0].to_json().contains("\"ns_per_iter\""));
     }
 }

@@ -587,29 +587,32 @@ mod tests {
     fn v2_round_trip_restores_config_and_predictions_bitwise() {
         let s = sample();
         let model = CircuitGps::new(non_default_config());
-        let want_link = model.predict_link(&s);
-        let want_reg = model.predict_reg(&s);
+        let bits = |m: &CircuitGps| {
+            let (link, reg) = (m.predict_link_batch(&[&s]), m.predict_reg_batch(&[&s]));
+            (link[0].to_bits(), reg[0].to_bits())
+        };
+        let want = bits(&model);
 
         let mut bytes = Vec::new();
         model.save_checkpoint(&mut bytes).unwrap();
         let (loaded, fmt) = CircuitGps::load_checkpoint(&bytes[..]).unwrap();
         assert_eq!(fmt, CheckpointFormat::V2);
         assert_eq!(loaded.cfg, model.cfg, "embedded config must round-trip");
-        assert_eq!(loaded.predict_link(&s).to_bits(), want_link.to_bits());
-        assert_eq!(loaded.predict_reg(&s).to_bits(), want_reg.to_bits());
+        assert_eq!(bits(&loaded), want);
     }
 
     #[test]
     fn v1_container_still_loads_bitwise() {
         let s = sample();
         let model = CircuitGps::new(non_default_config());
-        let want = model.predict_link(&s);
+        let bits = |m: &CircuitGps| m.predict_link_batch(&[&s])[0].to_bits();
+        let want = bits(&model);
         let bytes = v1_bytes(&model);
         let ck = CircuitGps::load_checkpoint_full(&bytes[..]).unwrap();
         assert_eq!(ck.format, CheckpointFormat::V1);
         assert_eq!(ck.model.cfg, model.cfg);
         assert!(ck.sections.is_empty());
-        assert_eq!(ck.model.predict_link(&s).to_bits(), want.to_bits());
+        assert_eq!(bits(&ck.model), want);
     }
 
     #[test]

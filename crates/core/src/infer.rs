@@ -10,10 +10,11 @@
 //! path uses — so a batch of `B` packed subgraphs pays `Σnᵢ²` score cost
 //! instead of `(Σnᵢ)²`; and, because every kernel is shared with the
 //! taped forward (see `cirgps-nn`'s `infer` module), batched predictions
-//! are **bitwise-equal** to the per-sample [`CircuitGps::predict_link`]
-//! / [`CircuitGps::predict_reg`] results. The MPNN branch is gated per
-//! graph as well, so even a zero-edge subgraph packed with edge-bearing
-//! ones predicts exactly as it does solo.
+//! are **bitwise-equal** to the taped [`CircuitGps::link_logits_batch`]
+//! (through a sigmoid) / [`CircuitGps::reg_outputs_batch`] run on each
+//! sample alone. The MPNN branch is gated per graph as well, so even a
+//! zero-edge subgraph packed with edge-bearing ones predicts exactly as
+//! it does solo.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -218,8 +219,9 @@ impl CircuitGps {
 
     /// Link-existence probabilities for a batch, without building a tape.
     ///
-    /// Bitwise-equal to calling [`CircuitGps::predict_link`] on each
-    /// sample (see the module docs for the zero-edge caveat).
+    /// Bitwise-equal to the sigmoid of the taped
+    /// [`CircuitGps::link_logits_batch`] on each sample alone (see the
+    /// module docs).
     ///
     /// # Panics
     ///
@@ -230,7 +232,8 @@ impl CircuitGps {
     }
 
     /// Normalized capacitance predictions for a batch, without building a
-    /// tape. Bitwise-equal to per-sample [`CircuitGps::predict_reg`].
+    /// tape. Bitwise-equal to the taped [`CircuitGps::reg_outputs_batch`]
+    /// on each sample alone.
     ///
     /// # Panics
     ///
@@ -680,7 +683,24 @@ mod tests {
     use super::*;
     use crate::config::{AttnKind, ModelConfig, MpnnKind};
     use circuit_graph::{Edge, EdgeType, GraphBuilder};
+    use cirgps_nn::Tape;
     use graph_pe::PeKind;
+
+    /// The taped reference for one sample: the link logit of a
+    /// one-sample eval tape through a sigmoid.
+    fn taped_link(model: &CircuitGps, s: &PreparedSample) -> f32 {
+        let mut tape = Tape::new(model.store(), false, 0);
+        let logit = model.link_logits_batch(&mut tape, &[s]);
+        let z = tape.value(logit).item();
+        1.0 / (1.0 + (-z).exp())
+    }
+
+    /// The taped reference for one sample's regression output.
+    fn taped_reg(model: &CircuitGps, s: &PreparedSample) -> f32 {
+        let mut tape = Tape::new(model.store(), false, 0);
+        let out = model.reg_outputs_batch(&mut tape, &[s]);
+        tape.value(out).item()
+    }
 
     /// Builds a graph with two pin clusters and a connecting path, plus
     /// the candidate links used to derive ≥ 17 distinct samples.
@@ -773,7 +793,7 @@ mod tests {
         assert_eq!(samples.len(), 17, "toy dataset too small");
         for attn in attn_kinds() {
             let model = model_with(attn);
-            let per_sample: Vec<f32> = samples.iter().map(|s| model.predict_link(s)).collect();
+            let per_sample: Vec<f32> = samples.iter().map(|s| taped_link(&model, s)).collect();
             for bs in [1usize, 3, 17] {
                 for (ci, chunk) in samples.chunks(bs).enumerate() {
                     let refs: Vec<&PreparedSample> = chunk.iter().collect();
@@ -799,7 +819,7 @@ mod tests {
         let samples = toy_samples(17);
         for attn in attn_kinds() {
             let model = model_with(attn);
-            let per_sample: Vec<f32> = samples.iter().map(|s| model.predict_reg(s)).collect();
+            let per_sample: Vec<f32> = samples.iter().map(|s| taped_reg(&model, s)).collect();
             for bs in [1usize, 3, 17] {
                 let mut batched = Vec::new();
                 for chunk in samples.chunks(bs) {
@@ -832,7 +852,7 @@ mod tests {
         let refs: Vec<&PreparedSample> = samples.iter().collect();
         let batched = model.predict_link_batch(&refs);
         for (b, s) in batched.iter().zip(&samples) {
-            assert_eq!(b.to_bits(), model.predict_link(s).to_bits());
+            assert_eq!(b.to_bits(), taped_link(&model, s).to_bits());
         }
     }
 
@@ -897,7 +917,7 @@ mod tests {
             let refs: Vec<&PreparedSample> = samples.iter().collect();
             for (solo, packed) in samples
                 .iter()
-                .map(|s| model.predict_link(s))
+                .map(|s| taped_link(&model, s))
                 .zip(model.predict_link_batch(&refs))
             {
                 assert_eq!(
@@ -908,7 +928,7 @@ mod tests {
             }
             for (solo, packed) in samples
                 .iter()
-                .map(|s| model.predict_reg(s))
+                .map(|s| taped_reg(&model, s))
                 .zip(model.predict_reg_batch(&refs))
             {
                 assert_eq!(
@@ -936,7 +956,7 @@ mod tests {
                 .collect();
             prepared
                 .iter()
-                .map(|s| model.predict_link(s))
+                .map(|s| taped_link(&model, s))
                 .collect::<Vec<f32>>()
         };
 

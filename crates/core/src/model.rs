@@ -672,46 +672,6 @@ impl CircuitGps {
         let targets: Vec<f32> = samples.iter().map(|s| s.target).collect();
         tape.l1_loss(outs, &targets)
     }
-
-    /// Runs the encoder + GPS stack for one subgraph (`N × d`).
-    pub fn embed(&self, tape: &mut Tape, s: &PreparedSample) -> Var {
-        self.embed_batch(tape, &[s]).0
-    }
-
-    /// Link-existence logit for one sample (`1 × 1`).
-    pub fn link_logit(&self, tape: &mut Tape, s: &PreparedSample) -> Var {
-        self.link_logits_batch(tape, &[s])
-    }
-
-    /// Regression output for one sample (`1 × 1`).
-    pub fn reg_output(&self, tape: &mut Tape, s: &PreparedSample) -> Var {
-        self.reg_outputs_batch(tape, &[s])
-    }
-
-    /// BCE pre-training loss for one sample.
-    pub fn loss_link(&self, tape: &mut Tape, s: &PreparedSample) -> Var {
-        self.loss_link_batch(tape, &[s])
-    }
-
-    /// L1 regression loss for one sample.
-    pub fn loss_reg(&self, tape: &mut Tape, s: &PreparedSample) -> Var {
-        self.loss_reg_batch(tape, &[s])
-    }
-
-    /// Link-existence probability (evaluation mode).
-    pub fn predict_link(&self, s: &PreparedSample) -> f32 {
-        let mut tape = Tape::new(&self.store, false, 0);
-        let logit = self.link_logit(&mut tape, s);
-        let z = tape.value(logit).item();
-        1.0 / (1.0 + (-z).exp())
-    }
-
-    /// Normalized capacitance prediction (evaluation mode).
-    pub fn predict_reg(&self, s: &PreparedSample) -> f32 {
-        let mut tape = Tape::new(&self.store, false, 0);
-        let out = self.reg_output(&mut tape, s);
-        tape.value(out).item()
-    }
 }
 
 /// Helper trait impl: keep Performer random projections frozen after a
@@ -807,10 +767,10 @@ mod tests {
         for cfg in configs_under_test() {
             let model = CircuitGps::new(cfg.clone());
             let mut tape = Tape::new(model.store(), false, 0);
-            let logit = model.link_logit(&mut tape, &s);
+            let logit = model.link_logits_batch(&mut tape, &[&s]);
             assert_eq!(tape.shape(logit), (1, 1), "{cfg:?}");
             let mut tape2 = Tape::new(model.store(), false, 0);
-            let reg = model.reg_output(&mut tape2, &s);
+            let reg = model.reg_outputs_batch(&mut tape2, &[&s]);
             let v = tape2.value(reg).item();
             assert!((0.0..=1.0).contains(&v), "{cfg:?} produced {v}");
         }
@@ -828,7 +788,7 @@ mod tests {
                 pe,
                 ..Default::default()
             });
-            let p = model.predict_link(&s);
+            let p = model.predict_link_batch(&[&s])[0];
             assert!(p.is_finite() && (0.0..=1.0).contains(&p), "{pe:?} -> {p}");
         }
     }
@@ -845,7 +805,7 @@ mod tests {
             pe: PeKind::Dspd,
             ..Default::default()
         });
-        let _ = model.predict_link(&s);
+        let _ = model.predict_link_batch(&[&s]);
     }
 
     #[test]
@@ -859,7 +819,7 @@ mod tests {
             ..Default::default()
         });
         let mut tape = Tape::new(model.store(), true, 1);
-        let loss = model.loss_link(&mut tape, &s);
+        let loss = model.loss_link_batch(&mut tape, &[&s]);
         let mut grads = GradStore::new(model.store());
         tape.backward(loss, &mut grads);
         for prefix in ["enc.pe.d0", "enc.node_type", "gps.0.mpnn", "head_link"] {
@@ -886,7 +846,7 @@ mod tests {
         let mut grads = GradStore::new(model.store());
         {
             let mut tape = Tape::new(model.store(), true, 1);
-            let loss = model.loss_reg(&mut tape, &s);
+            let loss = model.loss_reg_batch(&mut tape, &[&s]);
             tape.backward(loss, &mut grads);
         }
         let backbone_hit = model.store().iter().any(|(id, name, _)| {
@@ -956,13 +916,13 @@ mod tests {
             ..Default::default()
         };
         let model = CircuitGps::new(cfg.clone());
-        let p1 = model.predict_link(&s);
+        let p1 = model.predict_link_batch(&[&s])[0];
         let mut bytes = Vec::new();
         model.store().save_blob(&mut bytes).unwrap();
         let mut model2 = CircuitGps::new(ModelConfig { seed: 999, ..cfg });
-        assert_ne!(model2.predict_link(&s), p1);
+        assert_ne!(model2.predict_link_batch(&[&s])[0], p1);
         model2.store_mut().load_blob(&bytes[..]).unwrap();
-        let p2 = model2.predict_link(&s);
+        let p2 = model2.predict_link_batch(&[&s])[0];
         assert!((p1 - p2).abs() < 1e-6, "{p1} vs {p2}");
     }
 }

@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Decode one prediction back to farads.
     if let Some(s) = test.first() {
-        let pred = all_ft.predict_reg(s);
+        let pred = all_ft.predict_reg_batch(&[s])[0];
         println!(
             "sample link: predicted {:.3e} F, ground truth {:.3e} F",
             cap.decode(pred),

@@ -46,9 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Show a few decoded predictions.
-    for s in test.iter().take(5) {
-        let pred = cap.decode(model.predict_reg(s));
-        let truth = cap.decode(s.target);
+    let shown: Vec<_> = test.iter().take(5).collect();
+    for (s, pred) in shown.iter().zip(model.predict_reg_batch(&shown)) {
+        let (pred, truth) = (cap.decode(pred), cap.decode(s.target));
         println!("  predicted {:9.3e} F   truth {:9.3e} F", pred, truth);
     }
     Ok(())
