@@ -1,8 +1,8 @@
 //! Attention-only microbench: forward+backward of the fused
 //! block-diagonal attention ops over one packed sub-batch (8 blocks of
-//! 96 nodes), isolated from the rest of the GPS layer. This is the op
-//! the block-diagonal rewrite targets, so regressions here are visible
-//! without the MPNN/MLP costs averaged in.
+//! 96 nodes), plus tape-free MHA and Performer inference, isolated from
+//! the rest of the GPS layer. Regressions here are visible without the
+//! MPNN/MLP costs averaged in.
 
 use std::sync::Arc;
 
@@ -54,6 +54,21 @@ fn bench_attention(c: &mut Criterion) {
     group.bench_function("mha_infer_blocks/pack8x96", |b| {
         b.iter(|| std::hint::black_box(mha.infer_blocks(&store, &x, &blocks)).recycle())
     });
+    // Tape-free Performer inference on the served shapes: one 523-node
+    // hub-net window (`sweep_array`), eight 27-node 2-hop ground
+    // subgraphs and eight 7-node link pairs (`predict_mix`).
+    for (name, len, count) in [("one523", 523, 1), ("pack8x27", 27, 8), ("pack8x7", 7, 8)] {
+        let rows = len * count;
+        let xs = Tensor::from_vec(
+            rows,
+            DIM,
+            (0..rows * DIM).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+        );
+        let spans: Vec<(usize, usize)> = (0..count).map(|b| (b * len, len)).collect();
+        group.bench_function(format!("performer_infer_blocks/{name}"), |b| {
+            b.iter(|| std::hint::black_box(perf.infer_blocks(&store, &xs, &spans)).recycle())
+        });
+    }
     group.finish();
 }
 

@@ -14,6 +14,11 @@
 //! only head lists is noted, not judged. The mean, not the median:
 //! `setup_s` lands in one of two modes per process, about 45% apart, and
 //! a median of a few runs picks one at random (docs/perf.md).
+//!
+//! Where a run prints an output digest (`... digest <hex>`), the gate
+//! compares base's and head's digests seed by seed and notes "outputs
+//! identical" or "outputs differ on seed N". The note never fails the
+//! gate: a change may alter outputs on purpose.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -89,6 +94,8 @@ struct Run {
     attempted: f64,
     failed: f64,
     metrics: BTreeMap<String, f64>,
+    /// The output digest the run printed, if any.
+    digest: Option<String>,
 }
 
 impl Run {
@@ -119,8 +126,25 @@ impl Run {
             attempted: num("attempted")?,
             failed: num("failed")?,
             metrics,
+            digest: output_digest(output),
         })
     }
+
+    /// The seed, from a `<workload>-<seed>` label.
+    fn seed(&self) -> &str {
+        self.label.rsplit('-').next().unwrap_or("")
+    }
+}
+
+/// The word after the first `digest` in a run's output, e.g.
+/// `# sweep_array: output digest 838c2c0026dcc387; ...`.
+fn output_digest(output: &str) -> Option<String> {
+    output.lines().find_map(|line| {
+        let mut words = line.split_whitespace();
+        words.find(|w| *w == "digest")?;
+        let d = words.next()?.trim_end_matches([';', ',']);
+        (!d.is_empty()).then(|| d.to_string())
+    })
 }
 
 /// One side's runs, by workload.
@@ -263,8 +287,36 @@ fn judge(base_spec: &Spec, head_spec: &Spec, base: &Side, head: &Side) -> Verdic
                 if pass { "ok" } else { "WORSE" }
             ));
         }
+        v.notes.extend(compare_digests(w, base_runs, head_runs));
     }
     v
+}
+
+/// Notes whether head's output digests equal base's for the same seeds.
+fn compare_digests(w: &str, base: &[Run], head: &[Run]) -> Vec<String> {
+    let by_seed = |runs: &[Run]| -> BTreeMap<String, String> {
+        runs.iter()
+            .filter_map(|r| Some((r.seed().to_string(), r.digest.clone()?)))
+            .collect()
+    };
+    let (b, h) = (by_seed(base), by_seed(head));
+    let pairs: Vec<(&String, bool)> = b
+        .iter()
+        .filter_map(|(seed, d)| Some((seed, h.get(seed)? == d)))
+        .collect();
+    if pairs.is_empty() {
+        return Vec::new();
+    }
+    let differ: Vec<String> = pairs
+        .iter()
+        .filter(|(_, same)| !same)
+        .map(|(seed, _)| format!("{w}: outputs differ on seed {seed}"))
+        .collect();
+    if differ.is_empty() {
+        vec![format!("{w}: outputs identical ({} seeds)", pairs.len())]
+    } else {
+        differ
+    }
 }
 
 fn run(args: &[String]) -> Result<Verdict, String> {
@@ -366,6 +418,61 @@ mod tests {
 
     fn head_failures(items: f64, p50: f64, rss: f64) -> Vec<String> {
         failures(&base(), &side(&line(true, 0, items, p50, rss)))
+    }
+
+    #[test]
+    fn digests_are_compared_seed_by_seed_and_never_fail() {
+        let result = line(true, 0, 1000.0, 4.0, 20.0);
+        let out =
+            |d: &str| format!("# predict_mix: 32 requests, prediction digest {d}\n{result}\n");
+        let parse =
+            |seed: u32, d: &str| Run::parse(&format!("dir/predict_mix-{seed}"), &out(d)).unwrap();
+        let base = vec![parse(1, "00aa"), parse(2, "00bb")];
+        assert_eq!(base[1].digest.as_deref(), Some("00bb"));
+        assert_eq!(base[1].seed(), "2");
+        assert_eq!(
+            compare_digests("predict_mix", &base, &[parse(1, "00aa"), parse(2, "00bb")]),
+            ["predict_mix: outputs identical (2 seeds)"]
+        );
+        assert_eq!(
+            compare_digests("predict_mix", &base, &[parse(1, "00aa"), parse(2, "00cc")]),
+            ["predict_mix: outputs differ on seed 2"]
+        );
+        // No digest on either side: nothing to say.
+        assert!(compare_digests(
+            "predict_mix",
+            &runs("predict_mix", &[result.clone()]),
+            &base
+        )
+        .is_empty());
+
+        let sides = |d2: &str| -> Side {
+            [(
+                "predict_mix".to_string(),
+                vec![parse(1, "00aa"), parse(2, d2)],
+            )]
+            .into_iter()
+            .chain([(
+                "serve_mix".to_string(),
+                runs("serve_mix", &[result.clone()]),
+            )])
+            .collect()
+        };
+        let v = judge(&spec(), &spec(), &sides("00bb"), &sides("ffff"));
+        assert!(v.failures.is_empty(), "{:?}", v.failures);
+        assert_eq!(v.notes, ["predict_mix: outputs differ on seed 2"]);
+    }
+
+    #[test]
+    fn the_digest_is_read_from_perfbench_note_lines() {
+        let sweep = "# sweep_array: output digest 838c2c0026dcc387; 179 strided pairs checked\n{}";
+        assert_eq!(output_digest(sweep).as_deref(), Some("838c2c0026dcc387"));
+        let predict = "# setup: 401 rounds\n# predict_mix: 64 requests of 8 queries per pass, prediction digest 0123456789abcdef\n";
+        assert_eq!(output_digest(predict).as_deref(), Some("0123456789abcdef"));
+        assert_eq!(
+            output_digest("# run: workload train_ssram seed 1\n{}"),
+            None
+        );
     }
 
     #[test]

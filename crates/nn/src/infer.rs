@@ -254,27 +254,6 @@ pub(crate) fn block_slice(x: &Tensor, r0: usize, rows: usize, c0: usize, len: us
     Tensor::from_vec(rows, len, out)
 }
 
-/// [`block_slice`] with a fused scalar multiply: `out = s · block`.
-/// Bitwise-equal to slicing first and scaling after (copying is exact).
-pub(crate) fn block_slice_scaled(
-    x: &Tensor,
-    r0: usize,
-    rows: usize,
-    c0: usize,
-    len: usize,
-    s: f32,
-) -> Tensor {
-    assert!(
-        r0 + rows <= x.rows() && c0 + len <= x.cols(),
-        "block_slice out of bounds"
-    );
-    let mut out = pool::take_capacity(rows * len);
-    for r in r0..r0 + rows {
-        out.extend(x.row_slice(r)[c0..c0 + len].iter().map(|&v| v * s));
-    }
-    Tensor::from_vec(rows, len, out)
-}
-
 /// Writes `block` (`rows × len`) into `dst` at `(r0, c0)`.
 pub(crate) fn block_write(dst: &mut Tensor, block: &Tensor, r0: usize, c0: usize) {
     let (rows, len) = block.shape();
@@ -794,16 +773,22 @@ pub(crate) fn mha_block_diag_fwd(
     (cat, saved)
 }
 
-/// Performer feature map φ(x̂) over a pre-scaled input `xs = x / d^{1/4}`:
-/// `φ = (exp(x̂ Ωᵀ − ‖x̂‖²/2) + ε) / √m`, with the squared-norm and
-/// exp/stabilize/normalize passes fused. Per-element arithmetic matches
-/// the unfused exp → +ε → ·(1/√m) sequence exactly (no reassociation),
-/// and the squares are summed left-to-right like a `mul` + `row_sum`.
-pub(crate) fn performer_feature_map_fwd(xs: &Tensor, omega_t: &Tensor, features: usize) -> Tensor {
-    performer_feature_map_with(Backend::active(), xs, omega_t, features)
+/// `½‖x̂‖²` with `x̂ = x·scale`: the squares summed left to right, like
+/// the unfused scale → `mul` → `row_sum` → `·0.5` chain. Stays scalar
+/// and sequential on every backend (order-sensitive).
+pub(crate) fn half_sq_norm(x: &[f32], scale: f32) -> f32 {
+    x.iter()
+        .map(|&v| {
+            let s = v * scale;
+            s * s
+        })
+        .sum::<f32>()
+        * 0.5
 }
 
-/// [`performer_feature_map_fwd`] on an explicit backend.
+/// Performer feature map φ(x̂) over a pre-scaled input `xs = x / d^{1/4}`:
+/// `φ = (exp(x̂ Ωᵀ − ‖x̂‖²/2) + ε) / √m`, on an explicit backend. The
+/// fused forward's [`performer_phi`] kernel with `scale = 1` (exact).
 pub(crate) fn performer_feature_map_with(
     backend: Backend,
     xs: &Tensor,
@@ -811,51 +796,307 @@ pub(crate) fn performer_feature_map_with(
     features: usize,
 ) -> Tensor {
     let (rows, k) = xs.shape();
-    let cols = omega_t.cols();
-    let mut buf = pool::take_zeroed(rows * cols);
-    crate::tensor::gemm_with(
+    let m = omega_t.cols();
+    let mut out = pool::take_zeroed(rows * m);
+    let inv = 1.0 / (features as f32).sqrt();
+    performer_phi(
         backend,
         xs.as_slice(),
-        omega_t.as_slice(),
-        &mut buf,
+        k,
         rows,
         k,
-        cols,
+        1.0,
+        omega_t.as_slice(),
+        m,
+        inv,
+        &mut out,
     );
-    let mut prod = Tensor::from_vec(rows, cols, buf);
-    let inv = 1.0 / (features as f32).sqrt();
-    let (n, m) = prod.shape();
-    for r in 0..n {
-        // The squared-norm reduction stays scalar-sequential on every
-        // backend (order-sensitive); only the elementwise sweep
-        // vectorizes.
-        let half: f32 = xs.row_slice(r).iter().map(|&v| v * v).sum::<f32>() * 0.5;
-        let row = &mut prod.as_mut_slice()[r * m..(r + 1) * m];
-        #[cfg(target_arch = "x86_64")]
-        if backend != Backend::Scalar {
-            // SAFETY: non-scalar backends imply a successful AVX2 probe.
-            unsafe {
-                crate::simd::avx2::feature_map_sweep(row, half, inv);
-            }
-            continue;
+    Tensor::from_vec(rows, m, out)
+}
+
+/// Performer feature map over `rows` rows read in place (row `r` is
+/// `x[r·ld .. r·ld + dh]`, scaled by `scale` as it is read) into the
+/// `rows × m` buffer `dst`. Each element is the GEMM chain of
+/// `x̂·Ωᵀ` (`omega_t` is `dh × m`), then `(fast_exp(· − ½‖x̂‖²) + 1e-6)·inv`.
+#[allow(clippy::too_many_arguments)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn performer_phi(
+    backend: Backend,
+    x: &[f32],
+    ld: usize,
+    rows: usize,
+    dh: usize,
+    scale: f32,
+    omega_t: &[f32],
+    m: usize,
+    inv: f32,
+    dst: &mut [f32],
+) {
+    assert!(
+        rows == 0 || x.len() >= (rows - 1) * ld + dh,
+        "feature map input too short"
+    );
+    assert!(
+        omega_t.len() >= dh * m && dst.len() >= rows * m,
+        "feature map shape mismatch"
+    );
+    if m == 1 {
+        // A one-column GEMM takes the dot-product path (`gemm`'s n == 1).
+        let mut xs = pool::take_capacity(dh);
+        for r in 0..rows {
+            xs.clear();
+            xs.extend(x[r * ld..r * ld + dh].iter().map(|&v| v * scale));
+            let half = half_sq_norm(&x[r * ld..r * ld + dh], scale);
+            let prod = 0.0 + crate::tensor::dot_with(backend, &xs, omega_t);
+            dst[r] = (fast_exp(prod - half) + 1e-6) * inv;
         }
-        let _ = backend;
-        for v in row.iter_mut() {
+        pool::put(xs);
+        return;
+    }
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if backend != Backend::Scalar {
+        // SAFETY: each backend's CPU-feature probe succeeded (AVX-512
+        // implies AVX2+FMA for the 8-feature remainder); the asserts
+        // above are the kernels' size requirements.
+        unsafe {
+            if backend == Backend::Avx512 {
+                done = crate::simd::avx512::feature_map_rows(
+                    x, ld, rows, dh, scale, omega_t, m, inv, dst,
+                );
+            }
+            crate::simd::avx2::feature_map_rows(x, ld, rows, dh, scale, omega_t, m, inv, dst, done);
+        }
+        done = m - m % 8;
+    }
+    if done == m {
+        return;
+    }
+    for r in 0..rows {
+        let xr = &x[r * ld..r * ld + dh];
+        let orow = &mut dst[r * m + done..(r + 1) * m];
+        orow.fill(0.0);
+        let mut p = 0;
+        while p + 4 <= dh {
+            let (a0, a1, a2, a3) = (
+                xr[p] * scale,
+                xr[p + 1] * scale,
+                xr[p + 2] * scale,
+                xr[p + 3] * scale,
+            );
+            let b0 = &omega_t[p * m + done..(p + 1) * m];
+            let b1 = &omega_t[(p + 1) * m + done..(p + 2) * m];
+            let b2 = &omega_t[(p + 2) * m + done..(p + 3) * m];
+            let b3 = &omega_t[(p + 3) * m + done..(p + 4) * m];
+            for ((((o, &v0), &v1), &v2), &v3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+                let t = a1.mul_add(v1, a0.mul_add(v0, *o));
+                *o = a3.mul_add(v3, a2.mul_add(v2, t));
+            }
+            p += 4;
+        }
+        while p < dh {
+            let av = xr[p] * scale;
+            for (o, &bv) in orow.iter_mut().zip(&omega_t[p * m + done..(p + 1) * m]) {
+                *o = av.mul_add(bv, *o);
+            }
+            p += 1;
+        }
+        let half = half_sq_norm(xr, scale);
+        for v in orow.iter_mut() {
             *v = (fast_exp(*v - half) + 1e-6) * inv;
         }
     }
-    prod
+}
+
+/// Key sums `k_sum[f] = Σ_r pk[r, f]` over a block's `len × m` feature
+/// map, each with [`crate::tensor::laned_sum_with`]'s eight-lane tree
+/// (the SIMD kernel runs eight features per vector).
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn performer_key_sum(backend: Backend, pk: &[f32], len: usize, m: usize, k_sum: &mut [f32]) {
+    assert!(
+        pk.len() >= len * m && k_sum.len() >= m,
+        "key sum shape mismatch"
+    );
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if backend != Backend::Scalar {
+        // SAFETY: non-scalar backends imply a successful AVX2+FMA probe;
+        // the assert above is the kernel's size requirement.
+        unsafe { crate::simd::avx2::performer_key_sum(pk, len, m, k_sum) };
+        done = m - m % 8;
+    }
+    let chunks = len / 8;
+    for (f, ks) in k_sum.iter_mut().enumerate().take(m).skip(done) {
+        let mut lanes = [0.0f32; 8];
+        for c in 0..chunks {
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                *lane += pk[(c * 8 + l) * m + f];
+            }
+        }
+        let mut tail = 0.0f32;
+        for r in chunks * 8..len {
+            tail += pk[r * m + f];
+        }
+        let s0 = (lanes[0] + lanes[4]) + (lanes[1] + lanes[5]);
+        let s1 = (lanes[2] + lanes[6]) + (lanes[3] + lanes[7]);
+        *ks = (s0 + s1) + tail;
+    }
+}
+
+/// Key aggregation `kv = φ(K)ᵀ·V` for one block into the `m × dh`
+/// buffer `kv`, with `gemm_atb`'s per-element chain; row `p` of `v`
+/// starts at `v[p·ld]` (the packed QKV matrix read in place).
+#[allow(clippy::too_many_arguments)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn performer_kv(
+    backend: Backend,
+    pk: &[f32],
+    m: usize,
+    v: &[f32],
+    ld: usize,
+    len: usize,
+    dh: usize,
+    kv: &mut [f32],
+) {
+    assert!(
+        pk.len() >= len * m && kv.len() >= m * dh,
+        "key aggregation shape mismatch"
+    );
+    assert!(
+        len == 0 || v.len() >= (len - 1) * ld + dh,
+        "value rows too short"
+    );
+    // The SIMD kernels cover features [0, fd) × columns [0, jd).
+    let (mut fd, mut jd) = (0, 0);
+    #[cfg(target_arch = "x86_64")]
+    if backend != Backend::Scalar {
+        // SAFETY: each backend's CPU-feature probe succeeded (AVX-512
+        // implies AVX2+FMA for the 8-feature remainder); the asserts
+        // above are the kernels' size requirements.
+        unsafe {
+            if backend == Backend::Avx512 {
+                fd = crate::simd::avx512::performer_kv(pk, m, v, ld, len, dh, kv);
+            }
+            crate::simd::avx2::performer_kv(pk, m, v, ld, len, dh, kv, fd);
+        }
+        (fd, jd) = (m - m % 8, dh - dh % 8);
+    }
+    for (f, js) in (fd..m)
+        .map(|f| (f, 0..dh))
+        .chain((0..fd).map(|f| (f, jd..dh)))
+    {
+        if js.is_empty() {
+            continue;
+        }
+        let krow = &mut kv[f * dh + js.start..f * dh + js.end];
+        krow.fill(0.0);
+        let vrow = |p: usize| &v[p * ld + js.start..p * ld + js.end];
+        let mut p = 0;
+        while p + 4 <= len {
+            let (a0, a1, a2, a3) = (
+                pk[p * m + f],
+                pk[(p + 1) * m + f],
+                pk[(p + 2) * m + f],
+                pk[(p + 3) * m + f],
+            );
+            let (b0, b1, b2, b3) = (vrow(p), vrow(p + 1), vrow(p + 2), vrow(p + 3));
+            for ((((o, &v0), &v1), &v2), &v3) in krow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+                let t = a1.mul_add(v1, a0.mul_add(v0, *o));
+                *o = a3.mul_add(v3, a2.mul_add(v2, t));
+            }
+            p += 4;
+        }
+        while p < len {
+            let av = pk[p * m + f];
+            for (o, &bv) in krow.iter_mut().zip(vrow(p)) {
+                *o = av.mul_add(bv, *o);
+            }
+            p += 1;
+        }
+    }
+}
+
+/// One block's output rows: `out[r·ldo + j] = num / den` with
+/// `num = φ(Q)·kv` (the GEMM chain; a one-column `kv` takes the dot path
+/// like `gemm`'s n == 1) and `den = 0 + dot(φ(Q)[r], k_sum)`.
+#[allow(clippy::too_many_arguments)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn performer_attend(
+    backend: Backend,
+    pq: &[f32],
+    kv: &[f32],
+    k_sum: &[f32],
+    len: usize,
+    m: usize,
+    dh: usize,
+    out: &mut [f32],
+    ldo: usize,
+) {
+    use crate::tensor::dot_with;
+    assert!(
+        pq.len() >= len * m && kv.len() >= m * dh && k_sum.len() >= m,
+        "attend shape mismatch"
+    );
+    assert!(
+        len == 0 || out.len() >= (len - 1) * ldo + dh,
+        "attend output too short"
+    );
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if backend != Backend::Scalar && dh > 1 {
+        // SAFETY: non-scalar backends imply a successful AVX2+FMA probe;
+        // the asserts above are the kernel's size requirements.
+        unsafe { crate::simd::avx2::performer_attend(pq, kv, k_sum, len, m, dh, out, ldo) };
+        done = dh - dh % 8;
+    }
+    if done == dh {
+        return;
+    }
+    for r in 0..len {
+        let prow = &pq[r * m..(r + 1) * m];
+        let den = 0.0 + dot_with(backend, prow, k_sum);
+        let orow = &mut out[r * ldo..r * ldo + dh];
+        if dh == 1 {
+            orow[0] = (0.0 + dot_with(backend, prow, kv)) / den;
+            continue;
+        }
+        for (j, o) in orow.iter_mut().enumerate().skip(done) {
+            let mut acc = 0.0f32;
+            let mut f = 0;
+            while f + 4 <= m {
+                let t =
+                    prow[f + 1].mul_add(kv[(f + 1) * dh + j], prow[f].mul_add(kv[f * dh + j], acc));
+                acc = prow[f + 3].mul_add(
+                    kv[(f + 3) * dh + j],
+                    prow[f + 2].mul_add(kv[(f + 2) * dh + j], t),
+                );
+                f += 4;
+            }
+            while f < m {
+                acc = prow[f].mul_add(kv[f * dh + j], acc);
+                f += 1;
+            }
+            *o = acc / den;
+        }
+    }
 }
 
 /// Fused block-diagonal Performer (FAVOR+) attention forward.
 ///
 /// Same contract as [`mha_block_diag_fwd`], with `proj` the stacked
-/// frozen random projection (`heads·features × head_dim`). The row-wise
-/// feature maps φ(q̂)/φ(k̂) run once over the whole packed batch per
-/// head; only the key aggregation `φ(K)ᵀ·V`, the per-block key sums and
-/// the denominators are per block. When `save` is set the per-head
-/// feature maps (`N × features`, needed by the fused backward) are
-/// returned as `(φ_q, φ_k)` vectors indexed by head.
+/// frozen random projection (`heads·features × head_dim`). Per head,
+/// φ(q̂) and φ(k̂) run once over the whole pack, reading the packed `qkv`
+/// in place; then per block come the key sums, the key aggregation
+/// `φ(K)ᵀ·V` (also reading V in place), and one pass that forms
+/// `φ(Q)·kv`, the denominators and their quotient straight into the
+/// output. When `save` is set the per-head feature maps (`N × features`,
+/// needed by the fused backward) are returned as `(φ_q, φ_k)` vectors
+/// indexed by head; otherwise their buffers go back to the pool.
+///
+/// Every output element keeps the exact operation chain of the unfused
+/// per-head composition (scale-copy → GEMM → feature-map sweep,
+/// `gemm_atb`, `laned_sum`, GEMM, dot, divide); see `docs/perf.md`
+/// ("Fused Performer forward").
 ///
 /// # Panics
 ///
@@ -869,70 +1110,73 @@ pub(crate) fn performer_block_diag_fwd(
     features: usize,
     save: bool,
 ) -> (Tensor, Vec<Tensor>, Vec<Tensor>) {
-    use crate::tensor::{gemm, gemm_atb, laned_sum};
+    performer_block_diag_with(
+        Backend::active(),
+        qkv,
+        proj,
+        blocks,
+        heads,
+        head_dim,
+        features,
+        save,
+    )
+}
 
+/// [`performer_block_diag_fwd`] on an explicit backend.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn performer_block_diag_with(
+    backend: Backend,
+    qkv: &Tensor,
+    proj: &Tensor,
+    blocks: &[(usize, usize)],
+    heads: usize,
+    head_dim: usize,
+    features: usize,
+    save: bool,
+) -> (Tensor, Vec<Tensor>, Vec<Tensor>) {
     let dim = heads * head_dim;
     let (m, dh) = (features, head_dim);
     assert_eq!(qkv.cols(), 3 * dim, "qkv width must be 3·heads·head_dim");
     assert_eq!(proj.shape(), (heads * m, dh), "projection shape mismatch");
     let n = qkv.rows();
+    let ld = 3 * dim;
+    let x = qkv.as_slice();
+    // x̂ = x/d^{1/4} is applied as each input is read.
+    let scale = 1.0 / (dh as f32).powf(0.25);
+    let inv = 1.0 / (m as f32).sqrt();
+    let mut omega_t = pool::take_capacity(dh * m);
+    let mut kv = pool::take_zeroed(m * dh);
+    let mut k_sum = pool::take_zeroed(m);
     let mut cat = Tensor::zeros(n, dim);
     let mut saved_q = Vec::with_capacity(if save { heads } else { 0 });
     let mut saved_k = Vec::with_capacity(if save { heads } else { 0 });
     for h in 0..heads {
-        // Ωᵀ once per head, shared by every block and both feature maps.
-        let rows: Vec<usize> = (h * m..(h + 1) * m).collect();
-        let omega = gather_rows(proj, &rows);
-        let omega_t = omega.transpose();
-        omega.recycle();
         let off = h * dh;
-        // Head slices with the x̂ = x/d^{1/4} scale fused into the copy.
-        let scale = 1.0 / (dh as f32).powf(0.25);
-        let xs_q = block_slice_scaled(qkv, 0, n, off, dh, scale);
-        let xs_k = block_slice_scaled(qkv, 0, n, dim + off, dh, scale);
-        let vh = block_slice(qkv, 0, n, 2 * dim + off, dh);
-        let phi_q = performer_feature_map_fwd(&xs_q, &omega_t, m);
-        let phi_k = performer_feature_map_fwd(&xs_k, &omega_t, m);
+        // Ωᵀ for this head (`dh × m`), shared by both feature maps.
+        omega_t.clear();
+        for p in 0..dh {
+            omega_t.extend((0..m).map(|f| proj.as_slice()[(h * m + f) * dh + p]));
+        }
+        // φ(q̂) and φ(k̂) over the whole pack, read in place from `qkv`.
+        let [phi_q, phi_k] = [off, dim + off].map(|col| {
+            let mut phi = pool::take_zeroed(n * m);
+            // `min` keeps an empty pack's slice in range.
+            let xh = &x[col.min(x.len())..];
+            performer_phi(backend, xh, ld, n, dh, scale, &omega_t, m, inv, &mut phi);
+            Tensor::from_vec(n, m, phi)
+        });
         for &(r0, len) in blocks {
             assert!(r0 + len <= n, "attention block out of range");
-            let pq = &phi_q.as_slice()[r0 * m..(r0 + len) * m];
-            let pk = &phi_k.as_slice()[r0 * m..(r0 + len) * m];
-            let vb = &vh.as_slice()[r0 * dh..(r0 + len) * dh];
-            // kv = φ(K)ᵀ·V over this block's rows (the transposing
-            // kernel reads the same values in the same order as the
-            // taped transpose-then-matmul).
-            let mut kv = pool::take_zeroed(m * dh);
-            gemm_atb(pk, vb, &mut kv, m, len, dh);
-            let mut num = pool::take_zeroed(len * dh);
-            gemm(pq, &kv, &mut num, len, m, dh);
-            // k_sum = φ(K)ᵀ·1: a laned column sum with exactly the dot
-            // kernel's summation tree (see `laned_sum`).
-            let mut k_sum = pool::take_zeroed(m);
-            let mut col = pool::take_zeroed(len);
-            for (f, ks) in k_sum.iter_mut().enumerate() {
-                for (r, c) in col.iter_mut().enumerate() {
-                    *c = pk[r * m + f];
-                }
-                *ks = laned_sum(&col);
+            if len == 0 {
+                continue;
             }
-            pool::put(col);
-            // den = φ(Q)·k_sum (the n == 1 dot path), then the divide
-            // writes straight into the output block.
-            let mut den = pool::take_zeroed(len);
-            gemm(pq, &k_sum, &mut den, len, m, 1);
-            for r in 0..len {
-                let drow = &mut cat.row_slice_mut(r0 + r)[off..off + dh];
-                let s = den[r];
-                for (o, &nv) in drow.iter_mut().zip(&num[r * dh..(r + 1) * dh]) {
-                    *o = nv / s;
-                }
-            }
-            for buf in [kv, num, k_sum, den] {
-                pool::put(buf);
-            }
-        }
-        for t in [xs_q, xs_k, vh, omega_t] {
-            t.recycle();
+            let span = r0 * m..(r0 + len) * m;
+            let (pq, pk) = (&phi_q.as_slice()[span.clone()], &phi_k.as_slice()[span]);
+            let v = &x[r0 * ld + 2 * dim + off..];
+            performer_key_sum(backend, pk, len, m, &mut k_sum);
+            performer_kv(backend, pk, m, v, ld, len, dh, &mut kv);
+            let out = &mut cat.as_mut_slice()[r0 * dim + off..];
+            performer_attend(backend, pq, &kv, &k_sum, len, m, dh, out, dim);
         }
         if save {
             saved_q.push(phi_q);
@@ -941,6 +1185,9 @@ pub(crate) fn performer_block_diag_fwd(
             phi_q.recycle();
             phi_k.recycle();
         }
+    }
+    for buf in [omega_t, kv, k_sum] {
+        pool::put(buf);
     }
     (cat, saved_q, saved_k)
 }
@@ -1039,6 +1286,156 @@ mod tests {
         assert_eq!(g.as_slice(), &[5.0, 6.0, 1.0, 2.0, 5.0, 6.0]);
         let s = scatter_add_rows(&g, &[0, 0, 1], 2);
         assert_eq!(s.as_slice(), &[6.0, 8.0, 5.0, 6.0]);
+    }
+
+    /// The per-head Performer forward this crate ran before the fused
+    /// kernels: scaled head copies, whole-pack feature maps (GEMM, then
+    /// the exp sweep), and per block `gemm_atb`, GEMM, a gathered
+    /// `laned_sum` per feature, the `n = 1` GEMM and a divide.
+    fn performer_reference(
+        qkv: &Tensor,
+        proj: &Tensor,
+        blocks: &[(usize, usize)],
+        heads: usize,
+        dh: usize,
+        m: usize,
+    ) -> (Tensor, Vec<Tensor>, Vec<Tensor>) {
+        use crate::tensor::{gemm_atb, laned_sum_with};
+        let backend = Backend::active();
+        let slice_scaled = |c0: usize, s: f32| {
+            let mut out = Vec::new();
+            for r in 0..qkv.rows() {
+                out.extend(qkv.row_slice(r)[c0..c0 + dh].iter().map(|&v| v * s));
+            }
+            Tensor::from_vec(qkv.rows(), dh, out)
+        };
+        let feature_map = |xs: &Tensor, omega_t: &Tensor| {
+            let (rows, k) = xs.shape();
+            let mut prod = vec![0.0f32; rows * m];
+            gemm(xs.as_slice(), omega_t.as_slice(), &mut prod, rows, k, m);
+            let inv = 1.0 / (m as f32).sqrt();
+            for r in 0..rows {
+                let half: f32 = xs.row_slice(r).iter().map(|&v| v * v).sum::<f32>() * 0.5;
+                for v in &mut prod[r * m..(r + 1) * m] {
+                    *v = (fast_exp(*v - half) + 1e-6) * inv;
+                }
+            }
+            Tensor::from_vec(rows, m, prod)
+        };
+        let dim = heads * dh;
+        let n = qkv.rows();
+        let mut cat = Tensor::zeros(n, dim);
+        let (mut saved_q, mut saved_k) = (Vec::new(), Vec::new());
+        for h in 0..heads {
+            let rows: Vec<usize> = (h * m..(h + 1) * m).collect();
+            let omega_t = gather_rows(proj, &rows).transpose();
+            let off = h * dh;
+            let scale = 1.0 / (dh as f32).powf(0.25);
+            let phi_q = feature_map(&slice_scaled(off, scale), &omega_t);
+            let phi_k = feature_map(&slice_scaled(dim + off, scale), &omega_t);
+            let vh = slice_scaled(2 * dim + off, 1.0);
+            for &(r0, len) in blocks {
+                let pq = &phi_q.as_slice()[r0 * m..(r0 + len) * m];
+                let pk = &phi_k.as_slice()[r0 * m..(r0 + len) * m];
+                let vb = &vh.as_slice()[r0 * dh..(r0 + len) * dh];
+                let mut kv = vec![0.0f32; m * dh];
+                gemm_atb(pk, vb, &mut kv, m, len, dh);
+                let mut num = vec![0.0f32; len * dh];
+                gemm(pq, &kv, &mut num, len, m, dh);
+                let k_sum: Vec<f32> = (0..m)
+                    .map(|f| {
+                        let col: Vec<f32> = (0..len).map(|r| pk[r * m + f]).collect();
+                        laned_sum_with(backend, &col)
+                    })
+                    .collect();
+                let mut den = vec![0.0f32; len];
+                gemm(pq, &k_sum, &mut den, len, m, 1);
+                for r in 0..len {
+                    let drow = &mut cat.row_slice_mut(r0 + r)[off..off + dh];
+                    for (o, &nv) in drow.iter_mut().zip(&num[r * dh..(r + 1) * dh]) {
+                        *o = nv / den[r];
+                    }
+                }
+            }
+            saved_q.push(phi_q);
+            saved_k.push(phi_k);
+        }
+        (cat, saved_q, saved_k)
+    }
+
+    fn assert_bits(label: &str, want: &[f32], got: &[f32]) {
+        assert_eq!(want.len(), got.len(), "{label}: length");
+        for (i, (a, b)) in want.iter().zip(got).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{label}[{i}]: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn fused_performer_forward_is_bitwise_equal_to_the_per_head_reference() {
+        let packs: [&[usize]; 5] = [&[523], &[7; 8], &[27, 1, 600, 9, 2], &[5, 0, 33], &[]];
+        // (heads, head_dim, features): the model's 4×8 with 32 features,
+        // wider heads, a ragged 3×5, and the one-column dot paths.
+        let layouts = [
+            (4, 8, 32),
+            (2, 16, 32),
+            (1, 32, 16),
+            (3, 5, 13),
+            (2, 1, 1),
+            (1, 3, 24),
+        ];
+        for (pi, sizes) in packs.iter().enumerate() {
+            let mut blocks = Vec::new();
+            let mut r0 = 0;
+            for &len in sizes.iter() {
+                blocks.push((r0, len));
+                r0 += len;
+            }
+            for &(heads, dh, m) in &layouts {
+                let seed = (pi * 31 + heads * 7 + dh) as f32;
+                let dim = heads * dh;
+                let qkv = Tensor::from_vec(
+                    r0,
+                    3 * dim,
+                    (0..r0 * 3 * dim)
+                        .map(|i| ((i as f32 * 0.37 + seed).sin()) * 1.5)
+                        .collect(),
+                );
+                let proj = Tensor::from_vec(
+                    heads * m,
+                    dh,
+                    (0..heads * m * dh)
+                        .map(|i| (i as f32 * 0.61 + seed).cos())
+                        .collect(),
+                );
+                let label = format!("pack {pi}, {heads}x{dh}, m={m}");
+                let (want, want_q, want_k) =
+                    performer_reference(&qkv, &proj, &blocks, heads, dh, m);
+                let (got, got_q, got_k) =
+                    performer_block_diag_fwd(&qkv, &proj, &blocks, heads, dh, m, true);
+                assert_bits(&format!("{label} out"), want.as_slice(), got.as_slice());
+                assert_eq!(got_q.len(), heads);
+                for h in 0..heads {
+                    assert_bits(
+                        &format!("{label} phi_q[{h}]"),
+                        want_q[h].as_slice(),
+                        got_q[h].as_slice(),
+                    );
+                    assert_bits(
+                        &format!("{label} phi_k[{h}]"),
+                        want_k[h].as_slice(),
+                        got_k[h].as_slice(),
+                    );
+                }
+                let (lean, q, k) =
+                    performer_block_diag_fwd(&qkv, &proj, &blocks, heads, dh, m, false);
+                assert!(q.is_empty() && k.is_empty());
+                assert_bits(
+                    &format!("{label} out (save off)"),
+                    want.as_slice(),
+                    lean.as_slice(),
+                );
+            }
+        }
     }
 
     #[test]

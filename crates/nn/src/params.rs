@@ -8,8 +8,8 @@
 //! are merged, and the optimizer finally mutates the store in place.
 
 use std::io::{self, Read, Write};
+use std::sync::{Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -137,6 +137,8 @@ pub struct ParamStore {
     params: Vec<Tensor>,
     names: Vec<String>,
     trainable: Vec<bool>,
+    /// Running statistics. A panic mid-update leaves every element a
+    /// valid `f32`, so a poisoned lock is recovered, not propagated.
     buffers: Vec<Mutex<Tensor>>,
     buffer_names: Vec<String>,
 }
@@ -234,13 +236,18 @@ impl ParamStore {
     /// Reads a buffer by cloning it (buffers are behind a mutex so that
     /// training forward passes on worker threads can update running stats).
     pub fn buffer(&self, id: BufferId) -> Tensor {
-        self.buffers[id.0].lock().clone()
+        self.buffers[id.0]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Applies a momentum update to its buffer under the buffer's lock.
     pub fn apply_buffer_update(&self, u: &BufferUpdate) {
         let m = u.momentum;
-        let mut buf = self.buffers[u.id.0].lock();
+        let mut buf = self.buffers[u.id.0]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         for (r, &b) in buf.as_mut_slice().iter_mut().zip(u.stat.as_slice()) {
             *r = (1.0 - m) * *r + m * b;
         }
@@ -275,7 +282,12 @@ impl ParamStore {
         write_u64(&mut w, self.buffers.len() as u64)?;
         for i in 0..self.buffers.len() {
             write_str(&mut w, &self.buffer_names[i])?;
-            write_tensor(&mut w, &self.buffers[i].lock())?;
+            write_tensor(
+                &mut w,
+                &self.buffers[i]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner),
+            )?;
         }
         Ok(())
     }
@@ -333,14 +345,17 @@ impl ParamStore {
                     found: name,
                 });
             }
-            if t.shape() != self.buffers[i].lock().shape() {
+            let buf = self.buffers[i]
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner);
+            if t.shape() != buf.shape() {
                 return Err(ParamLoadError::ShapeMismatch {
-                    expected: self.buffers[i].lock().shape(),
+                    expected: buf.shape(),
                     found: t.shape(),
                     name,
                 });
             }
-            *self.buffers[i].lock() = t;
+            *buf = t;
         }
         Ok(())
     }

@@ -2,8 +2,9 @@
 //!
 //! The release binary is no longer compiled with `-C target-cpu=native`:
 //! instead, every hot kernel (the fixed-width GEMM microkernels, the
-//! generic blocked GEMM, the `fast_exp`/sigmoid/softmax sweeps and the
-//! fused infer epilogues) has explicit `std::arch` implementations for
+//! generic blocked GEMM, the `fast_exp`/sigmoid/softmax sweeps, the
+//! fused infer epilogues and the fused Performer attention forward) has
+//! explicit `std::arch` implementations for
 //! AVX2+FMA and AVX-512F, selected **once per process** by
 //! [`Backend::active`] from runtime CPU-feature detection. The same
 //! binary runs at full speed on machines it was not compiled on, and
@@ -28,7 +29,9 @@
 //!   scalar on every backend; only the elementwise passes vectorize.
 //! * The `dot`/`laned_sum` kernels keep their fixed 8-lane reduction
 //!   tree on every backend (AVX-512 reuses the 8-lane kernel), so the
-//!   summation order never depends on the vector width.
+//!   summation order never depends on the vector width. The Performer
+//!   key sums vectorize *across* features instead, each lane running
+//!   one feature's 8-lane tree.
 //!
 //! The cross-backend parity test matrix (`crates/nn/tests/simd_parity.rs`
 //! plus this module's unit tests) enforces the contract for every
@@ -210,8 +213,32 @@ pub(crate) mod avx2 {
         m: usize,
         k: usize,
     ) {
+        gemm_fixed_ld::<N>(a, b, N, out, N, m, k)
+    }
+
+    /// [`gemm_fixed`] on an `N`-column panel of wider matrices: `b` and
+    /// `out` advance `ldb`/`ldo` floats per row. Columns never mix, so
+    /// running a wide GEMM panel by panel keeps every element's chain.
+    ///
+    /// # Safety
+    ///
+    /// Besides the CPU-feature contract, `a` must hold `m·k` floats, `b`
+    /// `(k − 1)·ldb + N` and `out` `(m − 1)·ldo + N` (the debug
+    /// assertions).
+    #[target_feature(enable = "avx2,fma")]
+    pub(crate) unsafe fn gemm_fixed_ld<const N: usize>(
+        a: &[f32],
+        b: &[f32],
+        ldb: usize,
+        out: &mut [f32],
+        ldo: usize,
+        m: usize,
+        k: usize,
+    ) {
         debug_assert_eq!(N % 8, 0);
-        debug_assert!(a.len() >= m * k && b.len() >= k * N && out.len() >= m * N);
+        debug_assert!(a.len() >= m * k);
+        debug_assert!(k == 0 || b.len() >= (k - 1) * ldb + N);
+        debug_assert!(m == 0 || out.len() >= (m - 1) * ldo + N);
         let nv = N / 8;
         let ap = a.as_ptr();
         let bp = b.as_ptr();
@@ -223,8 +250,8 @@ pub(crate) mod avx2 {
         while nv <= 4 && i + 2 <= m {
             let ar0 = ap.add(i * k);
             let ar1 = ap.add((i + 1) * k);
-            let o0 = op.add(i * N);
-            let o1 = op.add((i + 1) * N);
+            let o0 = op.add(i * ldo);
+            let o1 = op.add((i + 1) * ldo);
             let mut acc0 = [_mm256_setzero_ps(); 4];
             let mut acc1 = [_mm256_setzero_ps(); 4];
             for v in 0..nv {
@@ -242,10 +269,10 @@ pub(crate) mod avx2 {
                 let y2 = _mm256_set1_ps(*ar1.add(p + 2));
                 let y3 = _mm256_set1_ps(*ar1.add(p + 3));
                 for v in 0..nv {
-                    let b0 = _mm256_loadu_ps(bp.add(p * N + v * 8));
-                    let b1 = _mm256_loadu_ps(bp.add((p + 1) * N + v * 8));
-                    let b2 = _mm256_loadu_ps(bp.add((p + 2) * N + v * 8));
-                    let b3 = _mm256_loadu_ps(bp.add((p + 3) * N + v * 8));
+                    let b0 = _mm256_loadu_ps(bp.add(p * ldb + v * 8));
+                    let b1 = _mm256_loadu_ps(bp.add((p + 1) * ldb + v * 8));
+                    let b2 = _mm256_loadu_ps(bp.add((p + 2) * ldb + v * 8));
+                    let b3 = _mm256_loadu_ps(bp.add((p + 3) * ldb + v * 8));
                     let t0 = _mm256_fmadd_ps(x1, b1, _mm256_fmadd_ps(x0, b0, acc0[v]));
                     acc0[v] = _mm256_fmadd_ps(x3, b3, _mm256_fmadd_ps(x2, b2, t0));
                     let t1 = _mm256_fmadd_ps(y1, b1, _mm256_fmadd_ps(y0, b0, acc1[v]));
@@ -257,7 +284,7 @@ pub(crate) mod avx2 {
                 let x = _mm256_set1_ps(*ar0.add(p));
                 let y = _mm256_set1_ps(*ar1.add(p));
                 for v in 0..nv {
-                    let bv = _mm256_loadu_ps(bp.add(p * N + v * 8));
+                    let bv = _mm256_loadu_ps(bp.add(p * ldb + v * 8));
                     acc0[v] = _mm256_fmadd_ps(x, bv, acc0[v]);
                     acc1[v] = _mm256_fmadd_ps(y, bv, acc1[v]);
                 }
@@ -271,7 +298,7 @@ pub(crate) mod avx2 {
         }
         while i < m {
             let ar = ap.add(i * k);
-            let o = op.add(i * N);
+            let o = op.add(i * ldo);
             let mut acc = [_mm256_setzero_ps(); 8];
             for v in 0..nv {
                 acc[v] = _mm256_loadu_ps(o.add(v * 8));
@@ -283,10 +310,10 @@ pub(crate) mod avx2 {
                 let x2 = _mm256_set1_ps(*ar.add(p + 2));
                 let x3 = _mm256_set1_ps(*ar.add(p + 3));
                 for v in 0..nv {
-                    let b0 = _mm256_loadu_ps(bp.add(p * N + v * 8));
-                    let b1 = _mm256_loadu_ps(bp.add((p + 1) * N + v * 8));
-                    let b2 = _mm256_loadu_ps(bp.add((p + 2) * N + v * 8));
-                    let b3 = _mm256_loadu_ps(bp.add((p + 3) * N + v * 8));
+                    let b0 = _mm256_loadu_ps(bp.add(p * ldb + v * 8));
+                    let b1 = _mm256_loadu_ps(bp.add((p + 1) * ldb + v * 8));
+                    let b2 = _mm256_loadu_ps(bp.add((p + 2) * ldb + v * 8));
+                    let b3 = _mm256_loadu_ps(bp.add((p + 3) * ldb + v * 8));
                     let t = _mm256_fmadd_ps(x1, b1, _mm256_fmadd_ps(x0, b0, acc[v]));
                     acc[v] = _mm256_fmadd_ps(x3, b3, _mm256_fmadd_ps(x2, b2, t));
                 }
@@ -295,7 +322,7 @@ pub(crate) mod avx2 {
             while p < k {
                 let x = _mm256_set1_ps(*ar.add(p));
                 for v in 0..nv {
-                    let bv = _mm256_loadu_ps(bp.add(p * N + v * 8));
+                    let bv = _mm256_loadu_ps(bp.add(p * ldb + v * 8));
                     acc[v] = _mm256_fmadd_ps(x, bv, acc[v]);
                 }
                 p += 1;
@@ -668,26 +695,6 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// Performer feature-map sweep: `v = (fast_exp(v − half) + 1e-6)·inv`.
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn feature_map_sweep(xs: &mut [f32], half: f32, inv: f32) {
-        let n = xs.len();
-        let p = xs.as_mut_ptr();
-        let vh = _mm256_set1_ps(half);
-        let veps = _mm256_set1_ps(1e-6);
-        let vi = _mm256_set1_ps(inv);
-        let mut j = 0;
-        while j + 8 <= n {
-            let e = fast_exp_v(_mm256_sub_ps(_mm256_loadu_ps(p.add(j)), vh));
-            _mm256_storeu_ps(p.add(j), _mm256_mul_ps(_mm256_add_ps(e, veps), vi));
-            j += 8;
-        }
-        while j < n {
-            xs[j] = (crate::tensor::fast_exp(xs[j] - half) + 1e-6) * inv;
-            j += 1;
-        }
-    }
-
     /// Fused BN(+ReLU)+residual row: writes
     /// `((x−μ)·is)·γ + β` (+ optional ReLU, + optional residual) to the
     /// (uninitialized) destination row, matching the scalar sweeps in
@@ -840,6 +847,442 @@ pub(crate) mod avx2 {
             j += 1;
         }
     }
+
+    /// Performer feature map φ over rows read in place from the packed
+    /// QKV matrix, features `[c0, m − m % 8)`:
+    /// `dst[r, f] = (fast_exp(Σ_p x̂[r, p]·Ωᵀ[p, f] − half[r]) + 1e-6)·inv`
+    /// with `x̂ = x·scale` and row `r`'s input at `x[r·ld .. r·ld + dh]`.
+    /// The product accumulates in registers with [`gemm_fixed`]'s chain
+    /// (groups of four sequential FMAs, then single FMAs) and the exp
+    /// epilogue runs on the accumulators before the only store, so every
+    /// element equals scale-copy → GEMM → feature-map sweep bit for bit.
+    /// The caller finishes the ragged feature tail.
+    ///
+    /// # Safety
+    ///
+    /// Besides the CPU-feature contract, `x` must hold `(rows − 1)·ld +
+    /// dh` floats, `omega_t` `dh·m` and `dst` `rows·m` (the debug
+    /// assertions).
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn feature_map_rows(
+        x: &[f32],
+        ld: usize,
+        rows: usize,
+        dh: usize,
+        scale: f32,
+        omega_t: &[f32],
+        m: usize,
+        inv: f32,
+        dst: &mut [f32],
+        c0: usize,
+    ) {
+        debug_assert!(rows == 0 || x.len() >= (rows - 1) * ld + dh);
+        debug_assert!(omega_t.len() >= dh * m && dst.len() >= rows * m);
+        if c0 >= m - m % 8 {
+            return;
+        }
+        let half = |r: usize| crate::infer::half_sq_norm(&x[r * ld..r * ld + dh], scale);
+        let xp = x.as_ptr();
+        let dp = dst.as_mut_ptr();
+        let mut i = 0;
+        while i + 2 <= rows {
+            let h = [half(i), half(i + 1)];
+            feature_map_cols::<2>(
+                xp.add(i * ld),
+                ld,
+                dh,
+                scale,
+                omega_t,
+                m,
+                inv,
+                dp.add(i * m),
+                h,
+                c0,
+            );
+            i += 2;
+        }
+        if i < rows {
+            feature_map_cols::<1>(
+                xp.add(i * ld),
+                ld,
+                dh,
+                scale,
+                omega_t,
+                m,
+                inv,
+                dp.add(i * m),
+                [half(i)],
+                c0,
+            );
+        }
+    }
+
+    /// `R` rows of [`feature_map_rows`]: 32-feature tiles, then 8.
+    ///
+    /// # Safety
+    ///
+    /// As [`feature_map_rows`], for `R` rows starting at `x` and `dst`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn feature_map_cols<const R: usize>(
+        x: *const f32,
+        ld: usize,
+        dh: usize,
+        scale: f32,
+        omega_t: &[f32],
+        m: usize,
+        inv: f32,
+        dst: *mut f32,
+        half: [f32; R],
+        c0: usize,
+    ) {
+        let m8 = m - m % 8;
+        let op = omega_t.as_ptr();
+        let mut c = c0;
+        while c + 32 <= m8 {
+            feature_map_tile::<4, R>(x, ld, dh, scale, op.add(c), m, inv, dst.add(c), half);
+            c += 32;
+        }
+        while c < m8 {
+            feature_map_tile::<1, R>(x, ld, dh, scale, op.add(c), m, inv, dst.add(c), half);
+            c += 8;
+        }
+    }
+
+    /// One `R × 8·NV` tile of [`feature_map_rows`] (`om`/`dst` already
+    /// offset to the tile's first feature).
+    ///
+    /// # Safety
+    ///
+    /// As [`feature_map_rows`], for `R` rows and the `8·NV` features
+    /// starting at `om` and `dst`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn feature_map_tile<const NV: usize, const R: usize>(
+        x: *const f32,
+        ld: usize,
+        dh: usize,
+        scale: f32,
+        om: *const f32,
+        m: usize,
+        inv: f32,
+        dst: *mut f32,
+        half: [f32; R],
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); NV]; R];
+        let mut p = 0;
+        while p + 4 <= dh {
+            let mut xs = [[_mm256_setzero_ps(); 4]; R];
+            for r in 0..R {
+                for q in 0..4 {
+                    xs[r][q] = _mm256_set1_ps(*x.add(r * ld + p + q) * scale);
+                }
+            }
+            for v in 0..NV {
+                let b0 = _mm256_loadu_ps(om.add(p * m + v * 8));
+                let b1 = _mm256_loadu_ps(om.add((p + 1) * m + v * 8));
+                let b2 = _mm256_loadu_ps(om.add((p + 2) * m + v * 8));
+                let b3 = _mm256_loadu_ps(om.add((p + 3) * m + v * 8));
+                for r in 0..R {
+                    let t = _mm256_fmadd_ps(xs[r][1], b1, _mm256_fmadd_ps(xs[r][0], b0, acc[r][v]));
+                    acc[r][v] = _mm256_fmadd_ps(xs[r][3], b3, _mm256_fmadd_ps(xs[r][2], b2, t));
+                }
+            }
+            p += 4;
+        }
+        while p < dh {
+            for r in 0..R {
+                let xv = _mm256_set1_ps(*x.add(r * ld + p) * scale);
+                for v in 0..NV {
+                    acc[r][v] =
+                        _mm256_fmadd_ps(xv, _mm256_loadu_ps(om.add(p * m + v * 8)), acc[r][v]);
+                }
+            }
+            p += 1;
+        }
+        let eps = _mm256_set1_ps(1e-6);
+        let vi = _mm256_set1_ps(inv);
+        for r in 0..R {
+            let vh = _mm256_set1_ps(half[r]);
+            for v in 0..NV {
+                let e = fast_exp_v(_mm256_sub_ps(acc[r][v], vh));
+                _mm256_storeu_ps(
+                    dst.add(r * m + v * 8),
+                    _mm256_mul_ps(_mm256_add_ps(e, eps), vi),
+                );
+            }
+        }
+    }
+
+    /// Performer key sums `k_sum[f] = Σ_r pk[r, f]` over a block's
+    /// `len × m` feature map, features `[0, m − m % 8)`. Eight features
+    /// per vector, with [`laned_sum`]'s tree per feature: lane `l` adds
+    /// rows `8c + l`, the ragged rows go to a sequential tail, then
+    /// `((l0+l4) + (l1+l5)) + ((l2+l6) + (l3+l7))` plus the tail.
+    ///
+    /// # Safety
+    ///
+    /// Besides the CPU-feature contract, `pk` must hold `len·m` floats
+    /// and `k_sum` `m`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(crate) unsafe fn performer_key_sum(pk: &[f32], len: usize, m: usize, k_sum: &mut [f32]) {
+        debug_assert!(pk.len() >= len * m && k_sum.len() >= m);
+        let chunks = len / 8;
+        let mut f = 0;
+        while f + 8 <= m {
+            let base = pk.as_ptr().add(f);
+            let mut lanes = [_mm256_setzero_ps(); 8];
+            for c in 0..chunks {
+                for l in 0..8 {
+                    lanes[l] = _mm256_add_ps(_mm256_loadu_ps(base.add((c * 8 + l) * m)), lanes[l]);
+                }
+            }
+            let mut tail = _mm256_setzero_ps();
+            for r in chunks * 8..len {
+                tail = _mm256_add_ps(tail, _mm256_loadu_ps(base.add(r * m)));
+            }
+            let s0 = _mm256_add_ps(
+                _mm256_add_ps(lanes[0], lanes[4]),
+                _mm256_add_ps(lanes[1], lanes[5]),
+            );
+            let s1 = _mm256_add_ps(
+                _mm256_add_ps(lanes[2], lanes[6]),
+                _mm256_add_ps(lanes[3], lanes[7]),
+            );
+            _mm256_storeu_ps(
+                k_sum.as_mut_ptr().add(f),
+                _mm256_add_ps(_mm256_add_ps(s0, s1), tail),
+            );
+            f += 8;
+        }
+    }
+
+    /// Performer key aggregation `kv[f, j] = Σ_p pk[p, f]·v[p, j]` for
+    /// one block, features `[f0, m − (m − f0) % 8)` × columns
+    /// `[0, dh − dh % 8)`; the caller finishes the ragged tails. `pk`
+    /// is the block's `len × m` feature map, row `p` of `v` starts at
+    /// `v[p·ld]` (the packed QKV matrix read in place) and `kv` is
+    /// `m × dh` row-major. Each accumulator holds eight features of one
+    /// output column for the whole p loop, with `atb_band`'s chain
+    /// (groups of four sequential FMAs, then single FMAs).
+    ///
+    /// # Safety
+    ///
+    /// Besides the CPU-feature contract, `pk` must hold `len·m` floats,
+    /// `v` `(len − 1)·ld + dh` and `kv` `m·dh`.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn performer_kv(
+        pk: &[f32],
+        m: usize,
+        v: &[f32],
+        ld: usize,
+        len: usize,
+        dh: usize,
+        kv: &mut [f32],
+        f0: usize,
+    ) {
+        debug_assert!(pk.len() >= len * m && kv.len() >= m * dh);
+        debug_assert!(len == 0 || v.len() >= (len - 1) * ld + dh);
+        let mut f = f0;
+        while f + 8 <= m {
+            let mut j = 0;
+            while j + 8 <= dh {
+                let o = kv.as_mut_ptr().add(f * dh + j);
+                kv_tile(pk.as_ptr().add(f), m, v.as_ptr().add(j), ld, len, o, dh);
+                j += 8;
+            }
+            f += 8;
+        }
+    }
+
+    /// Eight features × eight columns of [`performer_kv`], stored
+    /// through a lane transpose into the row-major `kv`.
+    ///
+    /// # Safety
+    ///
+    /// As [`performer_kv`], for the eight features at `pk`, the eight
+    /// columns at `v` and the output corner `kv`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn kv_tile(
+        pk: *const f32,
+        m: usize,
+        v: *const f32,
+        ld: usize,
+        len: usize,
+        kv: *mut f32,
+        dh: usize,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); 8];
+        let mut p = 0;
+        while p + 4 <= len {
+            let a0 = _mm256_loadu_ps(pk.add(p * m));
+            let a1 = _mm256_loadu_ps(pk.add((p + 1) * m));
+            let a2 = _mm256_loadu_ps(pk.add((p + 2) * m));
+            let a3 = _mm256_loadu_ps(pk.add((p + 3) * m));
+            for j in 0..8 {
+                let b0 = _mm256_set1_ps(*v.add(p * ld + j));
+                let b1 = _mm256_set1_ps(*v.add((p + 1) * ld + j));
+                let b2 = _mm256_set1_ps(*v.add((p + 2) * ld + j));
+                let b3 = _mm256_set1_ps(*v.add((p + 3) * ld + j));
+                let t = _mm256_fmadd_ps(a1, b1, _mm256_fmadd_ps(a0, b0, acc[j]));
+                acc[j] = _mm256_fmadd_ps(a3, b3, _mm256_fmadd_ps(a2, b2, t));
+            }
+            p += 4;
+        }
+        while p < len {
+            let a = _mm256_loadu_ps(pk.add(p * m));
+            for j in 0..8 {
+                acc[j] = _mm256_fmadd_ps(a, _mm256_set1_ps(*v.add(p * ld + j)), acc[j]);
+            }
+            p += 1;
+        }
+        store_transposed(&acc, kv, dh);
+    }
+
+    /// Stores eight column vectors of eight features each as eight rows
+    /// of eight floats, `dh` apart, through an in-register 8×8 transpose.
+    /// Data movement only.
+    ///
+    /// # Safety
+    ///
+    /// Besides the CPU-feature contract, `dst` must be valid for writes
+    /// of eight floats at each of `dst + l·dh`, `l < 8`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub(crate) unsafe fn store_transposed(cols: &[__m256; 8], dst: *mut f32, dh: usize) {
+        let c = cols;
+        let t0 = _mm256_unpacklo_ps(c[0], c[1]);
+        let t1 = _mm256_unpackhi_ps(c[0], c[1]);
+        let t2 = _mm256_unpacklo_ps(c[2], c[3]);
+        let t3 = _mm256_unpackhi_ps(c[2], c[3]);
+        let t4 = _mm256_unpacklo_ps(c[4], c[5]);
+        let t5 = _mm256_unpackhi_ps(c[4], c[5]);
+        let t6 = _mm256_unpacklo_ps(c[6], c[7]);
+        let t7 = _mm256_unpackhi_ps(c[6], c[7]);
+        let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        let rows = [
+            _mm256_permute2f128_ps::<0x20>(s0, s4),
+            _mm256_permute2f128_ps::<0x20>(s1, s5),
+            _mm256_permute2f128_ps::<0x20>(s2, s6),
+            _mm256_permute2f128_ps::<0x20>(s3, s7),
+            _mm256_permute2f128_ps::<0x31>(s0, s4),
+            _mm256_permute2f128_ps::<0x31>(s1, s5),
+            _mm256_permute2f128_ps::<0x31>(s2, s6),
+            _mm256_permute2f128_ps::<0x31>(s3, s7),
+        ];
+        for (l, &r) in rows.iter().enumerate() {
+            _mm256_storeu_ps(dst.add(l * dh), r);
+        }
+    }
+
+    /// Performer output rows for one block, columns `[0, dh − dh % 8)`:
+    /// `out[r, j] = num / den` with `num = Σ_f pq[r, f]·kv[f, j]`
+    /// ([`gemm_fixed`]'s chain) and `den = 0 + dot(pq[r], k_sum)` (the
+    /// GEMM `n = 1` path), written to `out[r·ldo + j]`. Up to eight rows
+    /// share each `kv` load, so eight FMA chains are in flight.
+    ///
+    /// # Safety
+    ///
+    /// Besides the CPU-feature contract, `pq` must hold `len·m` floats,
+    /// `kv` `m·dh`, `k_sum` `m` and `out` `(len − 1)·ldo + dh`.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn performer_attend(
+        pq: &[f32],
+        kv: &[f32],
+        k_sum: &[f32],
+        len: usize,
+        m: usize,
+        dh: usize,
+        out: &mut [f32],
+        ldo: usize,
+    ) {
+        debug_assert!(pq.len() >= len * m && kv.len() >= m * dh && k_sum.len() >= m);
+        debug_assert!(len == 0 || out.len() >= (len - 1) * ldo + dh);
+        let mut i = 0;
+        while i < len {
+            let (p, o) = (&pq[i * m..], out.as_mut_ptr().add(i * ldo));
+            i += match len - i {
+                8.. => attend_tile::<8>(p, kv, k_sum, m, dh, o, ldo),
+                4..=7 => attend_tile::<4>(p, kv, k_sum, m, dh, o, ldo),
+                2 | 3 => attend_tile::<2>(p, kv, k_sum, m, dh, o, ldo),
+                _ => attend_tile::<1>(p, kv, k_sum, m, dh, o, ldo),
+            };
+        }
+    }
+
+    /// `R` rows of [`performer_attend`]; returns `R`.
+    ///
+    /// # Safety
+    ///
+    /// As [`performer_attend`], for `R` rows starting at `pq` and `out`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn attend_tile<const R: usize>(
+        pq: &[f32],
+        kv: &[f32],
+        k_sum: &[f32],
+        m: usize,
+        dh: usize,
+        out: *mut f32,
+        ldo: usize,
+    ) -> usize {
+        let mut den = [_mm256_setzero_ps(); R];
+        for r in 0..R {
+            den[r] = _mm256_set1_ps(0.0 + dot(&pq[r * m..(r + 1) * m], k_sum));
+        }
+        let ap = pq.as_ptr();
+        let mut c = 0;
+        while c + 8 <= dh {
+            let kp = kv.as_ptr().add(c);
+            let mut acc = [_mm256_setzero_ps(); R];
+            let mut f = 0;
+            while f + 4 <= m {
+                let k0 = _mm256_loadu_ps(kp.add(f * dh));
+                let k1 = _mm256_loadu_ps(kp.add((f + 1) * dh));
+                let k2 = _mm256_loadu_ps(kp.add((f + 2) * dh));
+                let k3 = _mm256_loadu_ps(kp.add((f + 3) * dh));
+                for r in 0..R {
+                    let a = ap.add(r * m + f);
+                    let t = _mm256_fmadd_ps(
+                        _mm256_set1_ps(*a.add(1)),
+                        k1,
+                        _mm256_fmadd_ps(_mm256_set1_ps(*a), k0, acc[r]),
+                    );
+                    acc[r] = _mm256_fmadd_ps(
+                        _mm256_set1_ps(*a.add(3)),
+                        k3,
+                        _mm256_fmadd_ps(_mm256_set1_ps(*a.add(2)), k2, t),
+                    );
+                }
+                f += 4;
+            }
+            while f < m {
+                let k = _mm256_loadu_ps(kp.add(f * dh));
+                for r in 0..R {
+                    acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(r * m + f)), k, acc[r]);
+                }
+                f += 1;
+            }
+            for r in 0..R {
+                _mm256_storeu_ps(out.add(r * ldo + c), _mm256_div_ps(acc[r], den[r]));
+            }
+            c += 8;
+        }
+        R
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -865,18 +1308,22 @@ pub(crate) mod avx512 {
         k: usize,
     ) {
         debug_assert_eq!(N % 16, 0);
+        debug_assert!(N <= 96);
         let nv = N / 16;
         let ap = a.as_ptr();
         let bp = b.as_ptr();
         let op = out.as_mut_ptr();
         let mut i = 0;
-        while nv <= 2 && i + 2 <= m {
+        // Two rows per pass for the narrow widths and for N = 96, the
+        // packed QKV width: its 12 accumulators, 8 broadcasts and 4 B
+        // vectors fit the 32-register file.
+        while (nv <= 2 || nv == 6) && i + 2 <= m {
             let ar0 = ap.add(i * k);
             let ar1 = ap.add((i + 1) * k);
             let o0 = op.add(i * N);
             let o1 = op.add((i + 1) * N);
-            let mut acc0 = [_mm512_setzero_ps(); 2];
-            let mut acc1 = [_mm512_setzero_ps(); 2];
+            let mut acc0 = [_mm512_setzero_ps(); 6];
+            let mut acc1 = [_mm512_setzero_ps(); 6];
             for v in 0..nv {
                 acc0[v] = _mm512_loadu_ps(o0.add(v * 16));
                 acc1[v] = _mm512_loadu_ps(o1.add(v * 16));
@@ -922,7 +1369,7 @@ pub(crate) mod avx512 {
         while i < m {
             let ar = ap.add(i * k);
             let o = op.add(i * N);
-            let mut acc = [_mm512_setzero_ps(); 4];
+            let mut acc = [_mm512_setzero_ps(); 6];
             for v in 0..nv {
                 acc[v] = _mm512_loadu_ps(o.add(v * 16));
             }
@@ -954,6 +1401,263 @@ pub(crate) mod avx512 {
                 _mm512_storeu_ps(o.add(v * 16), acc[v]);
             }
             i += 1;
+        }
+    }
+    /// 16-lane twin of [`super::avx2::performer_kv`] over features
+    /// `[0, m − m % 16)` × columns `[0, dh − dh % 8)`, in 32- then
+    /// 16-feature tiles; every element keeps the same chain (lanes are
+    /// independent features). Returns the number of features done.
+    ///
+    /// # Safety
+    ///
+    /// As [`super::avx2::performer_kv`], under the AVX-512F contract.
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn performer_kv(
+        pk: &[f32],
+        m: usize,
+        v: &[f32],
+        ld: usize,
+        len: usize,
+        dh: usize,
+        kv: &mut [f32],
+    ) -> usize {
+        debug_assert!(pk.len() >= len * m && kv.len() >= m * dh);
+        debug_assert!(len == 0 || v.len() >= (len - 1) * ld + dh);
+        let m16 = m - m % 16;
+        let mut f = 0;
+        while f < m16 {
+            let wide = f + 32 <= m16;
+            let mut j = 0;
+            while j + 8 <= dh {
+                let (a, b) = (pk.as_ptr().add(f), v.as_ptr().add(j));
+                let o = kv.as_mut_ptr().add(f * dh + j);
+                if wide {
+                    kv_tile::<2>(a, m, b, ld, len, o, dh);
+                } else {
+                    kv_tile::<1>(a, m, b, ld, len, o, dh);
+                }
+                j += 8;
+            }
+            f += if wide { 32 } else { 16 };
+        }
+        m16
+    }
+
+    /// `16·FV` features × eight columns of [`performer_kv`]: all `8·FV`
+    /// accumulators stay in registers for the whole p loop, then leave
+    /// through a lane transpose into the row-major `kv`.
+    ///
+    /// # Safety
+    ///
+    /// As [`performer_kv`], for the `16·FV` features at `pk`, the eight
+    /// columns at `v` and the output corner `kv`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn kv_tile<const FV: usize>(
+        pk: *const f32,
+        m: usize,
+        v: *const f32,
+        ld: usize,
+        len: usize,
+        kv: *mut f32,
+        dh: usize,
+    ) {
+        let mut acc = [[_mm512_setzero_ps(); 8]; FV];
+        let mut p = 0;
+        while p + 4 <= len {
+            let mut a = [[_mm512_setzero_ps(); 4]; FV];
+            for w in 0..FV {
+                for q in 0..4 {
+                    a[w][q] = _mm512_loadu_ps(pk.add((p + q) * m + w * 16));
+                }
+            }
+            for j in 0..8 {
+                let b0 = _mm512_set1_ps(*v.add(p * ld + j));
+                let b1 = _mm512_set1_ps(*v.add((p + 1) * ld + j));
+                let b2 = _mm512_set1_ps(*v.add((p + 2) * ld + j));
+                let b3 = _mm512_set1_ps(*v.add((p + 3) * ld + j));
+                for w in 0..FV {
+                    let t = _mm512_fmadd_ps(a[w][1], b1, _mm512_fmadd_ps(a[w][0], b0, acc[w][j]));
+                    acc[w][j] = _mm512_fmadd_ps(a[w][3], b3, _mm512_fmadd_ps(a[w][2], b2, t));
+                }
+            }
+            p += 4;
+        }
+        while p < len {
+            for w in 0..FV {
+                let a = _mm512_loadu_ps(pk.add(p * m + w * 16));
+                for j in 0..8 {
+                    acc[w][j] = _mm512_fmadd_ps(a, _mm512_set1_ps(*v.add(p * ld + j)), acc[w][j]);
+                }
+            }
+            p += 1;
+        }
+        // Each 16-feature vector leaves as two 8-feature halves.
+        for w in 0..FV {
+            let mut lo = [_mm256_setzero_ps(); 8];
+            let mut hi = [_mm256_setzero_ps(); 8];
+            for j in 0..8 {
+                lo[j] = _mm512_castps512_ps256(acc[w][j]);
+                hi[j] = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(acc[w][j])));
+            }
+            super::avx2::store_transposed(&lo, kv.add(w * 16 * dh), dh);
+            super::avx2::store_transposed(&hi, kv.add((w * 16 + 8) * dh), dh);
+        }
+    }
+
+    /// 16-lane transcription of [`crate::tensor::fast_exp`], op for op
+    /// like [`super::avx2::fast_exp_v`] (same clamp operand order, no
+    /// contracting FMA), so every lane equals the scalar function.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::excessive_precision)] // coefficients transcribed from the scalar source
+    pub(crate) unsafe fn fast_exp_v(x: __m512) -> __m512 {
+        let x = _mm512_min_ps(
+            _mm512_set1_ps(88.0),
+            _mm512_max_ps(_mm512_set1_ps(-87.0), x),
+        );
+        let magic = _mm512_set1_ps(12_582_912.0);
+        let zf = _mm512_add_ps(
+            _mm512_mul_ps(x, _mm512_set1_ps(std::f32::consts::LOG2_E)),
+            magic,
+        );
+        let n = _mm512_sub_ps(zf, magic);
+        const C1: f32 = 0.693_359_375;
+        const C2: f32 = -2.121_944_4e-4;
+        let r = _mm512_sub_ps(
+            _mm512_sub_ps(x, _mm512_mul_ps(n, _mm512_set1_ps(C1))),
+            _mm512_mul_ps(n, _mm512_set1_ps(C2)),
+        );
+        let z = _mm512_mul_ps(r, r);
+        let mut p = _mm512_set1_ps(1.987_569_2e-4);
+        p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(1.398_200_0e-3));
+        p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(8.333_452_0e-3));
+        p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(4.166_579_6e-2));
+        p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(1.666_666_5e-1));
+        p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(5.000_000_1e-1));
+        let y = _mm512_add_ps(_mm512_add_ps(_mm512_mul_ps(p, z), r), _mm512_set1_ps(1.0));
+        let n_i = _mm512_sub_epi32(_mm512_castps_si512(zf), _mm512_set1_epi32(0x4B40_0000));
+        let scale = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_add_epi32(
+            n_i,
+            _mm512_set1_epi32(127),
+        )));
+        _mm512_mul_ps(y, scale)
+    }
+
+    /// 16-lane twin of [`super::avx2::feature_map_rows`] over features
+    /// `[0, m − m % 16)`, in 32- then 16-feature tiles, two rows per pass;
+    /// same per-element chain and epilogue. Returns the number of
+    /// features done.
+    ///
+    /// # Safety
+    ///
+    /// As [`super::avx2::feature_map_rows`], under the AVX-512F contract.
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn feature_map_rows(
+        x: &[f32],
+        ld: usize,
+        rows: usize,
+        dh: usize,
+        scale: f32,
+        omega_t: &[f32],
+        m: usize,
+        inv: f32,
+        dst: &mut [f32],
+    ) -> usize {
+        debug_assert!(rows == 0 || x.len() >= (rows - 1) * ld + dh);
+        debug_assert!(omega_t.len() >= dh * m && dst.len() >= rows * m);
+        let half = |r: usize| crate::infer::half_sq_norm(&x[r * ld..r * ld + dh], scale);
+        let m16 = m - m % 16;
+        let (xp, op, dp) = (x.as_ptr(), omega_t.as_ptr(), dst.as_mut_ptr());
+        let mut i = 0;
+        while i < rows {
+            let two = i + 2 <= rows;
+            let h = [half(i), if two { half(i + 1) } else { 0.0 }];
+            let (xr, dr) = (xp.add(i * ld), dp.add(i * m));
+            let mut c = 0;
+            while c < m16 {
+                let wide = c + 32 <= m16;
+                let (o, d) = (op.add(c), dr.add(c));
+                match (two, wide) {
+                    (true, true) => feature_map_tile::<2, 2>(xr, ld, dh, scale, o, m, inv, d, h),
+                    (true, false) => feature_map_tile::<1, 2>(xr, ld, dh, scale, o, m, inv, d, h),
+                    (false, true) => {
+                        feature_map_tile::<2, 1>(xr, ld, dh, scale, o, m, inv, d, [h[0]])
+                    }
+                    (false, false) => {
+                        feature_map_tile::<1, 1>(xr, ld, dh, scale, o, m, inv, d, [h[0]])
+                    }
+                }
+                c += if wide { 32 } else { 16 };
+            }
+            i += if two { 2 } else { 1 };
+        }
+        m16
+    }
+
+    /// One `R × 16·NV` tile of [`feature_map_rows`].
+    ///
+    /// # Safety
+    ///
+    /// As [`feature_map_rows`], for `R` rows and the `16·NV` features
+    /// starting at `om` and `dst`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn feature_map_tile<const NV: usize, const R: usize>(
+        x: *const f32,
+        ld: usize,
+        dh: usize,
+        scale: f32,
+        om: *const f32,
+        m: usize,
+        inv: f32,
+        dst: *mut f32,
+        half: [f32; R],
+    ) {
+        let mut acc = [[_mm512_setzero_ps(); NV]; R];
+        let mut p = 0;
+        while p + 4 <= dh {
+            let mut xs = [[_mm512_setzero_ps(); 4]; R];
+            for r in 0..R {
+                for q in 0..4 {
+                    xs[r][q] = _mm512_set1_ps(*x.add(r * ld + p + q) * scale);
+                }
+            }
+            for v in 0..NV {
+                let b0 = _mm512_loadu_ps(om.add(p * m + v * 16));
+                let b1 = _mm512_loadu_ps(om.add((p + 1) * m + v * 16));
+                let b2 = _mm512_loadu_ps(om.add((p + 2) * m + v * 16));
+                let b3 = _mm512_loadu_ps(om.add((p + 3) * m + v * 16));
+                for r in 0..R {
+                    let t = _mm512_fmadd_ps(xs[r][1], b1, _mm512_fmadd_ps(xs[r][0], b0, acc[r][v]));
+                    acc[r][v] = _mm512_fmadd_ps(xs[r][3], b3, _mm512_fmadd_ps(xs[r][2], b2, t));
+                }
+            }
+            p += 4;
+        }
+        while p < dh {
+            for r in 0..R {
+                let xv = _mm512_set1_ps(*x.add(r * ld + p) * scale);
+                for v in 0..NV {
+                    acc[r][v] =
+                        _mm512_fmadd_ps(xv, _mm512_loadu_ps(om.add(p * m + v * 16)), acc[r][v]);
+                }
+            }
+            p += 1;
+        }
+        let eps = _mm512_set1_ps(1e-6);
+        let vi = _mm512_set1_ps(inv);
+        for r in 0..R {
+            let vh = _mm512_set1_ps(half[r]);
+            for v in 0..NV {
+                let e = fast_exp_v(_mm512_sub_ps(acc[r][v], vh));
+                _mm512_storeu_ps(
+                    dst.add(r * m + v * 16),
+                    _mm512_mul_ps(_mm512_add_ps(e, eps), vi),
+                );
+            }
         }
     }
 }
@@ -1147,6 +1851,26 @@ pub mod ops {
         crate::infer::add_div_inplace_with(backend, ax, num, den, eps)
     }
 
+    /// Fused block-diagonal Performer attention forward over a packed
+    /// `N × 3·heads·head_dim` QKV matrix: the concatenated head outputs
+    /// plus, when `save` is set, the per-head feature maps `(φ_q, φ_k)`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn performer_block_diag(
+        backend: Backend,
+        qkv: &Tensor,
+        proj: &Tensor,
+        blocks: &[(usize, usize)],
+        heads: usize,
+        head_dim: usize,
+        features: usize,
+        save: bool,
+    ) -> (Tensor, Vec<Tensor>, Vec<Tensor>) {
+        check(backend);
+        crate::infer::performer_block_diag_with(
+            backend, qkv, proj, blocks, heads, head_dim, features, save,
+        )
+    }
+
     /// Performer feature map `φ(x̂) = (exp(x̂Ωᵀ − ‖x̂‖²/2) + ε)/√m` over a
     /// pre-scaled input.
     pub fn performer_feature_map(
@@ -1177,6 +1901,42 @@ mod tests {
     fn detect_is_available_and_scalar_always_is() {
         assert!(Backend::detect().available());
         assert!(Backend::Scalar.available());
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_fast_exp_matches_the_scalar_function_bitwise() {
+        use std::arch::x86_64::*;
+        if !Backend::Avx512.available() {
+            return;
+        }
+        let mut xs: Vec<f32> = (-9000..=9000).map(|i| i as f32 * 0.0113).collect();
+        xs.extend([
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            88.5,
+            -87.5,
+            1e-40,
+            -1e-40,
+            f32::MAX,
+            f32::MIN,
+        ]);
+        xs.resize(xs.len().next_multiple_of(16), 0.5);
+        for chunk in xs.chunks_exact(16) {
+            let mut got = [0.0f32; 16];
+            // SAFETY: AVX-512F was probed above; both buffers hold 16 floats.
+            unsafe {
+                let v = avx512::fast_exp_v(_mm512_loadu_ps(chunk.as_ptr()));
+                _mm512_storeu_ps(got.as_mut_ptr(), v);
+            }
+            for (&x, g) in chunk.iter().zip(got) {
+                let want = crate::tensor::fast_exp(x);
+                assert_eq!(g.to_bits(), want.to_bits(), "x = {x}: {g} vs {want}");
+            }
+        }
     }
 
     #[test]

@@ -115,10 +115,27 @@ pub(crate) fn gemm_serial_with(
                 (Backend::Avx512, 16) => crate::simd::avx512::gemm_fixed::<16>(a, b, out, m, k),
                 (Backend::Avx512, 32) => crate::simd::avx512::gemm_fixed::<32>(a, b, out, m, k),
                 (Backend::Avx512, 64) => crate::simd::avx512::gemm_fixed::<64>(a, b, out, m, k),
+                (Backend::Avx512, 96) => crate::simd::avx512::gemm_fixed::<96>(a, b, out, m, k),
                 (_, 8) => crate::simd::avx2::gemm_fixed::<8>(a, b, out, m, k),
                 (_, 16) => crate::simd::avx2::gemm_fixed::<16>(a, b, out, m, k),
                 (_, 32) => crate::simd::avx2::gemm_fixed::<32>(a, b, out, m, k),
                 (_, 64) => crate::simd::avx2::gemm_fixed::<64>(a, b, out, m, k),
+                // Wider multiples of 32 (the packed QKV projection, 3·d)
+                // run as 32-column panels of the register-blocked kernel
+                // (an empty `a` or `out` has no panel to offset into).
+                (_, n) if n % 32 == 0 && m > 0 && k > 0 => {
+                    for c in (0..n).step_by(32) {
+                        crate::simd::avx2::gemm_fixed_ld::<32>(
+                            a,
+                            &b[c..],
+                            n,
+                            &mut out[c..],
+                            n,
+                            m,
+                            k,
+                        );
+                    }
+                }
                 _ => crate::simd::avx2::gemm_generic(a, b, out, m, k, n, KC),
             };
         }
@@ -478,12 +495,7 @@ pub(crate) fn dot_with(backend: Backend, x: &[f32], y: &[f32]) -> f32 {
 /// Eight-lane unrolled sum with exactly [`dot_with`]'s summation tree:
 /// equals `dot(x, ones)` bitwise (multiplying by 1.0 is exact), letting
 /// callers skip materializing an all-ones vector. Keep in sync with
-/// [`dot_with`].
-pub(crate) fn laned_sum(x: &[f32]) -> f32 {
-    laned_sum_with(Backend::active(), x)
-}
-
-/// [`laned_sum`] on an explicit backend (same tree on every backend).
+/// [`dot_with`]. Same tree on every backend.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn laned_sum_with(backend: Backend, x: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]

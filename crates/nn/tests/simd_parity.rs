@@ -4,7 +4,7 @@
 //! taped == tape-free) only holds if every dispatched kernel returns
 //! *identical bits* on every backend the dispatcher can pick. These
 //! proptests pin that contract at the kernel level: for each microkernel
-//! width (N ∈ {8, 16, 32, 64}), each generic/ragged shape (including
+//! width (N ∈ {8, 16, 32, 64, 96}), each generic/ragged shape (including
 //! single-row and empty), and each fused inference op, the scalar
 //! reference and every SIMD backend available on this CPU must agree
 //! exactly.
@@ -59,11 +59,15 @@ fn gemm_shapes() -> impl Strategy<Value = (usize, usize, usize)> {
         (1usize..6, 1usize..48, Just(16usize)),
         (1usize..6, 1usize..48, Just(32usize)),
         (1usize..6, 1usize..48, Just(64usize)),
+        // The packed QKV width (3·32) and another multiple of 32.
+        (1usize..6, 1usize..48, Just(96usize)),
+        (1usize..6, 1usize..48, Just(128usize)),
         // Ragged widths around the 8/16-lane boundaries.
         (1usize..6, 1usize..32, 1usize..20),
         // Single row and empty batch.
         Just((1usize, 9usize, 24usize)),
         Just((0usize, 5usize, 8usize)),
+        Just((0usize, 5usize, 96usize)),
         Just((3usize, 1usize, 1usize)),
     ]
 }
@@ -226,6 +230,58 @@ proptest! {
         for backend in backends() {
             let v = ops::performer_feature_map(backend, &xs, &omega_t, features);
             assert_bitwise("performer_feature_map", backend, s.as_slice(), v.as_slice());
+        }
+    }
+}
+
+/// Packed-batch shapes for the fused Performer forward: one to three
+/// blocks of 1–600 rows, optionally led by a 523-row hub-net block.
+fn performer_packs() -> impl Strategy<Value = Vec<(usize, usize)>> {
+    (proptest::collection::vec(1usize..601, 1..4), 0u8..2).prop_map(|(sizes, hub)| {
+        let lead = if hub == 1 { vec![523] } else { Vec::new() };
+        let mut r0 = 0;
+        lead.into_iter()
+            .chain(sizes)
+            .map(|len| {
+                r0 += len;
+                (r0 - len, len)
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #[test]
+    fn performer_block_diag_is_bitwise_equal_across_backends(
+        blocks in performer_packs(),
+        (heads, head_dim) in prop_oneof![
+            Just((4usize, 8usize)),
+            Just((2usize, 16usize)),
+            Just((1usize, 32usize)),
+            Just((3usize, 5usize)),
+        ],
+        features in prop_oneof![Just(32usize), 1usize..40],
+        save in 0u8..2,
+        seed in 0u64..500,
+    ) {
+        let save = save == 1;
+        let n = blocks.last().map_or(0, |&(r0, len)| r0 + len);
+        let dim = heads * head_dim;
+        let qkv = tensor(n, 3 * dim, seed);
+        let proj = tensor(heads * features, head_dim, seed ^ 0x7f7f);
+        let run = |backend| {
+            ops::performer_block_diag(backend, &qkv, &proj, &blocks, heads, head_dim, features, save)
+        };
+        let (out_s, q_s, k_s) = run(Backend::Scalar);
+        prop_assert_eq!(q_s.len(), if save { heads } else { 0 });
+        for backend in backends() {
+            let (out_v, q_v, k_v) = run(backend);
+            assert_bitwise("performer_block_diag out", backend, out_s.as_slice(), out_v.as_slice());
+            prop_assert_eq!(q_v.len(), q_s.len());
+            for h in 0..q_s.len() {
+                assert_bitwise("performer_block_diag phi_q", backend, q_s[h].as_slice(), q_v[h].as_slice());
+                assert_bitwise("performer_block_diag phi_k", backend, k_s[h].as_slice(), k_v[h].as_slice());
+            }
         }
     }
 }

@@ -59,7 +59,7 @@ impl<T> BoundedQueue<T> {
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner<T>> {
         // A consumer panicking mid-pop cannot leave the queue in an
         // inconsistent state (every mutation is a complete push/pop), so
-        // poisoning is ignored, parking_lot-style.
+        // poisoning is ignored.
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
