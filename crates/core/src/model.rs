@@ -905,6 +905,67 @@ mod tests {
         }
     }
 
+    /// Bits of every parameter gradient of one taped train step of a
+    /// default-dims GPS layer (GatedGCN + Performer) on a pack of 3-,
+    /// 17- and 51-node blocks, folded into an FNV-1a digest. The GEMM,
+    /// sweep and attention kernels are bitwise-equal on every backend,
+    /// so the scalar, AVX2 and AVX-512 runs must all reproduce it.
+    #[test]
+    fn gps_layer_train_step_gradients_are_pinned() {
+        let model = CircuitGps::new(ModelConfig::default());
+        let layer = &model.layers[0];
+        let d = model.cfg.hidden_dim;
+        let blocks = Arc::new(vec![(0, 3), (3, 17), (20, 51)]);
+        let (mut src, mut dst, mut edge_counts) = (Vec::new(), Vec::new(), Vec::new());
+        for &(r0, len) in blocks.iter() {
+            let before = src.len();
+            for i in 0..len {
+                // A ring plus one chord per node, both directions.
+                for j in [(i + 1) % len, (i * 7 + 3) % len] {
+                    if j != i {
+                        src.extend([r0 + i, r0 + j]);
+                        dst.extend([r0 + j, r0 + i]);
+                    }
+                }
+            }
+            edge_counts.push(src.len() - before);
+        }
+        let n = 71;
+        let wave = |len: usize, f: f32| -> Vec<f32> {
+            (0..len).map(|i| (i as f32 * f).sin() * 0.8).collect()
+        };
+        let x0 = Tensor::from_vec(n, d, wave(n * d, 0.37));
+        let e0 = Tensor::from_vec(src.len(), d, wave(src.len() * d, 0.23));
+        let targets = wave(n * d, 0.11);
+        let idx = EdgeIndex::new(src, dst);
+        let mut grads = GradStore::new(model.store());
+        {
+            let mut tape = Tape::new(model.store(), true, 7);
+            let x = tape.input(x0);
+            let e = tape.input(e0);
+            let (x_out, _) = layer.forward(&mut tape, x, e, &idx, &blocks, &edge_counts);
+            let loss = tape.mse_loss(x_out, &targets);
+            tape.backward(loss, &mut grads);
+        }
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut touched = 0;
+        for (id, _, _) in model.store().iter() {
+            if let Some(g) = grads.get(id) {
+                touched += 1;
+                for v in g.as_slice() {
+                    for byte in v.to_bits().to_le_bytes() {
+                        digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                }
+            }
+        }
+        assert!(touched > 10, "only {touched} parameters got a gradient");
+        assert_eq!(
+            digest, 0x0327_79d9_2539_409e,
+            "gradient digest {digest:#018x}"
+        );
+    }
+
     #[test]
     fn save_load_round_trip_preserves_predictions() {
         let s = sample_with(PeKind::Dspd);

@@ -2,8 +2,9 @@
 //!
 //! The release binary is no longer compiled with `-C target-cpu=native`:
 //! instead, every hot kernel (the fixed-width GEMM microkernels, the
-//! generic blocked GEMM, the `fast_exp`/sigmoid/softmax sweeps, the
-//! fused infer epilogues and the fused Performer attention forward) has
+//! generic blocked GEMM, the backward `a·bᵀ`/`aᵀ·b` GEMMs, the
+//! `fast_exp`/sigmoid/softmax sweeps, the fused infer epilogues and the
+//! fused Performer attention forward) has
 //! explicit `std::arch` implementations for
 //! AVX2+FMA and AVX-512F, selected **once per process** by
 //! [`Backend::active`] from runtime CPU-feature detection. The same
@@ -30,8 +31,9 @@
 //! * The `dot`/`laned_sum` kernels keep their fixed 8-lane reduction
 //!   tree on every backend (AVX-512 reuses the 8-lane kernel), so the
 //!   summation order never depends on the vector width. The Performer
-//!   key sums vectorize *across* features instead, each lane running
-//!   one feature's 8-lane tree.
+//!   key sums and the `a·bᵀ` GEMMs vectorize *across* features or
+//!   output columns instead, each vector lane running one element's
+//!   8-lane tree.
 //!
 //! The cross-backend parity test matrix (`crates/nn/tests/simd_parity.rs`
 //! plus this module's unit tests) enforces the contract for every
@@ -61,9 +63,10 @@ pub enum Backend {
     Scalar,
     /// 8-lane AVX2 + FMA kernels.
     Avx2,
-    /// 16-lane AVX-512F kernels for the wide GEMM microkernels; narrower
-    /// and reduction-order-sensitive kernels reuse the AVX2 set (an
-    /// AVX-512 machine always has AVX2+FMA).
+    /// 16-lane AVX-512F kernels for the wide GEMM microkernels, the
+    /// backward GEMMs and the Performer feature maps; narrower and
+    /// reduction-order-sensitive kernels reuse the AVX2 set (an AVX-512
+    /// machine always has AVX2+FMA).
     Avx512,
 }
 
@@ -414,9 +417,22 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// Band kernel for `out += aᵀ · b`: SIMD twin of `tensor::atb_band`.
+    /// `out += aᵀ · b` for output rows `[i0, i0 + rows)` (the band
+    /// `oband`), with `a` stored `k × m` and `b` `k × n`: the SIMD twin
+    /// of `tensor::atb_band`. Per `kc`-row panel of `a` and `b`, each
+    /// tile of up to four rows × 16 columns is loaded from `oband` once,
+    /// accumulates in registers (one broadcast of `a[p·m + i]` per row
+    /// and k-step) and is stored once. Every element's chain is the
+    /// scalar kernel's: one FMA per `p`, ascending. The `n % 8` ragged
+    /// columns run the same chain in scalar code.
+    ///
+    /// # Safety
+    ///
+    /// Besides the CPU-feature contract, `a` must hold `k·m` floats, `b`
+    /// `k·n`, `oband` a multiple of `n`, and `i0 + rows ≤ m`.
     #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn atb_band(
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn gemm_atb(
         a: &[f32],
         b: &[f32],
         oband: &mut [f32],
@@ -424,74 +440,171 @@ pub(crate) mod avx2 {
         m: usize,
         k: usize,
         n: usize,
+        kc: usize,
     ) {
         let rows = oband.len().checked_div(n).unwrap_or(0);
-        let bp = b.as_ptr();
-        let mut p = 0;
-        while p + 4 <= k {
-            let b0 = bp.add(p * n);
-            let b1 = bp.add((p + 1) * n);
-            let b2 = bp.add((p + 2) * n);
-            let b3 = bp.add((p + 3) * n);
-            for i in 0..rows {
-                let a0 = a[p * m + i0 + i];
-                let a1 = a[(p + 1) * m + i0 + i];
-                let a2 = a[(p + 2) * m + i0 + i];
-                let a3 = a[(p + 3) * m + i0 + i];
-                let va0 = _mm256_set1_ps(a0);
-                let va1 = _mm256_set1_ps(a1);
-                let va2 = _mm256_set1_ps(a2);
-                let va3 = _mm256_set1_ps(a3);
-                let orow = &mut oband[i * n..i * n + n];
-                let op = orow.as_mut_ptr();
-                let mut j = 0;
-                while j + 8 <= n {
-                    let o = _mm256_loadu_ps(op.add(j));
-                    let t = _mm256_fmadd_ps(
-                        va1,
-                        _mm256_loadu_ps(b1.add(j)),
-                        _mm256_fmadd_ps(va0, _mm256_loadu_ps(b0.add(j)), o),
-                    );
-                    let r = _mm256_fmadd_ps(
-                        va3,
-                        _mm256_loadu_ps(b3.add(j)),
-                        _mm256_fmadd_ps(va2, _mm256_loadu_ps(b2.add(j)), t),
-                    );
-                    _mm256_storeu_ps(op.add(j), r);
-                    j += 8;
+        debug_assert!(a.len() >= k * m && b.len() >= k * n && i0 + rows <= m);
+        let n8 = n - n % 8;
+        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), oband.as_mut_ptr());
+        let mut p0 = 0;
+        while p0 < k {
+            let len = kc.min(k - p0);
+            let (pa, pb) = (ap.add(p0 * m + i0), bp.add(p0 * n));
+            let mut j = 0;
+            while j < n8 {
+                let wide = j + 16 <= n8;
+                let mut i = 0;
+                while i < rows {
+                    let (a_, b_, o_) = (pa.add(i), pb.add(j), op.add(i * n + j));
+                    i += match (rows - i, wide) {
+                        (4.., true) => atb_tile::<4, 2>(a_, m, b_, n, len, o_),
+                        (4.., false) => atb_tile::<4, 1>(a_, m, b_, n, len, o_),
+                        (2 | 3, true) => atb_tile::<2, 2>(a_, m, b_, n, len, o_),
+                        (2 | 3, false) => atb_tile::<2, 1>(a_, m, b_, n, len, o_),
+                        (_, true) => atb_tile::<1, 2>(a_, m, b_, n, len, o_),
+                        (_, false) => atb_tile::<1, 1>(a_, m, b_, n, len, o_),
+                    };
                 }
-                while j < n {
-                    let o = orow[j];
-                    let t = a1.mul_add(*b1.add(j), a0.mul_add(*b0.add(j), o));
-                    orow[j] = a3.mul_add(*b3.add(j), a2.mul_add(*b2.add(j), t));
-                    j += 1;
-                }
+                j += if wide { 16 } else { 8 };
             }
-            p += 4;
+            p0 += len;
         }
-        while p < k {
-            let br = bp.add(p * n);
-            for i in 0..rows {
-                let av = a[p * m + i0 + i];
-                let va = _mm256_set1_ps(av);
-                let orow = &mut oband[i * n..i * n + n];
-                let op = orow.as_mut_ptr();
-                let mut j = 0;
-                while j + 8 <= n {
-                    let o = _mm256_loadu_ps(op.add(j));
-                    _mm256_storeu_ps(
-                        op.add(j),
-                        _mm256_fmadd_ps(va, _mm256_loadu_ps(br.add(j)), o),
-                    );
-                    j += 8;
+        for i in 0..rows {
+            for j in n8..n {
+                let mut o = oband[i * n + j];
+                for p in 0..k {
+                    o = (*ap.add(p * m + i0 + i)).mul_add(*bp.add(p * n + j), o);
                 }
-                while j < n {
-                    orow[j] = av.mul_add(*br.add(j), orow[j]);
-                    j += 1;
+                oband[i * n + j] = o;
+            }
+        }
+    }
+
+    /// One `R × 8·NV` tile of [`gemm_atb`] over a `len`-row panel (`a`,
+    /// `b` and `out` already offset to the tile's corner); returns `R`.
+    ///
+    /// # Safety
+    ///
+    /// As [`gemm_atb`], for the tile's rows and columns.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn atb_tile<const R: usize, const NV: usize>(
+        a: *const f32,
+        m: usize,
+        b: *const f32,
+        n: usize,
+        len: usize,
+        out: *mut f32,
+    ) -> usize {
+        let mut acc = [[_mm256_setzero_ps(); NV]; R];
+        for r in 0..R {
+            for v in 0..NV {
+                acc[r][v] = _mm256_loadu_ps(out.add(r * n + v * 8));
+            }
+        }
+        for p in 0..len {
+            let mut bv = [_mm256_setzero_ps(); NV];
+            for v in 0..NV {
+                bv[v] = _mm256_loadu_ps(b.add(p * n + v * 8));
+            }
+            for r in 0..R {
+                let x = _mm256_set1_ps(*a.add(p * m + r));
+                for v in 0..NV {
+                    acc[r][v] = _mm256_fmadd_ps(x, bv[v], acc[r][v]);
                 }
             }
+        }
+        for r in 0..R {
+            for v in 0..NV {
+                _mm256_storeu_ps(out.add(r * n + v * 8), acc[r][v]);
+            }
+        }
+        R
+    }
+
+    /// `out += a · bᵀ` with `a` `m × k` and `bt` the `k × n` transpose
+    /// of `b` (`n × k`, kept for the ragged columns). Each output row's
+    /// 8-column blocks hold [`dot`]'s eight per-lane accumulators in
+    /// registers across k (lane `l` takes k-steps `8c + l`, one
+    /// broadcast of `a[i, p]` each) plus the sequential tail chain, and
+    /// finish with `dot`'s tree `((l0+l4) + (l1+l5)) + ((l2+l6) +
+    /// (l3+l7)) + tail` before `out + r`, so every element equals
+    /// `out + dot(a_i, b_j)` bit for bit. The `n % 8` ragged columns run
+    /// [`dot`] itself.
+    ///
+    /// # Safety
+    ///
+    /// Besides the CPU-feature contract, `a` must hold `m·k` floats, `b`
+    /// and `bt` `n·k`, and `out` `m·n`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(crate) unsafe fn gemm_abt(
+        a: &[f32],
+        b: &[f32],
+        bt: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        debug_assert!(a.len() >= m * k && b.len() >= n * k && bt.len() >= n * k);
+        debug_assert!(out.len() >= m * n);
+        let n8 = n - n % 8;
+        for i in 0..m {
+            let arow = &a[i * k..(i + 1) * k];
+            let o = out.as_mut_ptr().add(i * n);
+            let mut j = 0;
+            while j < n8 {
+                // `wrapping_add`: with k = 0, `bt` is empty and never read.
+                let r = abt_lanes(arow, bt.as_ptr().wrapping_add(j), n);
+                _mm256_storeu_ps(o.add(j), _mm256_add_ps(_mm256_loadu_ps(o.add(j)), r));
+                j += 8;
+            }
+            for j in n8..n {
+                *o.add(j) += dot(arow, &b[j * k..(j + 1) * k]);
+            }
+        }
+    }
+
+    /// Eight columns of `dot(a_row, b_j)` read from the transposed `bt`
+    /// (already offset to the first column, row stride `n`), with
+    /// [`dot`]'s lane split and reduction tree per column.
+    ///
+    /// # Safety
+    ///
+    /// As [`gemm_abt`], for eight columns starting at `bt`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn abt_lanes(arow: &[f32], bt: *const f32, n: usize) -> __m256 {
+        let k = arow.len();
+        let k8 = k - k % 8;
+        let ap = arow.as_ptr();
+        let mut lanes = [_mm256_setzero_ps(); 8];
+        let mut p = 0;
+        while p < k8 {
+            for l in 0..8 {
+                let x = _mm256_set1_ps(*ap.add(p + l));
+                lanes[l] = _mm256_fmadd_ps(x, _mm256_loadu_ps(bt.add((p + l) * n)), lanes[l]);
+            }
+            p += 8;
+        }
+        let mut tail = _mm256_setzero_ps();
+        while p < k {
+            tail = _mm256_fmadd_ps(
+                _mm256_set1_ps(*ap.add(p)),
+                _mm256_loadu_ps(bt.add(p * n)),
+                tail,
+            );
             p += 1;
         }
+        let s0 = _mm256_add_ps(
+            _mm256_add_ps(lanes[0], lanes[4]),
+            _mm256_add_ps(lanes[1], lanes[5]),
+        );
+        let s1 = _mm256_add_ps(
+            _mm256_add_ps(lanes[2], lanes[6]),
+            _mm256_add_ps(lanes[3], lanes[7]),
+        );
+        _mm256_add_ps(_mm256_add_ps(s0, s1), tail)
     }
 
     /// Eight-lane dot product with exactly `tensor::dot`'s reduction
@@ -1286,9 +1399,10 @@ pub(crate) mod avx2 {
 }
 
 // ---------------------------------------------------------------------------
-// AVX-512F kernels (16 lanes) for the wide GEMM microkernels and the
-// elementwise exp sweeps. Narrow widths and order-sensitive reductions
-// delegate to the AVX2 set (see the dispatchers in `tensor`/`infer`).
+// AVX-512F kernels (16 lanes) for the wide GEMM microkernels, the
+// backward GEMMs and the Performer feature maps. Narrow widths and
+// order-sensitive reductions delegate to the AVX2 set (see the
+// dispatchers in `tensor`/`infer`).
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
@@ -1403,6 +1517,213 @@ pub(crate) mod avx512 {
             i += 1;
         }
     }
+    /// Mask of the first `cols` lanes of a 16-lane vector (`cols ≤ 16`).
+    #[inline]
+    fn lane_mask(cols: usize) -> __mmask16 {
+        ((1u32 << cols) - 1) as __mmask16
+    }
+
+    /// The masks of one column block of up to `16·NV` columns, `cols`
+    /// of them live: full vectors first, then the ragged one.
+    #[inline]
+    fn block_masks<const NV: usize>(cols: usize) -> [__mmask16; NV] {
+        std::array::from_fn(|v| lane_mask(cols.saturating_sub(v * 16).min(16)))
+    }
+
+    /// 16-lane twin of [`super::avx2::gemm_atb`]: per `kc`-row panel,
+    /// tiles of up to eight rows × 32 columns stay in registers (16
+    /// accumulators), loaded from `oband` once and stored once. Ragged
+    /// columns run in masked lanes (a masked-off lane never touches
+    /// memory), so every element keeps the scalar chain: one FMA per `p`,
+    /// ascending.
+    ///
+    /// # Safety
+    ///
+    /// As [`super::avx2::gemm_atb`], under the AVX-512F contract.
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn gemm_atb(
+        a: &[f32],
+        b: &[f32],
+        oband: &mut [f32],
+        i0: usize,
+        m: usize,
+        k: usize,
+        n: usize,
+        kc: usize,
+    ) {
+        let rows = oband.len().checked_div(n).unwrap_or(0);
+        debug_assert!(a.len() >= k * m && b.len() >= k * n && i0 + rows <= m);
+        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), oband.as_mut_ptr());
+        let mut p0 = 0;
+        while p0 < k {
+            let len = kc.min(k - p0);
+            let (pa, pb) = (ap.add(p0 * m + i0), bp.add(p0 * n));
+            let mut j = 0;
+            while j < n {
+                let cols = (n - j).min(32);
+                let mut i = 0;
+                while i < rows {
+                    let (a_, b_, o_) = (pa.add(i), pb.add(j), op.add(i * n + j));
+                    i += if cols > 16 {
+                        let mk = block_masks::<2>(cols);
+                        match rows - i {
+                            8.. => atb_tile::<8, 2>(a_, m, b_, n, len, o_, mk),
+                            4..=7 => atb_tile::<4, 2>(a_, m, b_, n, len, o_, mk),
+                            2 | 3 => atb_tile::<2, 2>(a_, m, b_, n, len, o_, mk),
+                            _ => atb_tile::<1, 2>(a_, m, b_, n, len, o_, mk),
+                        }
+                    } else {
+                        let mk = block_masks::<1>(cols);
+                        match rows - i {
+                            8.. => atb_tile::<8, 1>(a_, m, b_, n, len, o_, mk),
+                            4..=7 => atb_tile::<4, 1>(a_, m, b_, n, len, o_, mk),
+                            2 | 3 => atb_tile::<2, 1>(a_, m, b_, n, len, o_, mk),
+                            _ => atb_tile::<1, 1>(a_, m, b_, n, len, o_, mk),
+                        }
+                    };
+                }
+                j += cols;
+            }
+            p0 += len;
+        }
+    }
+
+    /// One `R × 16·NV` tile of [`gemm_atb`] over a `len`-row panel (`a`,
+    /// `b` and `out` already offset to the tile's corner), lanes
+    /// restricted by `mask`; returns `R`.
+    ///
+    /// # Safety
+    ///
+    /// As [`gemm_atb`], for the tile's rows and live columns.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn atb_tile<const R: usize, const NV: usize>(
+        a: *const f32,
+        m: usize,
+        b: *const f32,
+        n: usize,
+        len: usize,
+        out: *mut f32,
+        mask: [__mmask16; NV],
+    ) -> usize {
+        let mut acc = [[_mm512_setzero_ps(); NV]; R];
+        for r in 0..R {
+            for v in 0..NV {
+                acc[r][v] = _mm512_maskz_loadu_ps(mask[v], out.add(r * n + v * 16));
+            }
+        }
+        for p in 0..len {
+            let mut bv = [_mm512_setzero_ps(); NV];
+            for v in 0..NV {
+                bv[v] = _mm512_maskz_loadu_ps(mask[v], b.add(p * n + v * 16));
+            }
+            for r in 0..R {
+                let x = _mm512_set1_ps(*a.add(p * m + r));
+                for v in 0..NV {
+                    acc[r][v] = _mm512_fmadd_ps(x, bv[v], acc[r][v]);
+                }
+            }
+        }
+        for r in 0..R {
+            for v in 0..NV {
+                _mm512_mask_storeu_ps(out.add(r * n + v * 16), mask[v], acc[r][v]);
+            }
+        }
+        R
+    }
+
+    /// 16-lane twin of [`super::avx2::gemm_abt`]: each output row's
+    /// 32-column blocks hold 2 × 8 per-lane accumulators plus two tail
+    /// chains in registers across k, with `dot`'s lane split and tree per
+    /// column; ragged columns run in masked lanes, so `b` itself is never
+    /// read.
+    ///
+    /// # Safety
+    ///
+    /// As [`super::avx2::gemm_abt`], under the AVX-512F contract.
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn gemm_abt(
+        a: &[f32],
+        bt: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        debug_assert!(a.len() >= m * k && bt.len() >= n * k && out.len() >= m * n);
+        for i in 0..m {
+            let ar = a.as_ptr().add(i * k);
+            let o = out.as_mut_ptr().add(i * n);
+            let mut j = 0;
+            while j < n {
+                let cols = (n - j).min(32);
+                // `wrapping_add`: with k = 0, `bt` is empty and never read.
+                let (b_, o_) = (bt.as_ptr().wrapping_add(j), o.add(j));
+                if cols > 16 {
+                    abt_tile::<2>(ar, k, b_, n, o_, block_masks(cols));
+                } else {
+                    abt_tile::<1>(ar, k, b_, n, o_, block_masks(cols));
+                }
+                j += cols;
+            }
+        }
+    }
+
+    /// `16·NV` columns of one [`gemm_abt`] output row (`bt` and `out`
+    /// already offset to the first column), lanes restricted by `mask`.
+    ///
+    /// # Safety
+    ///
+    /// As [`gemm_abt`], for the row at `a` and the live columns.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn abt_tile<const NV: usize>(
+        a: *const f32,
+        k: usize,
+        bt: *const f32,
+        n: usize,
+        out: *mut f32,
+        mask: [__mmask16; NV],
+    ) {
+        let k8 = k - k % 8;
+        let mut lanes = [[_mm512_setzero_ps(); NV]; 8];
+        let mut p = 0;
+        while p < k8 {
+            for l in 0..8 {
+                let x = _mm512_set1_ps(*a.add(p + l));
+                for v in 0..NV {
+                    let bv = _mm512_maskz_loadu_ps(mask[v], bt.add((p + l) * n + v * 16));
+                    lanes[l][v] = _mm512_fmadd_ps(x, bv, lanes[l][v]);
+                }
+            }
+            p += 8;
+        }
+        let mut tail = [_mm512_setzero_ps(); NV];
+        while p < k {
+            let x = _mm512_set1_ps(*a.add(p));
+            for v in 0..NV {
+                let bv = _mm512_maskz_loadu_ps(mask[v], bt.add(p * n + v * 16));
+                tail[v] = _mm512_fmadd_ps(x, bv, tail[v]);
+            }
+            p += 1;
+        }
+        for v in 0..NV {
+            let l = &lanes;
+            let s0 = _mm512_add_ps(
+                _mm512_add_ps(l[0][v], l[4][v]),
+                _mm512_add_ps(l[1][v], l[5][v]),
+            );
+            let s1 = _mm512_add_ps(
+                _mm512_add_ps(l[2][v], l[6][v]),
+                _mm512_add_ps(l[3][v], l[7][v]),
+            );
+            let r = _mm512_add_ps(_mm512_add_ps(s0, s1), tail[v]);
+            let o = _mm512_maskz_loadu_ps(mask[v], out.add(v * 16));
+            _mm512_mask_storeu_ps(out.add(v * 16), mask[v], _mm512_add_ps(o, r));
+        }
+    }
+
     /// 16-lane twin of [`super::avx2::performer_kv`] over features
     /// `[0, m − m % 16)` × columns `[0, dh − dh % 8)`, in 32- then
     /// 16-feature tiles; every element keeps the same chain (lanes are

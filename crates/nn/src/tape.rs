@@ -33,12 +33,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::infer::{
-    block_slice, block_write, colvec_zip, concat_cols as concat_cols_fwd, gather_rows, linear_fwd,
-    mha_block_diag_fwd, performer_block_diag_fwd, qkv_pack_weights, row_sum_fwd, scatter_add_rows,
-    softmax_rows_fwd, stable_sigmoid,
+    block_slice, block_write, colvec_zip, concat_cols as concat_cols_fwd, exp_sweep_with,
+    gather_rows, linear_fwd, mha_block_diag_fwd, performer_block_diag_fwd, qkv_pack_weights,
+    row_sum_fwd, scatter_add_rows, sigmoid_sweep_with, softmax_rows_fwd, stable_sigmoid,
 };
 use crate::params::{BufferId, BufferUpdate, GradStore, ParamId, ParamStore};
 use crate::pool;
+use crate::simd::Backend;
 use crate::tensor::{fast_exp, gemm_abt, gemm_atb, Tensor};
 
 /// Handle to a value on a [`Tape`].
@@ -528,9 +529,11 @@ impl<'p> Tape<'p> {
         }
     }
 
-    /// Logistic sigmoid.
+    /// Logistic sigmoid (the dispatched sweep inference runs, bitwise-equal
+    /// to `map(stable_sigmoid)` on every backend).
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(stable_sigmoid);
+        let mut v = self.value(a).clone();
+        sigmoid_sweep_with(Backend::active(), v.as_mut_slice());
         self.push(v, Op::Sigmoid(a))
     }
 
@@ -540,9 +543,11 @@ impl<'p> Tape<'p> {
         self.push(v, Op::Tanh(a))
     }
 
-    /// Elementwise exponential (vectorized polynomial, rel. error < 1e-6).
+    /// Elementwise exponential (vectorized polynomial, rel. error < 1e-6;
+    /// the dispatched sweep, bitwise-equal to `map(fast_exp)`).
     pub fn exp(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(fast_exp);
+        let mut v = self.value(a).clone();
+        exp_sweep_with(Backend::active(), v.as_mut_slice());
         self.push(v, Op::Exp(a))
     }
 

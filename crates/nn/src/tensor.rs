@@ -346,8 +346,10 @@ pub(crate) fn gemm_with(
 }
 
 /// Band kernel shared by the serial and parallel `aᵀ · b` paths: updates
-/// output rows `[i0, i0 + rows)` with the accumulation unrolled over four
-/// k-steps. Sharing one kernel keeps both paths bitwise-identical.
+/// output rows `[i0, i0 + rows)`. Every element is one sequential FMA
+/// chain over `p` (the scalar loop groups four k-steps per pass over the
+/// output row; the SIMD kernels hold register tiles across a k-panel),
+/// so every backend and any banding is bitwise-identical.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 #[allow(clippy::too_many_arguments)]
 fn atb_band(
@@ -362,9 +364,14 @@ fn atb_band(
 ) {
     #[cfg(target_arch = "x86_64")]
     if backend != Backend::Scalar {
-        // SAFETY: non-scalar backends imply a successful AVX2+FMA probe;
-        // AVX-512 reuses the AVX2 band kernel (same 8-lane j sweep).
-        return unsafe { crate::simd::avx2::atb_band(a, b, oband, i0, m, k, n) };
+        // SAFETY: a non-scalar backend is only selected after its CPU
+        // feature probe succeeded (`Backend::available`).
+        return unsafe {
+            match backend {
+                Backend::Avx512 => crate::simd::avx512::gemm_atb(a, b, oband, i0, m, k, n, KC),
+                _ => crate::simd::avx2::gemm_atb(a, b, oband, i0, m, k, n, KC),
+            }
+        };
     }
     let rows = oband.len().checked_div(n).unwrap_or(0);
     let mut p = 0;
@@ -519,9 +526,55 @@ pub(crate) fn laned_sum_with(backend: Backend, x: &[f32]) -> f32 {
     (s0 + s1) + tail
 }
 
+/// The `k × n` transpose of `b (n×k)` that the SIMD `a · bᵀ` kernels
+/// read (pool-backed; empty on the scalar backend, which reads `b`).
+fn abt_pack(backend: Backend, b: &[f32], n: usize, k: usize) -> Vec<f32> {
+    if backend == Backend::Scalar {
+        return Vec::new();
+    }
+    let mut bt = pool::take_zeroed(n * k);
+    transpose_into(b, n, k, &mut bt);
+    bt
+}
+
+/// Row kernel shared by the serial and parallel `a · bᵀ` paths, with
+/// `bt` from [`abt_pack`]: every output element is `out + dot_with(a_i,
+/// b_j)` on every backend (the SIMD kernels replay [`dot_with`]'s lanes
+/// and tree in registers), so the reduction order is backend-invariant.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+#[allow(clippy::too_many_arguments)]
+fn abt_rows(
+    backend: Backend,
+    a: &[f32],
+    b: &[f32],
+    bt: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if backend != Backend::Scalar {
+        // SAFETY: a non-scalar backend is only selected after its CPU
+        // feature probe succeeded (`Backend::available`).
+        return unsafe {
+            match backend {
+                Backend::Avx512 => crate::simd::avx512::gemm_abt(a, bt, out, m, k, n),
+                _ => crate::simd::avx2::gemm_abt(a, b, bt, out, m, k, n),
+            }
+        };
+    }
+    for i in 0..m {
+        let arow = &a[i * k..(i + 1) * k];
+        let orow = &mut out[i * n..(i + 1) * n];
+        for (j, o) in orow.iter_mut().enumerate() {
+            *o += dot_with(backend, arow, &b[j * k..(j + 1) * k]);
+        }
+    }
+}
+
 /// `out += a · bᵀ` for row-major `a (m×k)`, `b (n×k)`, `out (m×n)` on an
-/// explicit backend: every output element is one [`dot_with`], so the
-/// reduction order is backend-invariant.
+/// explicit backend (see [`abt_rows`]).
 pub(crate) fn gemm_abt_serial_with(
     backend: Backend,
     a: &[f32],
@@ -534,18 +587,14 @@ pub(crate) fn gemm_abt_serial_with(
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (j, o) in orow.iter_mut().enumerate() {
-            *o += dot_with(backend, arow, &b[j * k..(j + 1) * k]);
-        }
-    }
+    let bt = abt_pack(backend, b, n, k);
+    abt_rows(backend, a, b, &bt, out, m, k, n);
+    pool::put(bt);
 }
 
-/// Row-partitioned parallel `out += a · bᵀ` on an explicit backend;
-/// bitwise-equal to [`gemm_abt_serial_with`] because each element is one
-/// dot product.
+/// Row-partitioned parallel `out += a · bᵀ` on an explicit backend: `b`
+/// is transposed once, then every band runs [`abt_rows`], so results
+/// are bitwise-equal to [`gemm_abt_serial_with`].
 pub(crate) fn gemm_abt_parallel_with(
     backend: Backend,
     a: &[f32],
@@ -559,15 +608,18 @@ pub(crate) fn gemm_abt_parallel_with(
     if out.is_empty() || threads < 2 {
         return gemm_abt_serial_with(backend, a, b, out, m, k, n);
     }
+    let bt = abt_pack(backend, b, n, k);
     let rows_per = m.div_ceil(threads);
     std::thread::scope(|s| {
         for (ti, ochunk) in out.chunks_mut(rows_per * n).enumerate() {
             let i0 = ti * rows_per;
             let rows = ochunk.len() / n;
             let aband = &a[i0 * k..(i0 + rows) * k];
-            s.spawn(move || gemm_abt_serial_with(backend, aband, b, ochunk, rows, k, n));
+            let bt = &bt;
+            s.spawn(move || abt_rows(backend, aband, b, bt, ochunk, rows, k, n));
         }
     });
+    pool::put(bt);
 }
 
 pub(crate) fn gemm_abt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
@@ -588,6 +640,22 @@ pub(crate) fn gemm_abt_with(
         gemm_abt_parallel_with(backend, a, b, out, m, k, n);
     } else {
         gemm_abt_serial_with(backend, a, b, out, m, k, n);
+    }
+}
+
+/// Cache-blocked transpose of row-major `src (r×c)` into `dst (c×r)`.
+fn transpose_into(src: &[f32], r: usize, c: usize, dst: &mut [f32]) {
+    const TB: usize = 32;
+    for r0 in (0..r).step_by(TB) {
+        let r1 = (r0 + TB).min(r);
+        for c0 in (0..c).step_by(TB) {
+            let c1 = (c0 + TB).min(c);
+            for i in r0..r1 {
+                for j in c0..c1 {
+                    dst[j * r + i] = src[i * c + j];
+                }
+            }
+        }
     }
 }
 
@@ -934,20 +1002,9 @@ impl Tensor {
 
     /// Returns the transpose (cache-blocked copy).
     pub fn transpose(&self) -> Tensor {
-        const TB: usize = 32;
         let (r, c) = (self.rows, self.cols);
         let mut out = pool::take_zeroed(self.data.len());
-        for r0 in (0..r).step_by(TB) {
-            let r1 = (r0 + TB).min(r);
-            for c0 in (0..c).step_by(TB) {
-                let c1 = (c0 + TB).min(c);
-                for i in r0..r1 {
-                    for j in c0..c1 {
-                        out[j * r + i] = self.data[i * c + j];
-                    }
-                }
-            }
-        }
+        transpose_into(&self.data, r, c, &mut out);
         Tensor {
             rows: c,
             cols: r,
@@ -1179,6 +1236,44 @@ mod tests {
         gemm_abt_serial_with(be, a.as_slice(), bt.as_slice(), &mut o3, 37, k, 19);
         gemm_abt_parallel_with(be, a.as_slice(), bt.as_slice(), &mut o4, 37, k, 19);
         assert_eq!(o3, o4);
+    }
+
+    #[test]
+    fn ragged_row_bands_match_the_serial_kernels_exactly() {
+        // The row-parallel paths hand each worker a band of output rows;
+        // bands of 13, 17 and 15 rows leave partial `aᵀ·b` register tiles
+        // (4 or 8 rows) at every band edge, and `a·bᵀ` bands share one
+        // transposed `b`. Every backend must match its serial kernel.
+        let (m, k, n) = (45, 150, 19);
+        let fill =
+            |len: usize, f: f32| -> Vec<f32> { (0..len).map(|i| (i as f32 * f).sin()).collect() };
+        let (at, a, b, bt) = (
+            fill(k * m, 0.093),
+            fill(m * k, 0.137),
+            fill(k * n, 0.071),
+            fill(n * k, 0.059),
+        );
+        let bands = [(0, 13), (13, 30), (30, 45)];
+        for backend in Backend::ALL.into_iter().filter(|b| b.available()) {
+            let mut serial = vec![0.0f32; m * n];
+            gemm_atb_serial_with(backend, &at, &b, &mut serial, m, k, n);
+            let mut banded = vec![0.0f32; m * n];
+            for (i0, i1) in bands {
+                let oband = &mut banded[i0 * n..i1 * n];
+                atb_band(backend, &at, &b, oband, i0, m, k, n);
+            }
+            assert_eq!(serial, banded, "aᵀ·b bands on {backend}");
+
+            let mut serial = vec![0.0f32; m * n];
+            gemm_abt_serial_with(backend, &a, &bt, &mut serial, m, k, n);
+            let packed = abt_pack(backend, &bt, n, k);
+            let mut banded = vec![0.0f32; m * n];
+            for (i0, i1) in bands {
+                let (aband, oband) = (&a[i0 * k..i1 * k], &mut banded[i0 * n..i1 * n]);
+                abt_rows(backend, aband, &bt, &packed, oband, i1 - i0, k, n);
+            }
+            assert_eq!(serial, banded, "a·bᵀ bands on {backend}");
+        }
     }
 
     #[test]

@@ -64,12 +64,82 @@ fn gemm_shapes() -> impl Strategy<Value = (usize, usize, usize)> {
         (1usize..6, 1usize..48, Just(128usize)),
         // Ragged widths around the 8/16-lane boundaries.
         (1usize..6, 1usize..32, 1usize..20),
+        // Training shapes: output rows around the `aᵀ·b` register-tile
+        // heights (4 and 8 rows), k across the 128-step panel boundary
+        // and off the 8-lane grid (the `a·bᵀ` lane tail), n on and off
+        // the vector widths.
+        (
+            prop_oneof![
+                Just(8usize),
+                Just(31usize),
+                Just(32usize),
+                Just(33usize),
+                Just(64usize)
+            ],
+            1usize..600,
+            prop_oneof![Just(8usize), Just(19usize), Just(32usize), Just(96usize)],
+        ),
         // Single row and empty batch.
         Just((1usize, 9usize, 24usize)),
         Just((0usize, 5usize, 8usize)),
         Just((0usize, 5usize, 96usize)),
         Just((3usize, 1usize, 1usize)),
+        // Empty inner dimension: every output gets `+ 0.0`.
+        Just((3usize, 0usize, 40usize)),
     ]
+}
+
+/// `a·b`, `aᵀ·b` and `a·bᵀ` for one `(m, k, n)`: every backend must
+/// reproduce the scalar kernel's bits.
+fn check_gemm_family(m: usize, k: usize, n: usize, seed: u64) {
+    let a = fill(m * k, seed);
+    let b = fill(k * n, seed ^ 0x9e37);
+    // aᵀ·b reads `a` stored k×m; a·bᵀ reads `b` stored n×k.
+    let at = fill(k * m, seed ^ 0x1111);
+    let bt = fill(n * k, seed ^ 0x2222);
+    let run = |backend: Backend| {
+        let mut outs = [
+            vec![0.0f32; m * n],
+            vec![0.0f32; m * n],
+            vec![0.0f32; m * n],
+        ];
+        ops::gemm(backend, &a, &b, &mut outs[0], m, k, n);
+        ops::gemm_atb(backend, &at, &b, &mut outs[1], m, k, n);
+        ops::gemm_abt(backend, &a, &bt, &mut outs[2], m, k, n);
+        outs
+    };
+    let scalar = run(Backend::Scalar);
+    for backend in backends() {
+        let simd = run(backend);
+        for (label, (s, v)) in ["gemm", "gemm_atb", "gemm_abt"]
+            .iter()
+            .zip(scalar.iter().zip(&simd))
+        {
+            assert_bitwise(&format!("{label} {m}x{k}x{n}"), backend, s, v);
+        }
+    }
+}
+
+/// Every combination of the training-shape axes, so full and ragged
+/// register tiles, panel boundaries and lane tails are all hit on every
+/// run (the proptest arm samples the same axes at random k).
+#[test]
+fn gemm_family_training_shapes_are_bitwise_equal_across_backends() {
+    for m in [8, 31, 32, 33, 64] {
+        for k in [7, 133, 597] {
+            for n in [8, 19, 32, 96] {
+                check_gemm_family(m, k, n, (m * k + n) as u64);
+            }
+        }
+    }
+}
+
+/// The edge-linear backward at full size (E ≈ 17k edges, d = 32): long
+/// `aᵀ·b` chains over many panels and the row-parallel path.
+#[test]
+fn gemm_family_edge_linear_shape_is_bitwise_equal_across_backends() {
+    check_gemm_family(17_000, 32, 32, 41);
+    check_gemm_family(32, 17_000, 32, 43);
 }
 
 proptest! {
@@ -78,31 +148,7 @@ proptest! {
         (m, k, n) in gemm_shapes(),
         seed in 0u64..500,
     ) {
-        let a = fill(m * k, seed);
-        let b = fill(k * n, seed ^ 0x9e37);
-        for backend in backends() {
-            let mut scalar = vec![0.0f32; m * n];
-            let mut simd = vec![0.0f32; m * n];
-            ops::gemm(Backend::Scalar, &a, &b, &mut scalar, m, k, n);
-            ops::gemm(backend, &a, &b, &mut simd, m, k, n);
-            assert_bitwise("gemm", backend, &scalar, &simd);
-
-            // aᵀ·b: a stored k×m.
-            let at = fill(k * m, seed ^ 0x1111);
-            let mut scalar = vec![0.0f32; m * n];
-            let mut simd = vec![0.0f32; m * n];
-            ops::gemm_atb(Backend::Scalar, &at, &b, &mut scalar, m, k, n);
-            ops::gemm_atb(backend, &at, &b, &mut simd, m, k, n);
-            assert_bitwise("gemm_atb", backend, &scalar, &simd);
-
-            // a·bᵀ: b stored n×k.
-            let bt = fill(n * k, seed ^ 0x2222);
-            let mut scalar = vec![0.0f32; m * n];
-            let mut simd = vec![0.0f32; m * n];
-            ops::gemm_abt(Backend::Scalar, &a, &bt, &mut scalar, m, k, n);
-            ops::gemm_abt(backend, &a, &bt, &mut simd, m, k, n);
-            assert_bitwise("gemm_abt", backend, &scalar, &simd);
-        }
+        check_gemm_family(m, k, n, seed);
     }
 
     #[test]
