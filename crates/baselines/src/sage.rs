@@ -153,7 +153,7 @@ mod tests {
         let x = tape.input(inputs.features.clone());
         let h = layer.forward(&mut tape, x, &inputs);
         assert_eq!(tape.shape(h), (3, 8));
-        let loss = tape.mse_loss(h, &vec![0.1; 24]);
+        let loss = tape.mse_loss(h, &[0.1; 24]);
         let mut grads = cirgps_nn::GradStore::new(&store);
         tape.backward(loss, &mut grads);
         assert!(store.iter().all(|(id, _, _)| grads.get(id).is_some()));

@@ -441,7 +441,7 @@ mod tests {
         // No digest on either side: nothing to say.
         assert!(compare_digests(
             "predict_mix",
-            &runs("predict_mix", &[result.clone()]),
+            &runs("predict_mix", std::slice::from_ref(&result)),
             &base
         )
         .is_empty());
@@ -454,7 +454,7 @@ mod tests {
             .into_iter()
             .chain([(
                 "serve_mix".to_string(),
-                runs("serve_mix", &[result.clone()]),
+                runs("serve_mix", std::slice::from_ref(&result)),
             )])
             .collect()
         };

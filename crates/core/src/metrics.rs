@@ -2,7 +2,7 @@
 //! regression (MAE, RMSE, R², MAPE), matching the paper's tables.
 
 /// Classification metrics for the link-prediction task (Tables II/III/V).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkMetrics {
     /// Accuracy at threshold 0.5.
     pub accuracy: f64,
@@ -86,7 +86,7 @@ pub fn roc_auc(scores: &[f32], labels: &[f32]) -> f64 {
 }
 
 /// Regression metrics (Tables VI/VII/VIII).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegMetrics {
     /// Mean absolute error.
     pub mae: f64,

@@ -13,9 +13,10 @@
 //!    samples and results is ever resident, so memory is bounded by the
 //!    window, not the pair count ([`SweepStats::peak_resident`] proves
 //!    it).
-//! 2. **Shared extraction** — one [`SweepSampler`] serves every pair,
-//!    reusing visited stamps, the local-relabel map, and the BFS
-//!    scratch across the sweep (see `subgraph_sample::SweepSampler`).
+//! 2. **Shared extraction** — one [`SubgraphSampler`] (the extractor
+//!    training and `predict` use) serves every pair, reusing its stamp
+//!    set, local CSR and one output [`Subgraph`]'s buffers across the
+//!    sweep.
 //! 3. **Neighborhood deduplication** — the model's forward pass depends
 //!    only on the subgraph's *content* (types, features, arcs, anchor
 //!    distances), never on parent node ids. Pairs whose enclosing
@@ -39,8 +40,8 @@
 
 use std::collections::HashMap;
 
-use circuit_graph::{CircuitGraph, NodeType};
-use subgraph_sample::{SamplerConfig, Subgraph, SweepSampler, XcNormalizer};
+use circuit_graph::{CircuitGraph, NodeStamps, NodeType};
+use subgraph_sample::{SamplerConfig, Subgraph, SubgraphSampler, XcNormalizer};
 
 use crate::model::CircuitGps;
 use crate::prepared::PreparedSample;
@@ -221,18 +222,8 @@ pub fn sweep_pairs(
 ) -> SweepStats {
     assert!(cfg.chunk > 0, "sweep chunk must be positive");
     let mut stats = SweepStats::default();
-    let mut sampler = SweepSampler::new(graph, cfg.sampler);
-    let mut scratch = Subgraph {
-        nodes: Vec::new(),
-        node_types: Vec::new(),
-        xc: Vec::new(),
-        src: Vec::new(),
-        dst: Vec::new(),
-        edge_types: Vec::new(),
-        num_anchors: 2,
-        dist_a: Vec::new(),
-        dist_b: Vec::new(),
-    };
+    let mut sampler = SubgraphSampler::new(graph, cfg.sampler);
+    let mut scratch = Subgraph::default();
 
     let mut iter = pairs.into_iter();
     let mut window: Vec<(u32, u32)> = Vec::with_capacity(cfg.chunk);
@@ -324,8 +315,7 @@ pub struct CandidatePairs<'g> {
     emitted: usize,
     buf: Vec<(u32, u32)>,
     pos: usize,
-    stamp: Vec<u32>,
-    epoch: u32,
+    seen: NodeStamps,
 }
 
 impl<'g> CandidatePairs<'g> {
@@ -339,8 +329,7 @@ impl<'g> CandidatePairs<'g> {
             emitted: 0,
             buf: Vec::new(),
             pos: 0,
-            stamp: vec![u32::MAX; graph.num_nodes()],
-            epoch: 0,
+            seen: NodeStamps::new(graph.num_nodes()),
         }
     }
 
@@ -352,12 +341,8 @@ impl<'g> CandidatePairs<'g> {
     fn fill(&mut self, a: u32) {
         self.buf.clear();
         self.pos = 0;
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == u32::MAX {
-            self.stamp.iter_mut().for_each(|s| *s = u32::MAX);
-            self.epoch = 0;
-        }
-        self.stamp[a as usize] = self.epoch;
+        self.seen.begin();
+        self.seen.insert(a, 0);
         let cap = if self.per_node_cap == 0 {
             usize::MAX
         } else {
@@ -369,11 +354,8 @@ impl<'g> CandidatePairs<'g> {
             if self.buf.len() >= cap {
                 return;
             }
-            if self.stamp[w as usize] != self.epoch {
-                self.stamp[w as usize] = self.epoch;
-                if w > a && self.couplable(w) {
-                    self.buf.push((a, w));
-                }
+            if self.seen.insert(w, 0) && w > a && self.couplable(w) {
+                self.buf.push((a, w));
             }
         }
         // Distance 2, in adjacency order of each distance-1 node.
@@ -382,11 +364,8 @@ impl<'g> CandidatePairs<'g> {
                 if self.buf.len() >= cap {
                     return;
                 }
-                if self.stamp[b as usize] != self.epoch {
-                    self.stamp[b as usize] = self.epoch;
-                    if b > a && self.couplable(b) {
-                        self.buf.push((a, b));
-                    }
+                if self.seen.insert(b, 0) && b > a && self.couplable(b) {
+                    self.buf.push((a, b));
                 }
             }
         }

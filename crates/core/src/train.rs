@@ -75,7 +75,7 @@ impl fmt::Display for TrainError {
 impl std::error::Error for TrainError {}
 
 /// Per-epoch training record.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TrainHistory {
     /// Mean training loss per epoch.
     pub epoch_losses: Vec<f32>,

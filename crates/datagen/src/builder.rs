@@ -241,8 +241,8 @@ mod tests {
         assert_eq!(d.netlist.num_devices(), 2);
         assert!(d.netlist.device_by_name("Xi.M1").is_some());
         let (x, y) = d.placement.device_position("Xi.M1");
-        assert!(x >= 1.0 && x < 2.0);
-        assert!(y >= 2.0 && y < 3.0);
+        assert!((1.0..2.0).contains(&x));
+        assert!((2.0..3.0).contains(&y));
     }
 
     #[test]

@@ -261,9 +261,7 @@ mod tests {
     #[test]
     fn array_and_periphery_compose() {
         let mut b = DesignBuilder::new("T");
-        for p in ["CLK"] {
-            b.port(p);
-        }
+        b.port("CLK");
         bitcell_array_6t(&mut b, "m_", 4, 8, 0.0, 0.0).unwrap();
         column_periphery(&mut b, "m_", 8, 0.0, 4.0 * CELL_H).unwrap();
         row_decoder(&mut b, "m_", 4, "m_", 0.0, 0.0).unwrap();

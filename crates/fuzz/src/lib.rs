@@ -193,9 +193,12 @@ pub fn mutate(rng: &mut XorShift, input: &[u8]) -> Vec<u8> {
     out
 }
 
+/// A named fuzz target.
+pub type Target = (&'static str, fn(&[u8]));
+
 /// The fuzz targets. Each must uphold the contract: return normally
 /// (the target's own `Result` is fine either way) and never panic.
-pub const TARGETS: &[(&str, fn(&[u8]))] = &[
+pub const TARGETS: &[Target] = &[
     ("spice", fuzz_spice),
     ("spf", fuzz_spf),
     ("units", fuzz_units),

@@ -9,7 +9,7 @@ use crate::types::{EdgeType, NodeType, PinKind};
 pub const XC_DIM: usize = 13;
 
 /// Where a graph node came from in the source netlist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeOrigin {
     /// A net node.
     Net(NetId),
@@ -28,7 +28,7 @@ pub enum NodeOrigin {
 }
 
 /// An undirected edge or injected link, for graph construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
     /// One endpoint.
     pub a: u32,
@@ -57,7 +57,7 @@ pub struct Edge {
 /// assert_eq!(g.num_nodes(), 2);
 /// assert_eq!(g.degree(net), 1);
 /// ```
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CircuitGraph {
     node_types: Vec<NodeType>,
     node_names: Vec<String>,
@@ -202,8 +202,8 @@ impl CircuitGraph {
     }
 
     /// Breadth-first distances from `src`, up to `max_hops` (inclusive).
-    /// Unreached nodes get `u32::MAX`. Allocates `O(N)`; for repeated
-    /// sampling use [`crate::bfs::BfsScratch`].
+    /// Unreached nodes get `u32::MAX`. Allocates `O(N)`; repeated
+    /// traversals should mark visits in a [`crate::NodeStamps`] instead.
     pub fn bfs_distances(&self, src: u32, max_hops: u32) -> Vec<u32> {
         let mut dist = vec![u32::MAX; self.num_nodes()];
         let mut queue = std::collections::VecDeque::new();

@@ -4,7 +4,7 @@
 //! (Section III-A of the paper): nets, devices and pins as typed nodes;
 //! `device-pin`/`net-pin` schematic edges; coupling links as injectable
 //! target edges; the `XC` circuit-statistics matrix of Table I; and the
-//! BFS utilities that enclosing-subgraph sampling is built on.
+//! versioned node stamps that enclosing-subgraph sampling is built on.
 //!
 //! ## Example
 //!
@@ -29,14 +29,14 @@
 
 #![warn(missing_docs)]
 
-mod bfs;
 mod convert;
 mod graph;
+mod stamp;
 mod stats;
 mod types;
 
-pub use bfs::BfsScratch;
 pub use convert::{device_dims, net_dims, netlist_to_graph, NodeMap};
 pub use graph::{CircuitGraph, Edge, GraphBuilder, NodeOrigin, XC_DIM};
+pub use stamp::NodeStamps;
 pub use stats::{human_count, GraphStats, XcSpec};
 pub use types::{EdgeType, NodeType, PinKind};

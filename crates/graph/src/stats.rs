@@ -52,7 +52,7 @@ impl XcSpec {
 }
 
 /// Graph-level statistics, one row of Table IV.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Design name.
     pub name: String,

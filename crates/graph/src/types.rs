@@ -9,9 +9,7 @@
 use std::fmt;
 
 /// Heterogeneous node type (`xi` in the paper).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum NodeType {
     /// A net (green circle in Fig. 1); `xi = 0`.
@@ -61,9 +59,7 @@ impl fmt::Display for NodeType {
 ///
 /// Values 0–1 are schematic topology edges; 2–4 are coupling links (the
 /// prediction targets, present only after link injection).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum EdgeType {
     /// Device-to-pin connection; `ei = 0`.
@@ -140,7 +136,7 @@ impl fmt::Display for EdgeType {
 
 /// Pin terminal codes used as the pin-node circuit statistic (Table I,
 /// `xi = 2` row: "Pin types (G/D/S/B for MOS)").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum PinKind {
     /// MOS drain.

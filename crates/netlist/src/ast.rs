@@ -4,19 +4,15 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// Index of a net within a [`Netlist`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NetId(pub u32);
 
 /// Index of a device within a [`Netlist`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeviceId(pub u32);
 
 /// The kind of a primitive device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// N-channel MOSFET.
     Nmos,
@@ -66,7 +62,7 @@ impl fmt::Display for DeviceKind {
 /// Fields not meaningful for a device kind are zero (e.g. `fingers` on a
 /// resistor). Lengths and widths are in meters, `value` in SI units of the
 /// device (ohms or farads).
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DeviceParams {
     /// Channel / body width in meters.
     pub width: f64,
@@ -81,7 +77,7 @@ pub struct DeviceParams {
 }
 
 /// A primitive device instance.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Device {
     /// Instance name (hierarchical names are joined with `.`).
     pub name: String,
@@ -96,7 +92,7 @@ pub struct Device {
 }
 
 /// A net (electrical node) in the netlist.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Net {
     /// Net name (hierarchical names are joined with `.`).
     pub name: String,
@@ -120,13 +116,12 @@ pub struct Net {
 /// assert_eq!(nl.num_nets(), 3);
 /// assert_eq!(nl.num_devices(), 1);
 /// ```
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Netlist {
     /// Cell name.
     pub name: String,
     nets: Vec<Net>,
     devices: Vec<Device>,
-    #[serde(skip)]
     net_index: HashMap<String, NetId>,
 }
 

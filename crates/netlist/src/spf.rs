@@ -15,9 +15,7 @@ use std::fmt::Write as _;
 use crate::units::{format_spice_value, parse_spice_value};
 
 /// A parasitic node: a net or a device pin.
-#[derive(
-    Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SpfNode {
     /// A net, by flattened name.
     Net(String),
@@ -53,7 +51,7 @@ impl fmt::Display for SpfNode {
 }
 
 /// Ground capacitance entry: node to substrate.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroundCap {
     /// The node.
     pub node: SpfNode,
@@ -62,7 +60,7 @@ pub struct GroundCap {
 }
 
 /// Coupling capacitance entry between two nodes.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CouplingCap {
     /// First node.
     pub a: SpfNode,
@@ -73,7 +71,7 @@ pub struct CouplingCap {
 }
 
 /// A parsed SPF file: design name plus parasitic capacitances.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpfFile {
     /// Design name from the `*|DESIGN` header.
     pub design: String,

@@ -466,7 +466,7 @@ mod tests {
         let mut tape = Tape::new(&store, true, 0);
         let x = tape.input(random_input(5, 8, 2));
         let y = attn.forward(&mut tape, x);
-        let loss = tape.mse_loss(y, &vec![0.1; 40]);
+        let loss = tape.mse_loss(y, &[0.1; 40]);
         let mut grads = GradStore::new(&store);
         tape.backward(loss, &mut grads);
         let touched = store
@@ -485,7 +485,7 @@ mod tests {
         let x = tape.input(random_input(6, 8, 3));
         let y = attn.forward(&mut tape, x);
         assert_eq!(tape.shape(y), (6, 8));
-        let loss = tape.mse_loss(y, &vec![0.0; 48]);
+        let loss = tape.mse_loss(y, &[0.0; 48]);
         let mut grads = GradStore::new(&store);
         tape.backward(loss, &mut grads);
         // The frozen projection must NOT receive a gradient.

@@ -1262,6 +1262,9 @@ pub(crate) fn batch_norm_eval_with(
     Tensor::from_vec(n, d, out)
 }
 
+/// Re-export of the vectorizable exponential for probes and benches.
+pub use crate::tensor::fast_exp as fast_exp_pub;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1455,6 +1458,3 @@ mod tests {
         }
     }
 }
-
-/// Re-export of the vectorizable exponential for probes and benches.
-pub use crate::tensor::fast_exp as fast_exp_pub;

@@ -12,7 +12,7 @@ use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
 /// Activation functions selectable in [`Mlp`] and model configs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Activation {
     /// Rectified linear unit (the paper's default).
     #[default]

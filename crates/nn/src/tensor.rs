@@ -713,7 +713,7 @@ pub fn fast_exp(x: f32) -> f32 {
 /// assert_eq!(t.shape(), (2, 2));
 /// assert_eq!(t.get(1, 0), 3.0);
 /// ```
-#[derive(PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,

@@ -7,6 +7,10 @@
 //! enclosing-subgraph extraction for both link-level and node-level
 //! tasks, plus the feature/target normalizers of Section IV-C.
 //!
+//! One extractor, [`SubgraphSampler`], builds every [`Subgraph`]:
+//! training datasets, inference and the full-chip sweep run the same
+//! code, with scratch reused across calls.
+//!
 //! ## Example
 //!
 //! ```
@@ -30,10 +34,8 @@ mod dataset;
 mod links;
 mod normalize;
 mod subgraph;
-mod sweep;
 
 pub use dataset::{DatasetConfig, LinkDataset, LinkSample, NodeDataset, NodeSample};
 pub use links::{generate_negatives, Link, LinkSet};
 pub use normalize::{CapNormalizer, XcNormalizer};
-pub use subgraph::{SamplerConfig, Subgraph, SubgraphSampler, UNREACHABLE};
-pub use sweep::SweepSampler;
+pub use subgraph::{SamplerConfig, Subgraph, SubgraphSampler, SweepSampler, UNREACHABLE};

@@ -6,7 +6,7 @@ use circuit_graph::{CircuitGraph, XC_DIM};
 /// Min-max normalizer for the circuit-statistics matrix `XC`, fitted on
 /// the training designs and reused unchanged on test designs (no test-set
 /// leakage).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct XcNormalizer {
     min: Vec<f32>,
     max: Vec<f32>,
@@ -69,7 +69,7 @@ impl XcNormalizer {
 /// `log10(cap)`; a linear min-max would collapse almost all targets
 /// against 0 and make the reported MAE meaningless. Negative links carry
 /// zero capacitance and map to exactly 0.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapNormalizer {
     log_min: f64,
     log_max: f64,

@@ -1,16 +1,27 @@
 //! Enclosing-subgraph extraction (Definition 1 of the paper, after SEAL):
 //! the h-hop subgraph induced by the union of the anchors' neighborhoods.
+//!
+//! [`SubgraphSampler`] is the one extractor: training datasets,
+//! `predict`, `serve` and the sweep all build their subgraphs through
+//! it. It keeps its scratch alive across calls, so repeated extraction
+//! from one graph allocates nothing once the buffers have grown:
+//!
+//! - one versioned stamp set over the parent graph holds the hop depth
+//!   during the BFS, then the parent → local index map (`O(1)` reset,
+//!   no hashing);
+//! - the local distance BFS runs over a reusable CSR built from the
+//!   induced arcs;
+//! - [`SubgraphSampler::extract_into`] reuses the output buffers of a
+//!   caller-owned [`Subgraph`], which the sweep keeps across pairs.
 
-use std::collections::HashMap;
-
-use circuit_graph::{BfsScratch, CircuitGraph, XC_DIM};
+use circuit_graph::{CircuitGraph, NodeStamps, XC_DIM};
 
 /// A sampled enclosing subgraph with local (relabeled) node indices.
 ///
 /// Anchor nodes come first: local index 0 is anchor `m`; for link tasks
 /// local index 1 is anchor `n`. Edges are stored in directed form (each
 /// undirected edge appears in both directions) ready for message passing.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Subgraph {
     /// Parent-graph node id per local node (anchors first).
     pub nodes: Vec<u32>,
@@ -65,33 +76,6 @@ impl Subgraph {
             .zip(&self.edge_types)
             .map(|((&s, &d), &t)| (s, d, t))
     }
-
-    /// BFS distances from a local source within the subgraph, clamped to
-    /// [`UNREACHABLE`].
-    pub fn bfs_local(&self, source: usize) -> Vec<u32> {
-        let n = self.num_nodes();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (&s, &d) in self.src.iter().zip(&self.dst) {
-            adj[s].push(d);
-        }
-        let mut dist = vec![UNREACHABLE; n];
-        let mut queue = std::collections::VecDeque::new();
-        dist[source] = 0;
-        queue.push_back(source);
-        while let Some(v) = queue.pop_front() {
-            let dv = dist[v];
-            if dv >= UNREACHABLE - 1 {
-                continue;
-            }
-            for &w in &adj[v] {
-                if dist[w] == UNREACHABLE {
-                    dist[w] = dv + 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-        dist
-    }
 }
 
 /// Extraction parameters.
@@ -113,13 +97,26 @@ impl Default for SamplerConfig {
     }
 }
 
-/// Reusable sampler holding BFS scratch for one graph.
+/// Reusable enclosing-subgraph extractor over one graph; see the module
+/// docs for the scratch it keeps across calls.
 #[derive(Debug)]
 pub struct SubgraphSampler<'g> {
     graph: &'g CircuitGraph,
     cfg: SamplerConfig,
-    scratch: BfsScratch,
+    /// Hop depth per visited node during the BFS, then the local index
+    /// per kept node.
+    stamps: NodeStamps,
+    // Reusable CSR over the induced directed arcs + local BFS queue.
+    csr_off: Vec<u32>,
+    csr_cur: Vec<u32>,
+    csr_adj: Vec<u32>,
+    queue: Vec<u32>,
 }
+
+/// The name the sweep benchmark (`perfbench/`) still uses for
+/// [`SubgraphSampler`]; it exists only for that benchmark and goes with
+/// the next change to it.
+pub type SweepSampler<'g> = SubgraphSampler<'g>;
 
 impl<'g> SubgraphSampler<'g> {
     /// Creates a sampler over `graph`.
@@ -127,7 +124,11 @@ impl<'g> SubgraphSampler<'g> {
         SubgraphSampler {
             graph,
             cfg,
-            scratch: BfsScratch::new(graph.num_nodes()),
+            stamps: NodeStamps::new(graph.num_nodes()),
+            csr_off: Vec::new(),
+            csr_cur: Vec::new(),
+            csr_adj: Vec::new(),
+            queue: Vec::new(),
         }
     }
 
@@ -142,52 +143,224 @@ impl<'g> SubgraphSampler<'g> {
     ///
     /// Panics if `m == n` or either id is out of range.
     pub fn enclosing_subgraph(&mut self, m: u32, n: u32) -> Subgraph {
+        let mut out = Subgraph::default();
+        self.extract_into(m, n, &mut out);
+        out
+    }
+
+    /// Extracts the enclosing subgraph of link `(m, n)`, reusing the
+    /// buffers of `out` (its previous contents are discarded).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m == n` or either id is out of range.
+    pub fn extract_into(&mut self, m: u32, n: u32, out: &mut Subgraph) {
         assert_ne!(m, n, "link anchors must differ");
-        let visited = self.scratch.run_multi(self.graph, &[m, n], self.cfg.hops);
-        self.build(&[m, n], visited)
+        self.extract(&[m, n], out);
     }
 
     /// Extracts the h-hop subgraph around a single node (node-level tasks;
     /// the paper uses 2 hops here and DSPD degenerates to `D0 = D1`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
     pub fn node_subgraph(&mut self, v: u32) -> Subgraph {
-        let visited = self.scratch.run(self.graph, v, self.cfg.hops);
-        self.build(&[v], visited)
+        let mut out = Subgraph::default();
+        self.extract(&[v], &mut out);
+        out
     }
 
-    fn build(&mut self, anchors: &[u32], mut visited: Vec<u32>) -> Subgraph {
-        // `visited` is in BFS order: anchors first, then increasing hop
-        // distance. Truncation therefore drops the farthest nodes first.
-        if visited.len() > self.cfg.max_nodes {
-            visited.truncate(self.cfg.max_nodes);
+    /// Extracts the subgraph around one or two distinct `anchors` into
+    /// `out`.
+    fn extract(&mut self, anchors: &[u32], out: &mut Subgraph) {
+        let total = self.graph.num_nodes();
+        for &a in anchors {
+            assert!(
+                (a as usize) < total,
+                "anchor {a} out of range for graph with {total} nodes"
+            );
         }
-        let mut local: HashMap<u32, usize> = HashMap::with_capacity(visited.len());
-        for (i, &v) in visited.iter().enumerate() {
-            local.insert(v, i);
+        let max_nodes = self.cfg.max_nodes;
+
+        // Multi-source BFS up to `hops`, with `out.nodes` itself as the
+        // FIFO queue: anchors first, then increasing hop depth, neighbors
+        // in adjacency order. Truncating that order to `max_nodes` drops
+        // the farthest nodes first, so the BFS stops once the kept prefix
+        // is full.
+        out.nodes.clear();
+        self.stamps.begin();
+        for &a in anchors {
+            self.stamps.insert(a, 0);
+            out.nodes.push(a);
+        }
+        let mut head = 0;
+        while head < out.nodes.len() && out.nodes.len() < max_nodes {
+            let v = out.nodes[head];
+            head += 1;
+            let depth = self.stamps.get(v).expect("queued nodes are stamped");
+            if depth >= self.cfg.hops {
+                // Depths never decrease along the queue.
+                break;
+            }
+            for &w in self.graph.adjacency(v).0 {
+                if self.stamps.insert(w, depth + 1) {
+                    out.nodes.push(w);
+                }
+            }
+        }
+        out.nodes.truncate(max_nodes);
+
+        // Parent → local relabeling over the kept nodes, in a fresh
+        // generation so that truncated nodes drop out.
+        self.stamps.begin();
+        for (i, &v) in out.nodes.iter().enumerate() {
+            self.stamps.insert(v, i as u32);
+        }
+        out.node_types.clear();
+        out.xc.clear();
+        out.xc.reserve(out.nodes.len() * XC_DIM);
+        for &v in &out.nodes {
+            out.node_types.push(self.graph.node_type(v).code());
+            out.xc.extend_from_slice(self.graph.xc_row(v));
         }
 
-        let n = visited.len();
-        let mut node_types = Vec::with_capacity(n);
-        let mut xc = Vec::with_capacity(n * XC_DIM);
-        for &v in &visited {
-            node_types.push(self.graph.node_type(v).code());
-            xc.extend_from_slice(self.graph.xc_row(v));
-        }
-
-        // Induced directed edges: for each kept node, keep arcs to kept
-        // neighbors. Each undirected parent edge contributes two arcs
-        // (once from each endpoint's adjacency), with src = neighbor,
-        // dst = node.
+        // Induced directed arcs: for each kept node, arcs from its kept
+        // neighbors (src = neighbor, dst = node), so each undirected
+        // parent edge contributes two arcs, one from each endpoint's
+        // adjacency.
         //
-        // SEAL protocol: the *target* link between the two anchors is
-        // masked out of its own subgraph — otherwise the injected edge
-        // leaks the target and collapses the DSPD distance pair to (0,1)
-        // for positives and negatives alike.
-        let mask_target = anchors.len() == 2;
-        let mut src = Vec::new();
-        let mut dst = Vec::new();
-        let mut edge_types = Vec::new();
-        for (i, &v) in visited.iter().enumerate() {
+        // SEAL protocol: the *target* link between two anchors is masked
+        // out of its own subgraph — otherwise the injected edge leaks the
+        // target and collapses the DSPD distance pair to (0,1) for
+        // positives and negatives alike.
+        let pair = anchors.len() == 2;
+        out.src.clear();
+        out.dst.clear();
+        out.edge_types.clear();
+        for (i, &v) in out.nodes.iter().enumerate() {
             let (nbrs, tys) = self.graph.adjacency(v);
+            for (&w, &t) in nbrs.iter().zip(tys) {
+                let Some(j) = self.stamps.get(w) else {
+                    continue;
+                };
+                let j = j as usize;
+                if pair && (t as usize) >= 2 && ((i == 0 && j == 1) || (i == 1 && j == 0)) {
+                    continue;
+                }
+                out.src.push(j);
+                out.dst.push(i);
+                out.edge_types.push(t as usize);
+            }
+        }
+        out.num_anchors = anchors.len();
+
+        self.build_local_csr(out.nodes.len(), &out.src, &out.dst);
+        self.local_bfs(0, &mut out.dist_a);
+        if pair {
+            self.local_bfs(1, &mut out.dist_b);
+        } else {
+            out.dist_b.clone_from(&out.dist_a);
+        }
+    }
+
+    /// Builds the reusable CSR over the induced directed arcs, grouped
+    /// by source in arc order.
+    fn build_local_csr(&mut self, n: usize, src: &[usize], dst: &[usize]) {
+        self.csr_off.clear();
+        self.csr_off.resize(n + 1, 0);
+        for &s in src {
+            self.csr_off[s + 1] += 1;
+        }
+        for i in 0..n {
+            self.csr_off[i + 1] += self.csr_off[i];
+        }
+        self.csr_cur.clear();
+        self.csr_cur.extend_from_slice(&self.csr_off[..n]);
+        self.csr_adj.clear();
+        self.csr_adj.resize(src.len(), 0);
+        for (&s, &d) in src.iter().zip(dst) {
+            let c = &mut self.csr_cur[s];
+            self.csr_adj[*c as usize] = d as u32;
+            *c += 1;
+        }
+    }
+
+    /// Local BFS distances from local node `source` over the CSR, clamped
+    /// to [`UNREACHABLE`].
+    fn local_bfs(&mut self, source: u32, dist: &mut Vec<u32>) {
+        let n = self.csr_off.len() - 1;
+        dist.clear();
+        dist.resize(n, UNREACHABLE);
+        dist[source as usize] = 0;
+        self.queue.clear();
+        self.queue.push(source);
+        let mut head = 0;
+        while head < self.queue.len() {
+            let v = self.queue[head] as usize;
+            head += 1;
+            let dv = dist[v];
+            if dv >= UNREACHABLE - 1 {
+                continue;
+            }
+            for &w in &self.csr_adj[self.csr_off[v] as usize..self.csr_off[v + 1] as usize] {
+                if dist[w as usize] == UNREACHABLE {
+                    dist[w as usize] = dv + 1;
+                    self.queue.push(w);
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::hash_map::Entry;
+    use std::collections::{HashMap, VecDeque};
+
+    use super::*;
+    use circuit_graph::{EdgeType, GraphBuilder, NodeType};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The extractor as first written — BFS over a `HashMap`, `HashMap`
+    /// relabeling, a `Vec<Vec>` local BFS, fresh allocations per call —
+    /// kept as the oracle that [`SubgraphSampler`] must match bit for bit.
+    fn reference(g: &CircuitGraph, cfg: SamplerConfig, anchors: &[u32]) -> Subgraph {
+        let mut depth: HashMap<u32, u32> = HashMap::new();
+        let mut visited = Vec::new();
+        let mut queue = VecDeque::new();
+        for &a in anchors {
+            depth.insert(a, 0);
+            visited.push(a);
+            queue.push_back(a);
+        }
+        while let Some(v) = queue.pop_front() {
+            let d = depth[&v];
+            if d >= cfg.hops {
+                continue;
+            }
+            for &w in g.adjacency(v).0 {
+                if let Entry::Vacant(e) = depth.entry(w) {
+                    e.insert(d + 1);
+                    visited.push(w);
+                    queue.push_back(w);
+                }
+            }
+        }
+        visited.truncate(cfg.max_nodes);
+
+        let local: HashMap<u32, usize> = visited.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let mut node_types = Vec::new();
+        let mut xc = Vec::new();
+        for &v in &visited {
+            node_types.push(g.node_type(v).code());
+            xc.extend_from_slice(g.xc_row(v));
+        }
+        let mask_target = anchors.len() == 2;
+        let (mut src, mut dst, mut edge_types) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, &v) in visited.iter().enumerate() {
+            let (nbrs, tys) = g.adjacency(v);
             for (&w, &t) in nbrs.iter().zip(tys) {
                 if let Some(&j) = local.get(&w) {
                     if mask_target
@@ -202,7 +375,6 @@ impl<'g> SubgraphSampler<'g> {
                 }
             }
         }
-
         let mut sg = Subgraph {
             nodes: visited,
             node_types,
@@ -214,40 +386,205 @@ impl<'g> SubgraphSampler<'g> {
             dist_a: Vec::new(),
             dist_b: Vec::new(),
         };
-        sg.dist_a = sg.bfs_local(0);
+        sg.dist_a = bfs_local(&sg, 0);
         sg.dist_b = if anchors.len() > 1 {
-            sg.bfs_local(1)
+            bfs_local(&sg, 1)
         } else {
             sg.dist_a.clone()
         };
         sg
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use circuit_graph::{EdgeType, GraphBuilder, NodeType};
+    /// BFS distances from a local source within the subgraph, clamped to
+    /// [`UNREACHABLE`] (the reference's local BFS).
+    fn bfs_local(sg: &Subgraph, source: usize) -> Vec<u32> {
+        let n = sg.num_nodes();
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (&s, &d) in sg.src.iter().zip(&sg.dst) {
+            adj[s].push(d);
+        }
+        let mut dist = vec![UNREACHABLE; n];
+        let mut queue = VecDeque::new();
+        dist[source] = 0;
+        queue.push_back(source);
+        while let Some(v) = queue.pop_front() {
+            let dv = dist[v];
+            if dv >= UNREACHABLE - 1 {
+                continue;
+            }
+            for &w in &adj[v] {
+                if dist[w] == UNREACHABLE {
+                    dist[w] = dv + 1;
+                    queue.push_back(w);
+                }
+            }
+        }
+        dist
+    }
 
-    /// Path graph p0 - p1 - p2 - p3 - p4 with alternating types.
+    fn assert_bitwise_eq(a: &Subgraph, b: &Subgraph, ctx: &str) {
+        assert_eq!(a.nodes, b.nodes, "{ctx}: nodes");
+        assert_eq!(a.node_types, b.node_types, "{ctx}: node_types");
+        let xa: Vec<u32> = a.xc.iter().map(|x| x.to_bits()).collect();
+        let xb: Vec<u32> = b.xc.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(xa, xb, "{ctx}: xc bits");
+        assert_eq!(a.src, b.src, "{ctx}: src");
+        assert_eq!(a.dst, b.dst, "{ctx}: dst");
+        assert_eq!(a.edge_types, b.edge_types, "{ctx}: edge_types");
+        assert_eq!(a.num_anchors, b.num_anchors, "{ctx}: num_anchors");
+        assert_eq!(a.dist_a, b.dist_a, "{ctx}: dist_a");
+        assert_eq!(a.dist_b, b.dist_b, "{ctx}: dist_b");
+    }
+
+    /// Path graph p0 - p1 - p2 - ... with alternating types and
+    /// distinguishable XC rows.
     fn path(n: usize) -> CircuitGraph {
         let mut b = GraphBuilder::new();
         let ids: Vec<u32> = (0..n)
             .map(|i| {
-                b.add_node(
+                let v = b.add_node(
                     if i % 2 == 0 {
                         NodeType::Net
                     } else {
                         NodeType::Pin
                     },
                     &format!("v{i}"),
-                )
+                );
+                b.set_xc(v, 0, i as f32 + 0.5);
+                v
             })
             .collect();
         for w in ids.windows(2) {
             b.add_edge(w[0], w[1], EdgeType::NetPin);
         }
         b.build()
+    }
+
+    /// Star with a coupling edge between two leaves (exercises the SEAL
+    /// target-masking branch).
+    fn star_with_coupling(leaves: usize) -> CircuitGraph {
+        let mut b = GraphBuilder::new();
+        let c = b.add_node(NodeType::Net, "c");
+        let ids: Vec<u32> = (0..leaves)
+            .map(|i| {
+                let v = b.add_node(NodeType::Pin, &format!("l{i}"));
+                b.add_edge(c, v, EdgeType::NetPin);
+                v
+            })
+            .collect();
+        b.add_edge(ids[0], ids[1], EdgeType::CouplingPinPin);
+        b.build()
+    }
+
+    /// Two components, 0 - 1 and 2 - 3.
+    fn disconnected() -> CircuitGraph {
+        let mut b = GraphBuilder::new();
+        let n0 = b.add_node(NodeType::Net, "n0");
+        let p1 = b.add_node(NodeType::Pin, "p1");
+        let n2 = b.add_node(NodeType::Net, "n2");
+        let p3 = b.add_node(NodeType::Pin, "p3");
+        b.add_edge(n0, p1, EdgeType::NetPin);
+        b.add_edge(n2, p3, EdgeType::NetPin);
+        b.build()
+    }
+
+    /// Seeded random multi-type graph with schematic and coupling edges.
+    fn random_graph(seed: u64) -> CircuitGraph {
+        const N: u32 = 40;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new();
+        for i in 0..N {
+            let ty = NodeType::from_code(i as usize % 3);
+            let v = b.add_node(ty, &format!("v{i}"));
+            b.set_xc(v, 0, rng.gen_range(0..8) as f32);
+        }
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..70 {
+            let (a, c) = (rng.gen_range(0..N), rng.gen_range(0..N));
+            if a == c || !seen.insert((a.min(c), a.max(c))) {
+                continue;
+            }
+            let ty = [
+                EdgeType::NetPin,
+                EdgeType::DevicePin,
+                EdgeType::CouplingPinPin,
+            ][rng.gen_range(0..3usize)];
+            b.add_edge(a, c, ty);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn matches_reference_bitwise_for_pairs_and_nodes() {
+        let mut graphs = vec![
+            ("path", path(11)),
+            ("star", star_with_coupling(30)),
+            ("disconnected", disconnected()),
+        ];
+        for seed in 0..4 {
+            graphs.push(("random", random_graph(seed)));
+        }
+        for (name, g) in &graphs {
+            let n = g.num_nodes() as u32;
+            for hops in 0..=3u32 {
+                for max_nodes in [4usize, 10, 100] {
+                    let cfg = SamplerConfig { hops, max_nodes };
+                    // One sampler and one output buffer serve every
+                    // query, as in a sweep.
+                    let mut s = SubgraphSampler::new(g, cfg);
+                    let mut out = Subgraph::default();
+                    for m in 0..n {
+                        for k in 1..n {
+                            let p = (m + k) % n;
+                            s.extract_into(m, p, &mut out);
+                            let ctx = format!("{name} hops {hops} max {max_nodes} pair ({m},{p})");
+                            assert_bitwise_eq(&out, &reference(g, cfg, &[m, p]), &ctx);
+                        }
+                        let ctx = format!("{name} hops {hops} max {max_nodes} node {m}");
+                        assert_bitwise_eq(&s.node_subgraph(m), &reference(g, cfg, &[m]), &ctx);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn extract_into_reuses_buffers_across_pairs() {
+        let g = path(9);
+        let cfg = SamplerConfig::default();
+        let mut s = SubgraphSampler::new(&g, cfg);
+        let mut out = s.enclosing_subgraph(0, 1);
+        // Re-extract into the same buffers repeatedly, including going
+        // from a larger to a smaller neighborhood and back.
+        for (m, n) in [(3u32, 4u32), (0, 8), (7, 8), (2, 6), (3, 4)] {
+            s.extract_into(m, n, &mut out);
+            assert_bitwise_eq(
+                &out,
+                &reference(&g, cfg, &[m, n]),
+                &format!("pair ({m},{n})"),
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "link anchors must differ")]
+    fn equal_anchors_panic() {
+        let g = path(3);
+        let _ = SubgraphSampler::new(&g, SamplerConfig::default()).enclosing_subgraph(1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_pair_anchor_panics() {
+        let g = path(3);
+        let _ = SubgraphSampler::new(&g, SamplerConfig::default()).enclosing_subgraph(0, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_node_anchor_panics() {
+        let g = path(3);
+        let _ = SubgraphSampler::new(&g, SamplerConfig::default()).node_subgraph(3);
     }
 
     #[test]

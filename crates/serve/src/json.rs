@@ -1,8 +1,7 @@
 //! A minimal JSON parser and writer for the wire protocol.
 //!
-//! The offline build has no `serde_json` (the workspace `serde` is a
-//! no-op derive shim), so the daemon parses request bodies with this
-//! ~150-line recursive-descent parser. It accepts strict RFC 8259 JSON
+//! The offline build has no `serde_json`, so the daemon parses request
+//! bodies with this ~150-line recursive-descent parser. It accepts strict RFC 8259 JSON
 //! minus two conveniences nobody on this protocol needs: `\u` escapes
 //! decode only the BMP (no surrogate pairs) and numbers parse through
 //! `f64` (exact for every u32 node id the protocol carries).

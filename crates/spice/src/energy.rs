@@ -63,7 +63,7 @@ pub fn net_capacitances_with(
 }
 
 /// Result of one energy simulation.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyResult {
     /// Total switching energy, joules (V = `vdd`).
     pub energy: f64,

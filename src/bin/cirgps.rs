@@ -199,8 +199,7 @@ USAGE:
   cirgps sweep  --netlist FILE.sp --top NAME [--model FILE.ckpt]
                 [--task link|cap] [--pairs FILE] [--per-node-cap N]
                 [--max-pairs N] [--chunk N] [--threads N]
-                [--format jsonl|csv] [--out FILE] [--no-dedup]
-                [--backend B]
+                [--format jsonl|csv] [--out FILE] [--backend B]
       Plan and execute a full-chip sweep: score *every* candidate pair
       of the design (or an explicit pair list) as one batched job with
       shared subgraph extraction and neighborhood deduplication,
@@ -224,8 +223,6 @@ USAGE:
                           output format (default jsonl, same fields as
                           `cirgps predict` minus the dataset label)
         --out FILE        write results there instead of stdout
-        --no-dedup        disable neighborhood deduplication (for
-                          measurement; results are identical)
         --backend B       SIMD backend, exactly as in `cirgps predict`
                           (docs/simd.md)
       Prints planner statistics (pairs, unique forwards, dedup rate,
@@ -1417,7 +1414,6 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
             "threads",
             "format",
             "out",
-            "no-dedup",
             "backend",
         ],
     )?;
@@ -1462,7 +1458,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
         },
         chunk,
         threads,
-        dedup: !flag_bool(flags, "no-dedup")?,
+        dedup: true,
     };
 
     let explicit = match flags.get("pairs") {

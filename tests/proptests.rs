@@ -12,7 +12,7 @@ use cirgps::graph::{
 use cirgps::model::CandidatePairs;
 use cirgps::netlist::{format_spice_value, parse_spice_value, SpfFile, SpiceFile};
 use cirgps::pe::{compute_pe, PeFeatures, PeKind};
-use cirgps::sample::{LinkSet, SamplerConfig, SubgraphSampler, SweepSampler, UNREACHABLE};
+use cirgps::sample::{LinkSet, SamplerConfig, SubgraphSampler, UNREACHABLE};
 use proptest::prelude::*;
 
 proptest! {
@@ -108,9 +108,10 @@ proptest! {
         max_nodes in 4usize..64,
     ) {
         // The sweep planner's core invariant: extracting many pairs
-        // through ONE SweepSampler (scratch buffers shared and reused
-        // across pairs) produces Subgraphs bitwise-identical to a fresh
-        // per-pair SubgraphSampler — subgraph sharing is semantics-free.
+        // through ONE sampler into one reused `extract_into` buffer
+        // (scratch and output shared across pairs) produces Subgraphs
+        // bitwise-identical to a fresh sampler per pair — sharing is
+        // semantics-free.
         let mut b = GraphBuilder::new();
         for i in 0..30u32 {
             let ty = match i % 3 {
@@ -141,7 +142,7 @@ proptest! {
         let g = b.build();
         let cfg = SamplerConfig { hops, max_nodes };
 
-        let mut shared = SweepSampler::new(&g, cfg);
+        let mut shared = SubgraphSampler::new(&g, cfg);
         let mut buf = shared.enclosing_subgraph(added[0].0, added[0].1);
         for &(m, n) in added.iter().take(10) {
             shared.extract_into(m, n, &mut buf);
@@ -316,14 +317,14 @@ proptest! {
         idx in 0usize..12,
         hops in 1u32..3,
     ) {
-        // Same bitwise-parity invariant as on random graphs, but over real
+        // Same sharing invariant as on random graphs, but over real
         // enumerated circuit graphs and the planner's own candidate pairs.
         let corpus = grammar_corpus();
         let case = &corpus[idx % corpus.len()];
         let pairs: Vec<(u32, u32)> = CandidatePairs::new(&case.graph, 2, 24).collect();
         prop_assume!(!pairs.is_empty());
         let cfg = SamplerConfig { hops, max_nodes: 256 };
-        let mut shared = SweepSampler::new(&case.graph, cfg);
+        let mut shared = SubgraphSampler::new(&case.graph, cfg);
         let mut buf = shared.enclosing_subgraph(pairs[0].0, pairs[0].1);
         for &(m, n) in &pairs {
             shared.extract_into(m, n, &mut buf);
