@@ -30,9 +30,9 @@ pub const DLPL_EXPERTS: usize = 5;
 /// Which baseline architecture to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BaselineKind {
-    /// ParaGraph [18].
+    /// ParaGraph \[18\].
     ParaGraph,
-    /// DLPL-Cap [19].
+    /// DLPL-Cap \[19\].
     DlplCap,
 }
 

@@ -161,7 +161,7 @@ tuple_strategy!(A, B, C, D);
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length specification for [`vec`]: a fixed size or a `Range<usize>`.
+    /// Length specification for [`vec()`]: a fixed size or a `Range<usize>`.
     pub trait IntoSizeRange {
         /// `(min, max)` inclusive bounds.
         fn bounds(&self) -> (usize, usize);

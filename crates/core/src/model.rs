@@ -57,6 +57,9 @@ pub(crate) struct GpsLayer {
 }
 
 impl GpsLayer {
+    /// `need_edge_out = false` skips the MPNN's edge output (see
+    /// [`GatedGcn::forward_opts`]); the last layer's is never read.
+    #[allow(clippy::too_many_arguments)] // internal: the infer twin's signature
     fn forward(
         &self,
         tape: &mut Tape,
@@ -65,10 +68,11 @@ impl GpsLayer {
         idx: &EdgeIndex,
         blocks: &Arc<Vec<(usize, usize)>>,
         edge_counts: &[usize],
+        need_edge_out: bool,
     ) -> (Var, Var) {
         let (x_m, e_out) = match &self.mpnn {
             Some(g) if !idx.is_empty() => {
-                let (xm, em) = g.forward(tape, x, e, idx);
+                let (xm, em) = g.forward_opts(tape, x, e, idx, need_edge_out);
                 (Some(xm), em)
             }
             _ => (None, e),
@@ -565,8 +569,11 @@ impl CircuitGps {
         } else {
             self.edge_type_emb.forward(tape, &inputs.edge_types)
         };
-        for layer in &self.layers {
-            let (nx, ne) = layer.forward(tape, x, e, &idx, &blocks, &edge_counts);
+        // The last layer's edge output is never read.
+        let n_layers = self.layers.len();
+        for (li, layer) in self.layers.iter().enumerate() {
+            let (nx, ne) =
+                layer.forward(tape, x, e, &idx, &blocks, &edge_counts, li + 1 < n_layers);
             x = nx;
             e = ne;
         }
@@ -905,22 +912,27 @@ mod tests {
         }
     }
 
-    /// Bits of every parameter gradient of one taped train step of a
-    /// default-dims GPS layer (GatedGCN + Performer) on a pack of 3-,
-    /// 17- and 51-node blocks, folded into an FNV-1a digest. The GEMM,
-    /// sweep and attention kernels are bitwise-equal on every backend,
-    /// so the scalar, AVX2 and AVX-512 runs must all reproduce it.
-    #[test]
-    fn gps_layer_train_step_gradients_are_pinned() {
-        let model = CircuitGps::new(ModelConfig::default());
-        let layer = &model.layers[0];
-        let d = model.cfg.hidden_dim;
+    /// The pinned-digest pack: 3-, 17- and 51-node blocks, each a ring
+    /// plus one chord per node in both directions, with wave-valued
+    /// node and edge features of width `d`.
+    struct PinnedPack {
+        blocks: Arc<Vec<(usize, usize)>>,
+        idx: EdgeIndex,
+        edge_counts: Vec<usize>,
+        x0: Tensor,
+        e0: Tensor,
+    }
+
+    fn wave(len: usize, f: f32) -> Vec<f32> {
+        (0..len).map(|i| (i as f32 * f).sin() * 0.8).collect()
+    }
+
+    fn pinned_pack(d: usize) -> PinnedPack {
         let blocks = Arc::new(vec![(0, 3), (3, 17), (20, 51)]);
         let (mut src, mut dst, mut edge_counts) = (Vec::new(), Vec::new(), Vec::new());
         for &(r0, len) in blocks.iter() {
             let before = src.len();
             for i in 0..len {
-                // A ring plus one chord per node, both directions.
                 for j in [(i + 1) % len, (i * 7 + 3) % len] {
                     if j != i {
                         src.extend([r0 + i, r0 + j]);
@@ -930,38 +942,102 @@ mod tests {
             }
             edge_counts.push(src.len() - before);
         }
-        let n = 71;
-        let wave = |len: usize, f: f32| -> Vec<f32> {
-            (0..len).map(|i| (i as f32 * f).sin() * 0.8).collect()
-        };
-        let x0 = Tensor::from_vec(n, d, wave(n * d, 0.37));
-        let e0 = Tensor::from_vec(src.len(), d, wave(src.len() * d, 0.23));
-        let targets = wave(n * d, 0.11);
-        let idx = EdgeIndex::new(src, dst);
-        let mut grads = GradStore::new(model.store());
-        {
-            let mut tape = Tape::new(model.store(), true, 7);
-            let x = tape.input(x0);
-            let e = tape.input(e0);
-            let (x_out, _) = layer.forward(&mut tape, x, e, &idx, &blocks, &edge_counts);
-            let loss = tape.mse_loss(x_out, &targets);
-            tape.backward(loss, &mut grads);
+        let (n, ne) = (71, src.len());
+        PinnedPack {
+            blocks,
+            idx: EdgeIndex::new(src, dst),
+            edge_counts,
+            x0: Tensor::from_vec(n, d, wave(n * d, 0.37)),
+            e0: Tensor::from_vec(ne, d, wave(ne * d, 0.23)),
         }
+    }
+
+    /// Folds `bytes` into an FNV-1a digest.
+    fn fnv(digest: &mut u64, bytes: &[u8]) {
+        for &byte in bytes {
+            *digest = (*digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// FNV-1a digest of every parameter gradient's bits, in store
+    /// order, and the number of parameters that got one.
+    fn grad_digest(model: &CircuitGps, grads: &GradStore) -> (u64, usize) {
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
         let mut touched = 0;
         for (id, _, _) in model.store().iter() {
             if let Some(g) = grads.get(id) {
                 touched += 1;
                 for v in g.as_slice() {
-                    for byte in v.to_bits().to_le_bytes() {
-                        digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-                    }
+                    fnv(&mut digest, &v.to_bits().to_le_bytes());
                 }
             }
         }
+        (digest, touched)
+    }
+
+    /// Bits of every parameter gradient of one taped train step of a
+    /// default-dims GPS layer (GatedGCN + Performer) on a pack of 3-,
+    /// 17- and 51-node blocks, folded into an FNV-1a digest. The GEMM,
+    /// sweep and attention kernels are bitwise-equal on every backend,
+    /// so the scalar, AVX2 and AVX-512 runs must all reproduce it.
+    #[test]
+    fn gps_layer_train_step_gradients_are_pinned() {
+        let model = CircuitGps::new(ModelConfig::default());
+        let layer = &model.layers[0];
+        let p = pinned_pack(model.cfg.hidden_dim);
+        let targets = wave(p.x0.len(), 0.11);
+        let mut grads = GradStore::new(model.store());
+        {
+            let mut tape = Tape::new(model.store(), true, 7);
+            let x = tape.input(p.x0);
+            let e = tape.input(p.e0);
+            let (x_out, _) =
+                layer.forward(&mut tape, x, e, &p.idx, &p.blocks, &p.edge_counts, false);
+            let loss = tape.mse_loss(x_out, &targets);
+            tape.backward(loss, &mut grads);
+        }
+        let (digest, touched) = grad_digest(&model, &grads);
         assert!(touched > 10, "only {touched} parameters got a gradient");
         assert_eq!(
             digest, 0x0327_79d9_2539_409e,
+            "gradient digest {digest:#018x}"
+        );
+    }
+
+    /// Two stacked default GPS layers (dropout 0.1) on the same pack,
+    /// with a loss reading both the node and the edge output, so the
+    /// edge stream's batch-norm, ReLU, dropout and residual backward all
+    /// contribute. Digests every parameter gradient, the loss and the
+    /// saved store (its batch-norm running statistics); the value was
+    /// recorded with the unfused GatedGCN op chain.
+    #[test]
+    fn two_gps_layer_train_step_with_edge_loss_is_pinned() {
+        let model = CircuitGps::new(ModelConfig::default());
+        let p = pinned_pack(model.cfg.hidden_dim);
+        let x_targets = wave(p.x0.len(), 0.11);
+        let e_targets = wave(p.e0.len(), 0.05);
+        let mut grads = GradStore::new(model.store());
+        let loss_bits = {
+            let mut tape = Tape::new(model.store(), true, 7);
+            let x = tape.input(p.x0);
+            let e = tape.input(p.e0);
+            let (l0, l1) = (&model.layers[0], &model.layers[1]);
+            let (x1, e1) = l0.forward(&mut tape, x, e, &p.idx, &p.blocks, &p.edge_counts, true);
+            let (x2, e2) = l1.forward(&mut tape, x1, e1, &p.idx, &p.blocks, &p.edge_counts, true);
+            let lx = tape.mse_loss(x2, &x_targets);
+            let le = tape.mse_loss(e2, &e_targets);
+            let loss = tape.add(lx, le);
+            tape.backward(loss, &mut grads);
+            tape.value(loss).item().to_bits()
+        };
+        let (mut digest, touched) = grad_digest(&model, &grads);
+        fnv(&mut digest, &loss_bits.to_le_bytes());
+        let mut blob = Vec::new();
+        model.store().save_blob(&mut blob).unwrap();
+        fnv(&mut digest, &blob);
+        assert!(touched > 20, "only {touched} parameters got a gradient");
+        assert_eq!(
+            digest, 0x40b4_d468_37a4_cebf,
             "gradient digest {digest:#018x}"
         );
     }

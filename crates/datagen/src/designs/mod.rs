@@ -23,13 +23,13 @@ use crate::builder::{BuildDesignError, Design};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DesignKind {
     /// Energy-efficient SRAM macro: 6T array + full digital periphery
-    /// (training design, paper's SSRAM [23]).
+    /// (training design, paper's SSRAM \[23\]).
     Ssram,
     /// Multi-voltage sub-threshold 8T SRAM with analog leakage detection
-    /// (training design, paper's ULTRA8T [29]).
+    /// (training design, paper's ULTRA8T \[29\]).
     Ultra8t,
     /// Compute-in-memory sandwich: two SRAM banks around an adder/PWM
-    /// compute layer (training design, paper's SANDWICH-RAM [30]).
+    /// compute layer (training design, paper's SANDWICH-RAM \[30\]).
     SandwichRam,
     /// Internal clock generator: ring oscillator, dividers and an SRAM
     /// replica column (test design).

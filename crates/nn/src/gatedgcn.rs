@@ -112,7 +112,35 @@ impl GatedGcn {
     ///
     /// Returns `(x', e')`.
     pub fn forward(&self, tape: &mut Tape, x: Var, e: Var, index: &EdgeIndex) -> (Var, Var) {
-        let n = tape.shape(x).0;
+        self.forward_opts(tape, x, e, index, true)
+    }
+
+    /// [`GatedGcn::forward`] on three fused tape ops: the edge assembly
+    /// [`Tape::edge_hat`], the gated aggregation
+    /// [`Tape::gated_aggregate`] and, per stream,
+    /// [`BatchNorm1d::forward_relu_dropout_add`]. Outputs, gradients,
+    /// running statistics and dropout draws are bitwise-equal to the
+    /// unfused op chain.
+    ///
+    /// `need_edge_out = false` skips the edge stream's output (returning
+    /// an empty `0 × d` var); use it on the last layer, whose edge
+    /// output nobody reads. The edge batch norm's running statistics
+    /// are still updated and the dropout RNG still advances, so a
+    /// training step stays bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` does not have one row per edge or the index
+    /// references a node outside `x`.
+    pub fn forward_opts(
+        &self,
+        tape: &mut Tape,
+        x: Var,
+        e: Var,
+        index: &EdgeIndex,
+        need_edge_out: bool,
+    ) -> (Var, Var) {
+        let (n, d) = tape.shape(x);
         let ne = tape.shape(e).0;
         assert_eq!(ne, index.len(), "edge feature count must match edge index");
         if let Some(max) = index.max_node() {
@@ -122,53 +150,32 @@ impl GatedGcn {
             );
         }
 
-        // Edge update: ê = C e + D x_dst + E x_src. The adds consume their
-        // left operand in place — ce/tmp are not referenced again.
+        // Edge update ê = C e + D x_dst + E x_src; `ce` is consumed.
         let ce = self.c.forward(tape, e);
         let dx = self.d.forward(tape, x);
         let ex = self.e.forward(tape, x);
-        let dx_dst = tape.gather(dx, index.dst.clone());
-        let ex_src = tape.gather(ex, index.src.clone());
-        let tmp = tape.add_inplace(ce, dx_dst);
-        let e_hat = tape.add_inplace(tmp, ex_src);
+        let e_hat = tape.edge_hat(ce, dx, index.dst.clone(), ex, index.src.clone());
 
-        // Gates.
-        let eta = tape.sigmoid(e_hat); // E × d
-
-        // Node update: x̂_i = A x_i + Σ η ⊙ (B x_src) / (Σ η + ε)
+        // Node update: x̂_i = A x_i + Σ η ⊙ (B x_src) / (Σ η + ε).
         let bx = self.b.forward(tape, x);
-        let bx_src = tape.gather(bx, index.src.clone());
-        let weighted = tape.mul(eta, bx_src);
-        let num = tape.scatter_add(weighted, index.dst.clone(), n);
-        let den = tape.scatter_add(eta, index.dst.clone(), n);
-        let den = tape.add_scalar_inplace(den, self.eps);
-        let agg = tape.div(num, den);
+        let agg =
+            tape.gated_aggregate(e_hat, bx, index.src.clone(), index.dst.clone(), n, self.eps);
         let ax = self.a.forward(tape, x);
         let x_hat = tape.add_inplace(ax, agg);
 
-        // Residual + BN + ReLU on both streams. The BN output is
-        // single-use, so the ReLU runs in place; the residual add may only
-        // consume the dropout output when it is a distinct var (ReLU's
-        // backward reads its own output, so the ReLU result itself must
-        // stay readable). `x`/`e` stay intact for the Linear backward.
-        let xb = self.bn_x.forward(tape, x_hat);
-        let xr = tape.relu_inplace(xb);
-        let xd = tape.dropout(xr, self.dropout);
-        let x_out = if xd == xr {
-            tape.add(xd, x)
+        // Residual + BN + ReLU (+ dropout) on both streams, node stream
+        // first (the dropout RNG order). `x`/`e` stay intact for the
+        // Linear backward.
+        let x_out = self
+            .bn_x
+            .forward_relu_dropout_add(tape, x_hat, x, self.dropout);
+        let e_out = if need_edge_out {
+            self.bn_e
+                .forward_relu_dropout_add(tape, e_hat, e, self.dropout)
         } else {
-            tape.add_inplace(xd, x)
+            self.bn_e.skip_relu_dropout_add(tape, e_hat, self.dropout);
+            tape.input(Tensor::zeros(0, d))
         };
-
-        let eb = self.bn_e.forward(tape, e_hat);
-        let er = tape.relu_inplace(eb);
-        let ed = tape.dropout(er, self.dropout);
-        let e_out = if ed == er {
-            tape.add(ed, e)
-        } else {
-            tape.add_inplace(ed, e)
-        };
-
         (x_out, e_out)
     }
 
@@ -272,11 +279,229 @@ impl GatedGcn {
 }
 
 #[cfg(test)]
+impl GatedGcn {
+    /// The unfused op chain [`GatedGcn::forward`] replaced: gathers,
+    /// adds, sigmoid, multiply, scatter-adds, divide, then batch norm,
+    /// in-place ReLU, dropout and residual add per stream. The bitwise
+    /// reference of the fused ops.
+    fn forward_unfused(&self, tape: &mut Tape, x: Var, e: Var, index: &EdgeIndex) -> (Var, Var) {
+        let n = tape.shape(x).0;
+        let ce = self.c.forward(tape, e);
+        let dx = self.d.forward(tape, x);
+        let ex = self.e.forward(tape, x);
+        let dx_dst = tape.gather(dx, index.dst.clone());
+        let ex_src = tape.gather(ex, index.src.clone());
+        let tmp = tape.add_inplace(ce, dx_dst);
+        let e_hat = tape.add_inplace(tmp, ex_src);
+        let eta = tape.sigmoid(e_hat);
+        let bx = self.b.forward(tape, x);
+        let bx_src = tape.gather(bx, index.src.clone());
+        let weighted = tape.mul(eta, bx_src);
+        let num = tape.scatter_add(weighted, index.dst.clone(), n);
+        let den = tape.scatter_add(eta, index.dst.clone(), n);
+        let den = tape.add_scalar_inplace(den, self.eps);
+        let agg = tape.div(num, den);
+        let ax = self.a.forward(tape, x);
+        let x_hat = tape.add_inplace(ax, agg);
+        let stream = |tape: &mut Tape, bn: &BatchNorm1d, h: Var, res: Var| {
+            let b = bn.forward(tape, h);
+            let r = tape.relu_inplace(b);
+            let dr = tape.dropout(r, self.dropout);
+            if dr == r {
+                tape.add(dr, res)
+            } else {
+                tape.add_inplace(dr, res)
+            }
+        };
+        let x_out = stream(tape, &self.bn_x, x_hat, x);
+        let e_out = stream(tape, &self.bn_e, e_hat, e);
+        (x_out, e_out)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::GradStore;
     use crate::tensor::Tensor;
     use rand::{Rng, SeedableRng};
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Everything one train step of a layer leaves behind: the outputs,
+    /// the loss, every gradient (parameters and the `x`/`e` inputs,
+    /// registered as parameters so theirs are kept), the running-stat
+    /// updates and the dropout RNG's next draws.
+    #[derive(Debug, PartialEq)]
+    struct StepBits {
+        x_out: Vec<u32>,
+        e_out: Option<Vec<u32>>,
+        loss: u32,
+        grads: Vec<(String, Option<Vec<u32>>)>,
+        updates: Vec<(Vec<u32>, u32)>,
+        rng_probe: Vec<u32>,
+    }
+
+    #[derive(Clone, Copy, PartialEq)]
+    enum Path {
+        Unfused,
+        Fused,
+        /// Fused, skipping the edge output.
+        FusedNoEdgeOut,
+    }
+
+    fn step(
+        path: Path,
+        idx: &EdgeIndex,
+        n: usize,
+        d: usize,
+        dropout: f32,
+        training: bool,
+    ) -> StepBits {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut store = ParamStore::new();
+        let layer = GatedGcn::new(&mut store, "g", d, dropout, &mut rng);
+        let wave = |len: usize, f: f32| -> Vec<f32> {
+            (0..len).map(|i| (i as f32 * f).sin() * 1.3).collect()
+        };
+        let ne = idx.len();
+        let xp = store.register("x", Tensor::from_vec(n, d, wave(n * d, 0.37)), true);
+        let ep = store.register("e", Tensor::from_vec(ne, d, wave(ne * d, 0.23)), true);
+        let mut grads = GradStore::new(&store);
+        let mut tape = Tape::new(&store, training, 5);
+        tape.defer_buffer_updates();
+        let x = tape.param(xp);
+        let e = tape.param(ep);
+        let (x_out, e_out) = match path {
+            Path::Unfused => layer.forward_unfused(&mut tape, x, e, idx),
+            Path::Fused => layer.forward(&mut tape, x, e, idx),
+            Path::FusedNoEdgeOut => layer.forward_opts(&mut tape, x, e, idx, false),
+        };
+        let mut loss = tape.mse_loss(x_out, &wave(n * d, 0.11));
+        let edge_loss = path != Path::FusedNoEdgeOut;
+        if edge_loss {
+            let le = tape.mse_loss(e_out, &wave(ne * d, 0.05));
+            loss = tape.add(loss, le);
+        } else {
+            assert_eq!(tape.shape(e_out), (0, d));
+        }
+        tape.backward(loss, &mut grads);
+        let probe = tape.input(Tensor::ones(1, 7));
+        let probe = tape.dropout(probe, 0.5);
+        StepBits {
+            x_out: bits(tape.value(x_out)),
+            e_out: edge_loss.then(|| bits(tape.value(e_out))),
+            loss: tape.value(loss).item().to_bits(),
+            grads: store
+                .iter()
+                .map(|(id, name, _)| (name.to_string(), grads.get(id).map(bits)))
+                .collect(),
+            updates: tape
+                .take_buffer_updates()
+                .iter()
+                .map(|u| (bits(&u.stat), u.momentum.to_bits()))
+                .collect(),
+            rng_probe: bits(tape.value(probe)),
+        }
+    }
+
+    fn star_graph(leaves: usize) -> EdgeIndex {
+        let (mut src, mut dst) = (Vec::new(), Vec::new());
+        for leaf in 1..=leaves {
+            src.extend([0, leaf]);
+            dst.extend([leaf, 0]);
+        }
+        EdgeIndex::new(src, dst)
+    }
+
+    /// Graphs covering a hub (star: one node with many incoming edges,
+    /// so scatter order matters), a path, two components, an isolated
+    /// node and no edges at all, each with its node count.
+    fn reference_graphs() -> Vec<(&'static str, EdgeIndex, usize)> {
+        let disconnected = EdgeIndex::new(vec![0, 1, 3, 4, 5, 4], vec![1, 0, 4, 3, 4, 5]);
+        vec![
+            ("path", path_graph(6), 6),
+            ("star", star_graph(7), 8),
+            ("disconnected", disconnected, 6),
+            ("isolated node", EdgeIndex::new(vec![0], vec![1]), 3),
+            ("no edges", EdgeIndex::new(vec![], vec![]), 3),
+        ]
+    }
+
+    #[test]
+    fn fused_forward_is_bitwise_equal_to_the_unfused_chain() {
+        for (name, idx, n) in reference_graphs() {
+            for d in [8, 19, 32] {
+                for dropout in [0.0, 0.1] {
+                    for training in [true, false] {
+                        let want = step(Path::Unfused, &idx, n, d, dropout, training);
+                        let got = step(Path::Fused, &idx, n, d, dropout, training);
+                        assert!(
+                            want == got,
+                            "{name}, d {d}, dropout {dropout}, training {training}:\n\
+                             unfused {want:?}\nfused {got:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Skipping the edge output changes nothing a step keeps: the node
+    /// output, every gradient, the edge batch norm's running-stat
+    /// update and the dropout RNG's position all match the full chain
+    /// whose edge output goes unread.
+    #[test]
+    fn skipped_edge_output_keeps_the_step_bitwise_equal() {
+        for (name, idx, n) in reference_graphs() {
+            for d in [8, 19, 32] {
+                for dropout in [0.0, 0.1] {
+                    for training in [true, false] {
+                        let reference = step(Path::Fused, &idx, n, d, dropout, training);
+                        let skipped = step(Path::FusedNoEdgeOut, &idx, n, d, dropout, training);
+                        let ctx = format!("{name}, d {d}, dropout {dropout}, training {training}");
+                        assert_eq!(reference.x_out, skipped.x_out, "{ctx}: x_out");
+                        assert_eq!(reference.updates, skipped.updates, "{ctx}: updates");
+                        assert_eq!(reference.rng_probe, skipped.rng_probe, "{ctx}: rng");
+                        assert_eq!(skipped.e_out, None);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn skipped_edge_output_matches_an_unread_unfused_edge_stream() {
+        // The gradient half of the skip contract: with the edge output
+        // unread, both paths must differentiate only the node loss.
+        let (idx, n, d) = (star_graph(7), 8, 32);
+        let run = |fused: bool| {
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut store = ParamStore::new();
+            let layer = GatedGcn::new(&mut store, "g", d, 0.1, &mut rng);
+            let xv: Vec<f32> = (0..n * d).map(|i| (i as f32 * 0.3).cos()).collect();
+            let ev: Vec<f32> = (0..idx.len() * d).map(|i| (i as f32 * 0.7).sin()).collect();
+            let xp = store.register("x", Tensor::from_vec(n, d, xv), true);
+            let ep = store.register("e", Tensor::from_vec(idx.len(), d, ev), true);
+            let mut grads = GradStore::new(&store);
+            let mut tape = Tape::new(&store, true, 9);
+            let (x, e) = (tape.param(xp), tape.param(ep));
+            let (x_out, _) = if fused {
+                layer.forward_opts(&mut tape, x, e, &idx, false)
+            } else {
+                layer.forward_unfused(&mut tape, x, e, &idx)
+            };
+            let loss = tape.mse_loss(x_out, &vec![0.25; n * d]);
+            tape.backward(loss, &mut grads);
+            store
+                .iter()
+                .map(|(id, _, _)| grads.get(id).map(bits))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(false), run(true));
+    }
 
     fn path_graph(n: usize) -> EdgeIndex {
         // Undirected path 0-1-2-...-n stored as both directions. Iterating

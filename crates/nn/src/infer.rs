@@ -579,6 +579,7 @@ pub(crate) fn batch_norm_eval_relu_add_with(
                     x.row_slice(r),
                     Some(residual.row_slice(r)),
                     true,
+                    None,
                     mean.as_slice(),
                     invstd.as_slice(),
                     gamma.as_slice(),
@@ -1235,6 +1236,7 @@ pub(crate) fn batch_norm_eval_with(
                     x.row_slice(r),
                     None,
                     false,
+                    None,
                     mean.as_slice(),
                     invstd.as_slice(),
                     gamma.as_slice(),

@@ -292,6 +292,55 @@ impl BatchNorm1d {
         }
     }
 
+    /// Fused `residual + dropout(ReLU(BN(x)), p)` as one tape op
+    /// ([`Tape::bn_relu_dropout_add`]); bitwise-equal to
+    /// [`BatchNorm1d::forward`] followed by ReLU, dropout and the
+    /// residual add. Training normalizes by batch statistics and updates
+    /// the running ones as `forward` does; eval uses the running ones
+    /// and no dropout.
+    pub fn forward_relu_dropout_add(&self, tape: &mut Tape, x: Var, residual: Var, p: f32) -> Var {
+        let gamma = tape.param(self.gamma);
+        let beta = tape.param(self.beta);
+        if tape.is_training() {
+            let (y, mean, var) =
+                tape.bn_relu_dropout_add(x, gamma, beta, residual, self.eps, p, None);
+            tape.momentum_update(self.running_mean, mean, self.momentum);
+            tape.momentum_update(self.running_var, var, self.momentum);
+            y
+        } else {
+            let mean = tape.params().buffer(self.running_mean);
+            let var = tape.params().buffer(self.running_var);
+            let (y, _, _) = tape.bn_relu_dropout_add(
+                x,
+                gamma,
+                beta,
+                residual,
+                self.eps,
+                p,
+                Some((&mean, &var)),
+            );
+            y
+        }
+    }
+
+    /// What [`BatchNorm1d::forward_relu_dropout_add`] does besides
+    /// building its output, for a caller that never reads that output:
+    /// in training, the running-statistics update from `x`'s batch
+    /// statistics and the advance of the tape's dropout RNG past the
+    /// mask's draws, so later masks, the running statistics and hence
+    /// checkpoints are unchanged. Eval mode does nothing.
+    pub fn skip_relu_dropout_add(&self, tape: &mut Tape, x: Var, p: f32) {
+        if !tape.is_training() {
+            return;
+        }
+        let (mean, var) =
+            crate::fused::batch_stats_with(crate::simd::Backend::active(), tape.value(x));
+        tape.momentum_update(self.running_mean, mean, self.momentum);
+        tape.momentum_update(self.running_var, var, self.momentum);
+        let len = tape.value(x).len();
+        tape.skip_dropout(len, p);
+    }
+
     /// Tape-free eval-mode forward: normalizes by the running statistics
     /// with the same per-element arithmetic as the taped eval path.
     pub fn infer(&self, params: &ParamStore, x: &Tensor) -> Tensor {

@@ -44,6 +44,7 @@
 #![deny(missing_docs)]
 
 mod attention;
+mod fused;
 mod gatedgcn;
 pub mod infer;
 mod layers;

@@ -3,8 +3,9 @@
 //! The release binary is no longer compiled with `-C target-cpu=native`:
 //! instead, every hot kernel (the fixed-width GEMM microkernels, the
 //! generic blocked GEMM, the backward `a·bᵀ`/`aᵀ·b` GEMMs, the
-//! `fast_exp`/sigmoid/softmax sweeps, the fused infer epilogues and the
-//! fused Performer attention forward) has
+//! `fast_exp`/sigmoid/softmax sweeps, the fused infer epilogues, the
+//! fused Performer attention forward and the training batch-norm and
+//! gated-aggregation kernels) has
 //! explicit `std::arch` implementations for
 //! AVX2+FMA and AVX-512F, selected **once per process** by
 //! [`Backend::active`] from runtime CPU-feature detection. The same
@@ -203,6 +204,8 @@ impl std::fmt::Display for Backend {
 #[allow(clippy::needless_range_loop)]
 pub(crate) mod avx2 {
     use std::arch::x86_64::*;
+
+    use crate::fused::BnGrad;
 
     /// `out += a · b` for compile-time width `N` (multiple of 8): the
     /// SIMD twin of `tensor::gemm_fixed_n`. Per-element k-order matches
@@ -808,10 +811,11 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// Fused BN(+ReLU)+residual row: writes
-    /// `((x−μ)·is)·γ + β` (+ optional ReLU, + optional residual) to the
-    /// (uninitialized) destination row, matching the scalar sweeps in
-    /// `infer.rs` op for op.
+    /// Fused BN(+ReLU)(+dropout)+residual row: writes
+    /// `((x−μ)·is)·γ + β` (+ optional ReLU, then × optional dropout
+    /// mask, + optional residual) to the (uninitialized) destination
+    /// row, matching the scalar sweeps in `infer.rs` and `fused.rs` op
+    /// for op.
     ///
     /// # Safety
     ///
@@ -824,6 +828,7 @@ pub(crate) mod avx2 {
         x: &[f32],
         res: Option<&[f32]>,
         relu: bool,
+        mask: Option<&[f32]>,
         mean: &[f32],
         invstd: &[f32],
         gamma: &[f32],
@@ -850,6 +855,9 @@ pub(crate) mod avx2 {
             if relu {
                 t = _mm256_max_ps(t, zero);
             }
+            if let Some(m) = mask {
+                t = _mm256_mul_ps(t, _mm256_loadu_ps(m.as_ptr().add(j)));
+            }
             if let Some(r) = res {
                 t = _mm256_add_ps(t, _mm256_loadu_ps(r.as_ptr().add(j)));
             }
@@ -860,6 +868,9 @@ pub(crate) mod avx2 {
             let mut t = ((x[j] - mean[j]) * invstd[j]) * gamma[j] + beta[j];
             if relu {
                 t = t.max(0.0);
+            }
+            if let Some(m) = mask {
+                t *= m[j];
             }
             if let Some(r) = res {
                 t += r[j];
@@ -958,6 +969,256 @@ pub(crate) mod avx2 {
             nr[j] += g * bxr[j];
             dr[j] += g;
             j += 1;
+        }
+    }
+
+    /// Backward of one gated-scatter edge (see `fused::gated_aggregate_backward`):
+    /// recomputes `η = σ(ê)`, writes `g_ê = (gden + gnum ⊙ bx) ⊙ (η ⊙ (1 − η))`
+    /// to `ge` and accumulates `g_bx += gnum ⊙ η`, every product and sum
+    /// a separate rounding as in the scalar loop.
+    ///
+    /// # Safety
+    ///
+    /// Besides the CPU-feature contract, `ge` must be valid for
+    /// `er.len()` writes and every slice must hold `er.len()` floats.
+    #[target_feature(enable = "avx2,fma")]
+    pub(crate) unsafe fn gated_edge_backward(
+        er: &[f32],
+        bxr: &[f32],
+        gnum: &[f32],
+        gden: &[f32],
+        ge: *mut f32,
+        gbx: &mut [f32],
+    ) {
+        let d = er.len();
+        let (ep, bp, np, dp, gp) = (
+            er.as_ptr(),
+            bxr.as_ptr(),
+            gnum.as_ptr(),
+            gden.as_ptr(),
+            gbx.as_mut_ptr(),
+        );
+        let one = _mm256_set1_ps(1.0);
+        let mut j = 0;
+        while j + 8 <= d {
+            let eta = sigmoid_v(_mm256_loadu_ps(ep.add(j)));
+            let gn = _mm256_loadu_ps(np.add(j));
+            let geta = _mm256_add_ps(
+                _mm256_loadu_ps(dp.add(j)),
+                _mm256_mul_ps(gn, _mm256_loadu_ps(bp.add(j))),
+            );
+            let dsig = _mm256_mul_ps(eta, _mm256_sub_ps(one, eta));
+            _mm256_storeu_ps(ge.add(j), _mm256_mul_ps(geta, dsig));
+            _mm256_storeu_ps(
+                gp.add(j),
+                _mm256_add_ps(_mm256_loadu_ps(gp.add(j)), _mm256_mul_ps(gn, eta)),
+            );
+            j += 8;
+        }
+        while j < d {
+            let eta = crate::infer::stable_sigmoid(*ep.add(j));
+            let gn = *np.add(j);
+            ge.add(j)
+                .write((*dp.add(j) + gn * *bp.add(j)) * (eta * (1.0 - eta)));
+            *gp.add(j) += gn * eta;
+            j += 1;
+        }
+    }
+
+    /// `acc[c] += x[r, c]` over the rows of the row-major `x` (width
+    /// `acc.len()`), in row order: `Tensor::col_sum`'s per-column chain,
+    /// eight columns per vector.
+    ///
+    /// # Safety
+    ///
+    /// The CPU-feature contract; `x.len()` must be a multiple of a
+    /// non-zero `acc.len()`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(crate) unsafe fn col_sums(x: &[f32], acc: &mut [f32]) {
+        let d = acc.len();
+        let ap = acc.as_mut_ptr();
+        for row in x.chunks_exact(d) {
+            let rp = row.as_ptr();
+            let mut j = 0;
+            while j + 8 <= d {
+                let s = _mm256_add_ps(_mm256_loadu_ps(ap.add(j)), _mm256_loadu_ps(rp.add(j)));
+                _mm256_storeu_ps(ap.add(j), s);
+                j += 8;
+            }
+            while j < d {
+                *ap.add(j) += *rp.add(j);
+                j += 1;
+            }
+        }
+    }
+
+    /// `acc[c] += (x[r, c] − mean[c])²` over the rows of `x` in row
+    /// order, the square and the sum rounded separately (no FMA).
+    ///
+    /// # Safety
+    ///
+    /// As [`col_sums`]; `mean` holds `acc.len()` floats.
+    #[target_feature(enable = "avx2,fma")]
+    pub(crate) unsafe fn col_sq_devs(x: &[f32], mean: &[f32], acc: &mut [f32]) {
+        let d = acc.len();
+        let (ap, mp) = (acc.as_mut_ptr(), mean.as_ptr());
+        for row in x.chunks_exact(d) {
+            let rp = row.as_ptr();
+            let mut j = 0;
+            while j + 8 <= d {
+                let diff = _mm256_sub_ps(_mm256_loadu_ps(rp.add(j)), _mm256_loadu_ps(mp.add(j)));
+                let s = _mm256_add_ps(_mm256_loadu_ps(ap.add(j)), _mm256_mul_ps(diff, diff));
+                _mm256_storeu_ps(ap.add(j), s);
+                j += 8;
+            }
+            while j < d {
+                let diff = *rp.add(j) - *mp.add(j);
+                *ap.add(j) += diff * diff;
+                j += 1;
+            }
+        }
+    }
+
+    /// Eight lanes of a batch-norm backward's `(g_y, x̂)` pair at element
+    /// offset `off`, column `c` — the vector twin of
+    /// [`crate::fused::bn_grad_pair`].
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn bn_grad_pair(
+        src: &BnGrad<'_>,
+        off: usize,
+        c: usize,
+        gamma: *const f32,
+        invstd: *const f32,
+    ) -> (__m256, __m256) {
+        match *src {
+            BnGrad::Saved { g, xhat } => (
+                _mm256_loadu_ps(g.as_ptr().add(off)),
+                _mm256_loadu_ps(xhat.as_ptr().add(off)),
+            ),
+            BnGrad::Fused {
+                g,
+                x,
+                mask,
+                mean,
+                beta,
+            } => {
+                let xh = _mm256_mul_ps(
+                    _mm256_sub_ps(
+                        _mm256_loadu_ps(x.as_ptr().add(off)),
+                        _mm256_loadu_ps(mean.as_ptr().add(c)),
+                    ),
+                    _mm256_loadu_ps(invstd.add(c)),
+                );
+                let y = _mm256_add_ps(
+                    _mm256_mul_ps(xh, _mm256_loadu_ps(gamma.add(c))),
+                    _mm256_loadu_ps(beta.as_ptr().add(c)),
+                );
+                let mut gy = _mm256_loadu_ps(g.as_ptr().add(off));
+                if let Some(m) = mask {
+                    gy = _mm256_mul_ps(gy, _mm256_loadu_ps(m.as_ptr().add(off)));
+                }
+                let live = _mm256_cmp_ps(y, _mm256_setzero_ps(), _CMP_GT_OQ);
+                (_mm256_and_ps(live, gy), xh)
+            }
+        }
+    }
+
+    /// The four per-column sums of a batch-norm backward, accumulated in
+    /// row order into `sums = [Σ g_y·x̂ | Σ g_y | Σ g_y·γ | Σ (g_y·γ)·x̂]`
+    /// (each `d` wide): the scalar loop of `fused::bn_backward_with`,
+    /// eight columns per vector.
+    ///
+    /// # Safety
+    ///
+    /// The CPU-feature contract; `src`'s slices hold `n·d` floats,
+    /// `gamma`/`invstd` (and `src`'s `mean`/`beta`) `d`, `sums` `4·d`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(crate) unsafe fn bn_backward_sums(
+        src: &BnGrad<'_>,
+        gamma: &[f32],
+        invstd: &[f32],
+        n: usize,
+        sums: &mut [f32],
+    ) {
+        let d = gamma.len();
+        let (gp, ip, sp) = (gamma.as_ptr(), invstd.as_ptr(), sums.as_mut_ptr());
+        let (dg, db, s1, s2) = (sp, sp.add(d), sp.add(2 * d), sp.add(3 * d));
+        for r in 0..n {
+            let base = r * d;
+            let mut j = 0;
+            while j + 8 <= d {
+                let (gr, xh) = bn_grad_pair(src, base + j, j, gp, ip);
+                let dxh = _mm256_mul_ps(gr, _mm256_loadu_ps(gp.add(j)));
+                for (p, v) in [
+                    (dg, _mm256_mul_ps(gr, xh)),
+                    (db, gr),
+                    (s1, dxh),
+                    (s2, _mm256_mul_ps(dxh, xh)),
+                ] {
+                    _mm256_storeu_ps(p.add(j), _mm256_add_ps(_mm256_loadu_ps(p.add(j)), v));
+                }
+                j += 8;
+            }
+            while j < d {
+                let (gr, xh) = crate::fused::bn_grad_pair(src, base + j, j, gamma, invstd);
+                let dxh = gr * gamma[j];
+                *dg.add(j) += gr * xh;
+                *db.add(j) += gr;
+                *s1.add(j) += dxh;
+                *s2.add(j) += dxh * xh;
+                j += 1;
+            }
+        }
+    }
+
+    /// The input gradient of a batch-norm backward,
+    /// `gx = k1 ⊙ (((n·(g_y·γ)) − s1) − x̂ ⊙ s2)` with `k1 = invstd / n`,
+    /// written to the (uninitialized) `gx`.
+    ///
+    /// # Safety
+    ///
+    /// As [`bn_backward_sums`]; `k1`/`s1`/`s2` hold `d` floats and `gx`
+    /// is valid for `n·d` writes.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn bn_backward_gx(
+        src: &BnGrad<'_>,
+        gamma: &[f32],
+        invstd: &[f32],
+        n: usize,
+        k1: &[f32],
+        s1: &[f32],
+        s2: &[f32],
+        gx: *mut f32,
+    ) {
+        let d = gamma.len();
+        let nf = n.max(1) as f32;
+        let vn = _mm256_set1_ps(nf);
+        let (gp, ip) = (gamma.as_ptr(), invstd.as_ptr());
+        for r in 0..n {
+            let base = r * d;
+            let mut j = 0;
+            while j + 8 <= d {
+                let (gr, xh) = bn_grad_pair(src, base + j, j, gp, ip);
+                let dxh = _mm256_mul_ps(gr, _mm256_loadu_ps(gp.add(j)));
+                let t = _mm256_sub_ps(
+                    _mm256_sub_ps(_mm256_mul_ps(vn, dxh), _mm256_loadu_ps(s1.as_ptr().add(j))),
+                    _mm256_mul_ps(xh, _mm256_loadu_ps(s2.as_ptr().add(j))),
+                );
+                _mm256_storeu_ps(
+                    gx.add(base + j),
+                    _mm256_mul_ps(_mm256_loadu_ps(k1.as_ptr().add(j)), t),
+                );
+                j += 8;
+            }
+            while j < d {
+                let (gr, xh) = crate::fused::bn_grad_pair(src, base + j, j, gamma, invstd);
+                let dxh = gr * gamma[j];
+                gx.add(base + j)
+                    .write(k1[j] * (nf * dxh - s1[j] - xh * s2[j]));
+                j += 1;
+            }
         }
     }
 
@@ -1410,6 +1671,8 @@ pub(crate) mod avx2 {
 pub(crate) mod avx512 {
     use std::arch::x86_64::*;
 
+    use crate::fused::BnGrad;
+
     /// `out += a · b` for compile-time width `N` (multiple of 16):
     /// 16-lane twin of [`super::avx2::gemm_fixed`]; per-element k-order
     /// is identical (lanes are independent columns).
@@ -1521,6 +1784,240 @@ pub(crate) mod avx512 {
     #[inline]
     fn lane_mask(cols: usize) -> __mmask16 {
         ((1u32 << cols) - 1) as __mmask16
+    }
+
+    /// 16-lane `stable_sigmoid`: the twin of [`super::avx2::sigmoid_v`]
+    /// (`e = fast_exp(−|x|)`, `s = e/(1+e)`, `1 − s` where `x ≥ 0`).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn sigmoid_v(x: __m512) -> __m512 {
+        let sign = _mm512_castps_si512(_mm512_set1_ps(-0.0));
+        let nabs = _mm512_castsi512_ps(_mm512_or_si512(
+            _mm512_andnot_si512(sign, _mm512_castps_si512(x)),
+            sign,
+        ));
+        let e = fast_exp_v(nabs);
+        let one = _mm512_set1_ps(1.0);
+        let s = _mm512_div_ps(e, _mm512_add_ps(one, e));
+        let ge = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(x, _mm512_setzero_ps());
+        _mm512_mask_blend_ps(ge, s, _mm512_sub_ps(one, s))
+    }
+
+    /// 16-lane twin of [`super::avx2::gated_edge_backward`]; the ragged
+    /// column tail runs in masked lanes.
+    ///
+    /// # Safety
+    ///
+    /// As [`super::avx2::gated_edge_backward`], under the AVX-512F
+    /// contract.
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn gated_edge_backward(
+        er: &[f32],
+        bxr: &[f32],
+        gnum: &[f32],
+        gden: &[f32],
+        ge: *mut f32,
+        gbx: &mut [f32],
+    ) {
+        let d = er.len();
+        let (ep, bp, np, dp, gp) = (
+            er.as_ptr(),
+            bxr.as_ptr(),
+            gnum.as_ptr(),
+            gden.as_ptr(),
+            gbx.as_mut_ptr(),
+        );
+        let one = _mm512_set1_ps(1.0);
+        let mut j = 0;
+        while j < d {
+            let k = lane_mask((d - j).min(16));
+            let eta = sigmoid_v(_mm512_maskz_loadu_ps(k, ep.add(j)));
+            let gn = _mm512_maskz_loadu_ps(k, np.add(j));
+            let geta = _mm512_add_ps(
+                _mm512_maskz_loadu_ps(k, dp.add(j)),
+                _mm512_mul_ps(gn, _mm512_maskz_loadu_ps(k, bp.add(j))),
+            );
+            let dsig = _mm512_mul_ps(eta, _mm512_sub_ps(one, eta));
+            _mm512_mask_storeu_ps(ge.add(j), k, _mm512_mul_ps(geta, dsig));
+            let acc = _mm512_add_ps(_mm512_maskz_loadu_ps(k, gp.add(j)), _mm512_mul_ps(gn, eta));
+            _mm512_mask_storeu_ps(gp.add(j), k, acc);
+            j += 16;
+        }
+    }
+
+    /// 16-lane twin of [`super::avx2::col_sums`]; the ragged column tail
+    /// runs in masked lanes.
+    ///
+    /// # Safety
+    ///
+    /// As [`super::avx2::col_sums`], under the AVX-512F contract.
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn col_sums(x: &[f32], acc: &mut [f32]) {
+        let d = acc.len();
+        let ap = acc.as_mut_ptr();
+        for row in x.chunks_exact(d) {
+            let rp = row.as_ptr();
+            let mut j = 0;
+            while j < d {
+                let k = lane_mask((d - j).min(16));
+                let s = _mm512_add_ps(
+                    _mm512_maskz_loadu_ps(k, ap.add(j)),
+                    _mm512_maskz_loadu_ps(k, rp.add(j)),
+                );
+                _mm512_mask_storeu_ps(ap.add(j), k, s);
+                j += 16;
+            }
+        }
+    }
+
+    /// 16-lane twin of [`super::avx2::col_sq_devs`].
+    ///
+    /// # Safety
+    ///
+    /// As [`super::avx2::col_sq_devs`], under the AVX-512F contract.
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn col_sq_devs(x: &[f32], mean: &[f32], acc: &mut [f32]) {
+        let d = acc.len();
+        let (ap, mp) = (acc.as_mut_ptr(), mean.as_ptr());
+        for row in x.chunks_exact(d) {
+            let rp = row.as_ptr();
+            let mut j = 0;
+            while j < d {
+                let k = lane_mask((d - j).min(16));
+                let diff = _mm512_sub_ps(
+                    _mm512_maskz_loadu_ps(k, rp.add(j)),
+                    _mm512_maskz_loadu_ps(k, mp.add(j)),
+                );
+                let s = _mm512_add_ps(
+                    _mm512_maskz_loadu_ps(k, ap.add(j)),
+                    _mm512_mul_ps(diff, diff),
+                );
+                _mm512_mask_storeu_ps(ap.add(j), k, s);
+                j += 16;
+            }
+        }
+    }
+
+    /// 16-lane twin of the AVX2 `bn_grad_pair`, lanes outside `k` zero.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn bn_grad_pair(
+        src: &BnGrad<'_>,
+        k: __mmask16,
+        off: usize,
+        c: usize,
+        gamma: *const f32,
+        invstd: *const f32,
+    ) -> (__m512, __m512) {
+        match *src {
+            BnGrad::Saved { g, xhat } => (
+                _mm512_maskz_loadu_ps(k, g.as_ptr().add(off)),
+                _mm512_maskz_loadu_ps(k, xhat.as_ptr().add(off)),
+            ),
+            BnGrad::Fused {
+                g,
+                x,
+                mask,
+                mean,
+                beta,
+            } => {
+                let xh = _mm512_mul_ps(
+                    _mm512_sub_ps(
+                        _mm512_maskz_loadu_ps(k, x.as_ptr().add(off)),
+                        _mm512_maskz_loadu_ps(k, mean.as_ptr().add(c)),
+                    ),
+                    _mm512_maskz_loadu_ps(k, invstd.add(c)),
+                );
+                let y = _mm512_add_ps(
+                    _mm512_mul_ps(xh, _mm512_maskz_loadu_ps(k, gamma.add(c))),
+                    _mm512_maskz_loadu_ps(k, beta.as_ptr().add(c)),
+                );
+                let mut gy = _mm512_maskz_loadu_ps(k, g.as_ptr().add(off));
+                if let Some(m) = mask {
+                    gy = _mm512_mul_ps(gy, _mm512_maskz_loadu_ps(k, m.as_ptr().add(off)));
+                }
+                let live = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(y, _mm512_setzero_ps());
+                (_mm512_maskz_mov_ps(live & k, gy), xh)
+            }
+        }
+    }
+
+    /// 16-lane twin of [`super::avx2::bn_backward_sums`].
+    ///
+    /// # Safety
+    ///
+    /// As [`super::avx2::bn_backward_sums`], under the AVX-512F contract.
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn bn_backward_sums(
+        src: &BnGrad<'_>,
+        gamma: &[f32],
+        invstd: &[f32],
+        n: usize,
+        sums: &mut [f32],
+    ) {
+        let d = gamma.len();
+        let (gp, ip, sp) = (gamma.as_ptr(), invstd.as_ptr(), sums.as_mut_ptr());
+        let (dg, db, s1, s2) = (sp, sp.add(d), sp.add(2 * d), sp.add(3 * d));
+        for r in 0..n {
+            let base = r * d;
+            let mut j = 0;
+            while j < d {
+                let k = lane_mask((d - j).min(16));
+                let (gr, xh) = bn_grad_pair(src, k, base + j, j, gp, ip);
+                let dxh = _mm512_mul_ps(gr, _mm512_maskz_loadu_ps(k, gp.add(j)));
+                for (p, v) in [
+                    (dg, _mm512_mul_ps(gr, xh)),
+                    (db, gr),
+                    (s1, dxh),
+                    (s2, _mm512_mul_ps(dxh, xh)),
+                ] {
+                    let s = _mm512_add_ps(_mm512_maskz_loadu_ps(k, p.add(j)), v);
+                    _mm512_mask_storeu_ps(p.add(j), k, s);
+                }
+                j += 16;
+            }
+        }
+    }
+
+    /// 16-lane twin of [`super::avx2::bn_backward_gx`].
+    ///
+    /// # Safety
+    ///
+    /// As [`super::avx2::bn_backward_gx`], under the AVX-512F contract.
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn bn_backward_gx(
+        src: &BnGrad<'_>,
+        gamma: &[f32],
+        invstd: &[f32],
+        n: usize,
+        k1: &[f32],
+        s1: &[f32],
+        s2: &[f32],
+        gx: *mut f32,
+    ) {
+        let d = gamma.len();
+        let vn = _mm512_set1_ps(n.max(1) as f32);
+        let (gp, ip) = (gamma.as_ptr(), invstd.as_ptr());
+        for r in 0..n {
+            let base = r * d;
+            let mut j = 0;
+            while j < d {
+                let k = lane_mask((d - j).min(16));
+                let (gr, xh) = bn_grad_pair(src, k, base + j, j, gp, ip);
+                let dxh = _mm512_mul_ps(gr, _mm512_maskz_loadu_ps(k, gp.add(j)));
+                let t = _mm512_sub_ps(
+                    _mm512_sub_ps(
+                        _mm512_mul_ps(vn, dxh),
+                        _mm512_maskz_loadu_ps(k, s1.as_ptr().add(j)),
+                    ),
+                    _mm512_mul_ps(xh, _mm512_maskz_loadu_ps(k, s2.as_ptr().add(j))),
+                );
+                let out = _mm512_mul_ps(_mm512_maskz_loadu_ps(k, k1.as_ptr().add(j)), t);
+                _mm512_mask_storeu_ps(gx.add(base + j), k, out);
+                j += 16;
+            }
+        }
     }
 
     /// The masks of one column block of up to `16·NV` columns, `cols`
@@ -2162,6 +2659,119 @@ pub mod ops {
         assert!(src.iter().all(|&j| j < bx.rows()), "src index out of range");
         assert!(dst.iter().all(|&j| j < n_out), "dst index out of range");
         crate::infer::gated_scatter_with(backend, e_hat, bx, src, dst, n_out)
+    }
+
+    /// Training batch-norm statistics: each column's batch mean and
+    /// biased variance (`1 × d` each), summed per column in row order.
+    pub fn batch_stats(backend: Backend, x: &Tensor) -> (Tensor, Tensor) {
+        check(backend);
+        crate::fused::batch_stats_with(backend, x)
+    }
+
+    /// Batch-norm backward from the saved `x̂`: `(g_x, g_γ, g_β)` for the
+    /// output gradient `g` (`n × d`) and `1 × d` `gamma`/`invstd`.
+    pub fn batch_norm_backward(
+        backend: Backend,
+        g: &Tensor,
+        xhat: &Tensor,
+        gamma: &Tensor,
+        invstd: &Tensor,
+    ) -> (Tensor, Tensor, Tensor) {
+        check(backend);
+        assert_eq!(g.shape(), xhat.shape(), "xhat shape mismatch");
+        let src = crate::fused::BnGrad::Saved {
+            g: g.as_slice(),
+            xhat: xhat.as_slice(),
+        };
+        bn_backward(backend, src, g.rows(), gamma, invstd)
+    }
+
+    /// Forward of the fused `residual + dropout(ReLU(BN(x)))` training
+    /// op for given statistics and (optional) `n × d` dropout mask.
+    #[allow(clippy::too_many_arguments)]
+    pub fn batch_norm_relu_dropout_add(
+        backend: Backend,
+        x: &Tensor,
+        residual: &Tensor,
+        mask: Option<&[f32]>,
+        mean: &Tensor,
+        invstd: &Tensor,
+        gamma: &Tensor,
+        beta: &Tensor,
+    ) -> Tensor {
+        check(backend);
+        assert!(mask.is_none_or(|m| m.len() == x.len()), "mask length");
+        crate::fused::bn_relu_dropout_add_with(
+            backend, x, residual, mask, mean, invstd, gamma, beta,
+        )
+    }
+
+    /// Backward of [`batch_norm_relu_dropout_add`]: `(g_x, g_γ, g_β)`
+    /// for the output gradient `g`, recomputing `x̂` from `x`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn batch_norm_relu_dropout_add_backward(
+        backend: Backend,
+        g: &Tensor,
+        x: &Tensor,
+        mask: Option<&[f32]>,
+        mean: &Tensor,
+        invstd: &Tensor,
+        gamma: &Tensor,
+        beta: &Tensor,
+    ) -> (Tensor, Tensor, Tensor) {
+        check(backend);
+        assert_eq!(g.shape(), x.shape(), "x shape mismatch");
+        assert!(mask.is_none_or(|m| m.len() == x.len()), "mask length");
+        let src = crate::fused::BnGrad::Fused {
+            g: g.as_slice(),
+            x: x.as_slice(),
+            mask,
+            mean: mean.as_slice(),
+            beta: beta.as_slice(),
+        };
+        bn_backward(backend, src, g.rows(), gamma, invstd)
+    }
+
+    fn bn_backward(
+        backend: Backend,
+        src: crate::fused::BnGrad<'_>,
+        n: usize,
+        gamma: &Tensor,
+        invstd: &Tensor,
+    ) -> (Tensor, Tensor, Tensor) {
+        let d = gamma.len();
+        assert_eq!(invstd.len(), d, "invstd length");
+        let (gx, dg, db) =
+            crate::fused::bn_backward_with(backend, src, gamma.as_slice(), invstd.as_slice(), n);
+        (
+            Tensor::from_vec(n, d, gx),
+            Tensor::from_vec(1, d, dg),
+            Tensor::from_vec(1, d, db),
+        )
+    }
+
+    /// Backward of the GatedGCN gated aggregation: `(g_ê, g_bx)` from
+    /// the gradient `g` of `agg = num / den` and the forward's `agg` and
+    /// `den` (`den` already includes ε).
+    #[allow(clippy::too_many_arguments)]
+    pub fn gated_aggregate_backward(
+        backend: Backend,
+        g: &Tensor,
+        agg: &Tensor,
+        den: &Tensor,
+        e_hat: &Tensor,
+        bx: &Tensor,
+        src: &[usize],
+        dst: &[usize],
+    ) -> (Tensor, Tensor) {
+        check(backend);
+        assert_eq!(g.shape(), agg.shape(), "agg shape mismatch");
+        assert_eq!(g.shape(), den.shape(), "den shape mismatch");
+        assert_eq!(e_hat.rows(), src.len(), "one e_hat row per edge");
+        assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
+        assert!(src.iter().all(|&j| j < bx.rows()), "src index out of range");
+        assert!(dst.iter().all(|&j| j < g.rows()), "dst index out of range");
+        crate::fused::gated_aggregate_backward(backend, g, agg, den, e_hat, bx, src, dst)
     }
 
     /// Fused `x̂ = ax + num / (den + ε)`, consuming `ax`.

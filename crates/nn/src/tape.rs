@@ -30,12 +30,17 @@
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
+use crate::fused::{
+    batch_stats_with, bn_backward_with, bn_relu_dropout_add_with, edge_hat_backward,
+    fill_dropout_mask, gated_aggregate_backward, skip_dropout_mask, BnGrad,
+};
 use crate::infer::{
-    block_slice, block_write, colvec_zip, concat_cols as concat_cols_fwd, exp_sweep_with,
-    gather_rows, linear_fwd, mha_block_diag_fwd, performer_block_diag_fwd, qkv_pack_weights,
-    row_sum_fwd, scatter_add_rows, sigmoid_sweep_with, softmax_rows_fwd, stable_sigmoid,
+    add_gathered2_inplace, block_slice, block_write, colvec_zip, concat_cols as concat_cols_fwd,
+    exp_sweep_with, gated_scatter, gather_rows, linear_fwd, mha_block_diag_fwd,
+    performer_block_diag_fwd, qkv_pack_weights, row_sum_fwd, scatter_add_rows, sigmoid_sweep_with,
+    softmax_rows_fwd, stable_sigmoid,
 };
 use crate::params::{BufferId, BufferUpdate, GradStore, ParamId, ParamStore};
 use crate::pool;
@@ -115,6 +120,34 @@ enum Op {
         beta: Var,
         xhat: Tensor,
         invstd: Tensor,
+    },
+    /// GatedGCN edge assembly `ce + dx[dst] + ex[src]`.
+    EdgeHat {
+        ce: Var,
+        dx: Var,
+        ex: Var,
+        dst: Arc<Vec<usize>>,
+        src: Arc<Vec<usize>>,
+    },
+    /// GatedGCN gated aggregation `Σ σ(ê) ⊙ bx[src] / (Σ σ(ê) + ε)`
+    /// into the destination rows; `den` is the saved denominator.
+    GatedAggregate {
+        e_hat: Var,
+        bx: Var,
+        src: Arc<Vec<usize>>,
+        dst: Arc<Vec<usize>>,
+        den: Tensor,
+    },
+    /// `residual + dropout(ReLU(BN(x)))`; `x̂` is recomputed from `x` in
+    /// the backward, so only the statistics and the mask are saved.
+    BnReluDropoutAdd {
+        x: Var,
+        gamma: Var,
+        beta: Var,
+        residual: Var,
+        mean: Tensor,
+        invstd: Tensor,
+        mask: Option<Vec<f32>>,
     },
     BceWithLogits(Var, Arc<Vec<f32>>),
     MseLoss(Var, Arc<Vec<f32>>),
@@ -291,6 +324,16 @@ impl<'p> Tape<'p> {
                 Op::BatchNorm { xhat, invstd, .. } => {
                     xhat.recycle();
                     invstd.recycle();
+                }
+                Op::GatedAggregate { den, .. } => den.recycle(),
+                Op::BnReluDropoutAdd {
+                    mean, invstd, mask, ..
+                } => {
+                    mean.recycle();
+                    invstd.recycle();
+                    if let Some(m) = mask {
+                        pool::put(m);
+                    }
                 }
                 Op::CrossEntropy { softmax, .. } => softmax.recycle(),
                 Op::LinearQkv { wcat, .. } => wcat.recycle(),
@@ -650,34 +693,10 @@ impl<'p> Tape<'p> {
             return a;
         }
         let n = self.value(a).len();
-        let keep = 1.0 - p;
         // Pool-backed mask and output (the RNG needs `&mut self`, so the
-        // mask is drawn before the input value is borrowed). Each u64
-        // draw yields two 24-bit uniforms, halving time spent in the
-        // serially-dependent generator.
-        let inv_keep = 1.0 / keep;
-        let mut mask = pool::take_capacity(n);
-        let to_unit = |bits: u32| (bits >> 8) as f32 * (1.0 / (1u32 << 24) as f32);
-        while mask.len() + 2 <= n {
-            let r = self.rng.gen::<u64>();
-            mask.push(if to_unit(r as u32) < keep {
-                inv_keep
-            } else {
-                0.0
-            });
-            mask.push(if to_unit((r >> 32) as u32) < keep {
-                inv_keep
-            } else {
-                0.0
-            });
-        }
-        if mask.len() < n {
-            mask.push(if self.rng.gen::<f32>() < keep {
-                inv_keep
-            } else {
-                0.0
-            });
-        }
+        // mask is drawn before the input value is borrowed).
+        let mut mask = pool::take_zeroed(n);
+        fill_dropout_mask(&mut self.rng, &mut mask, p);
         let mut data = pool::take_capacity(n);
         data.extend(
             self.value(a)
@@ -689,6 +708,16 @@ impl<'p> Tape<'p> {
         let (rows, cols) = self.shape(a);
         let v = Tensor::from_vec(rows, cols, data);
         self.push(v, Op::Dropout(a, Arc::new(mask)))
+    }
+
+    /// Advances the dropout RNG past exactly the draws
+    /// [`Tape::dropout`] would make for a `len`-element input, without
+    /// building a mask: later masks on this tape come out as if that
+    /// dropout had run. A no-op wherever `dropout` is the identity.
+    pub fn skip_dropout(&mut self, len: usize, p: f32) {
+        if self.training && p > 0.0 {
+            skip_dropout_mask(&mut self.rng, len);
+        }
     }
 
     /// Batch normalization over the row dimension.
@@ -708,27 +737,7 @@ impl<'p> Tape<'p> {
         let (out, xhat, invstd, mean, var) = {
             let t = self.value(x);
             let (n, d) = t.shape();
-            let (mean, var) = match (self.training, running) {
-                (false, Some((m, v))) => (m.clone(), v.clone()),
-                _ => {
-                    let mean = t.col_mean();
-                    let mut var = pool::take_zeroed(d);
-                    for r in 0..n {
-                        for ((v, &xv), &mu) in
-                            var.iter_mut().zip(t.row_slice(r)).zip(mean.as_slice())
-                        {
-                            let diff = xv - mu;
-                            *v += diff * diff;
-                        }
-                    }
-                    let inv_n = if n == 0 { 0.0 } else { 1.0 / n as f32 };
-                    for v in var.iter_mut() {
-                        *v *= inv_n;
-                    }
-                    (mean, Tensor::from_vec(1, d, var))
-                }
-            };
-            let invstd = var.map(|v| 1.0 / (v + eps).sqrt());
+            let (mean, var, invstd) = self.norm_stats(t, eps, running);
             let mut xhat = pool::take_capacity(n * d);
             for r in 0..n {
                 xhat.extend(
@@ -770,6 +779,178 @@ impl<'p> Tape<'p> {
             },
         );
         (v, mean, var)
+    }
+
+    /// `(mean, var, invstd)` a batch norm normalizes `t` by: the given
+    /// running statistics in eval mode, the batch's otherwise.
+    fn norm_stats(
+        &self,
+        t: &Tensor,
+        eps: f32,
+        running: Option<(&Tensor, &Tensor)>,
+    ) -> (Tensor, Tensor, Tensor) {
+        let (mean, var) = match (self.training, running) {
+            (false, Some((m, v))) => (m.clone(), v.clone()),
+            _ => batch_stats_with(Backend::active(), t),
+        };
+        let invstd = var.map(|v| 1.0 / (v + eps).sqrt());
+        (mean, var, invstd)
+    }
+
+    /// Fused `residual + dropout(ReLU(BN(x)), p)` as one op: batch
+    /// normalization as in [`Tape::batch_norm`] (returning the `(mean,
+    /// var)` it used), then an in-place ReLU, inverted dropout drawing
+    /// the same RNG stream as [`Tape::dropout`], and the residual add.
+    /// Every output and gradient element is bitwise-equal to that op
+    /// chain. The backward recomputes `x̂` from `x`, so `x` must stay
+    /// readable (not consumed by a later in-place op).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `residual` does not match `x`'s shape.
+    #[allow(clippy::too_many_arguments)]
+    pub fn bn_relu_dropout_add(
+        &mut self,
+        x: Var,
+        gamma: Var,
+        beta: Var,
+        residual: Var,
+        eps: f32,
+        p: f32,
+        running: Option<(&Tensor, &Tensor)>,
+    ) -> (Var, Tensor, Tensor) {
+        let mask = (self.training && p > 0.0).then(|| {
+            let mut m = pool::take_zeroed(self.value(x).len());
+            fill_dropout_mask(&mut self.rng, &mut m, p);
+            m
+        });
+        let (out, mean, invstd, var) = {
+            let t = self.value(x);
+            let (mean, var, invstd) = self.norm_stats(t, eps, running);
+            let out = bn_relu_dropout_add_with(
+                Backend::active(),
+                t,
+                self.value(residual),
+                mask.as_deref(),
+                &mean,
+                &invstd,
+                self.value(gamma),
+                self.value(beta),
+            );
+            (out, mean, invstd, var)
+        };
+        let v = self.push(
+            out,
+            Op::BnReluDropoutAdd {
+                x,
+                gamma,
+                beta,
+                residual,
+                mean: mean.clone(),
+                invstd,
+                mask,
+            },
+        );
+        (v, mean, var)
+    }
+
+    /// GatedGCN edge assembly `ê = ce + dx[dst] + ex[src]` in one sweep,
+    /// consuming `ce`'s buffer when it owns one (`ce` must not be read
+    /// again). Bitwise-equal to two gathers and two adds; the backward
+    /// passes the gradient through to `ce` and scatters it by `dst` into
+    /// `dx` and by `src` into `ex`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ce` does not have one row per edge, the widths differ
+    /// or an index is out of range.
+    pub fn edge_hat(
+        &mut self,
+        ce: Var,
+        dx: Var,
+        dst: Arc<Vec<usize>>,
+        ex: Var,
+        src: Arc<Vec<usize>>,
+    ) -> Var {
+        let (ne, d) = self.shape(ce);
+        assert!(
+            dst.len() == ne && src.len() == ne,
+            "edge_hat needs one index pair per edge row"
+        );
+        assert!(
+            self.shape(dx).1 == d && self.shape(ex).1 == d,
+            "edge_hat width mismatch"
+        );
+        let owned = if ce == dx || ce == ex {
+            None
+        } else {
+            self.take_owned(ce)
+        };
+        let base = owned.unwrap_or_else(|| self.value(ce).clone());
+        let out = add_gathered2_inplace(base, self.value(dx), &dst, self.value(ex), &src);
+        self.push(
+            out,
+            Op::EdgeHat {
+                ce,
+                dx,
+                ex,
+                dst,
+                src,
+            },
+        )
+    }
+
+    /// GatedGCN gated aggregation into `n_out` destination rows:
+    /// `η = σ(ê)`, `num = Σ η ⊙ bx[src]`, `den = Σ η + eps` (scatter-adds
+    /// by `dst` in edge order), returning `num / den`. Bitwise-equal to
+    /// sigmoid, gather, multiply, two scatter-adds, a scalar add and a
+    /// divide; the backward makes one pass over the edges, recomputing
+    /// `η` instead of saving an `E × d` tensor. `e_hat` and `bx` must
+    /// stay readable.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an index/row-count mismatch or an index out of range.
+    pub fn gated_aggregate(
+        &mut self,
+        e_hat: Var,
+        bx: Var,
+        src: Arc<Vec<usize>>,
+        dst: Arc<Vec<usize>>,
+        n_out: usize,
+        eps: f32,
+    ) -> Var {
+        let (num, den) = {
+            let ev = self.value(e_hat);
+            let bv = self.value(bx);
+            assert!(
+                src.len() == ev.rows() && dst.len() == ev.rows(),
+                "gated_aggregate needs one index pair per edge row"
+            );
+            assert_eq!(ev.cols(), bv.cols(), "gated_aggregate width mismatch");
+            assert!(
+                src.iter().all(|&j| j < bv.rows()) && dst.iter().all(|&j| j < n_out),
+                "gated_aggregate index out of range"
+            );
+            let (mut num, mut den) = gated_scatter(ev, bv, &src, &dst, n_out);
+            for v in den.as_mut_slice() {
+                *v += eps;
+            }
+            for (a, &b) in num.as_mut_slice().iter_mut().zip(den.as_slice()) {
+                *a /= b;
+            }
+            (num, den)
+        };
+        self.push(
+            num,
+            Op::GatedAggregate {
+                e_hat,
+                bx,
+                src,
+                dst,
+                den,
+            },
+        )
     }
 
     /// Mean binary-cross-entropy with logits (numerically stable).
@@ -1260,38 +1441,85 @@ impl<'p> Tape<'p> {
                     invstd,
                 } => {
                     let (n, d) = xhat.shape();
-                    let gv = self.value(*gamma);
-                    let mut dgamma = pool::take_zeroed(d);
-                    let mut dbeta = pool::take_zeroed(d);
-                    let mut sum_dxhat = pool::take_zeroed(d);
-                    let mut sum_dxhat_xhat = pool::take_zeroed(d);
-                    for r in 0..n {
-                        let gr = g.row_slice(r);
-                        let xr = xhat.row_slice(r);
-                        for c in 0..d {
-                            dgamma[c] += gr[c] * xr[c];
-                            dbeta[c] += gr[c];
-                            let dxh = gr[c] * gv.as_slice()[c];
-                            sum_dxhat[c] += dxh;
-                            sum_dxhat_xhat[c] += dxh * xr[c];
-                        }
-                    }
-                    let nf = n.max(1) as f32;
-                    let mut gx = pool::take_capacity(n * d);
-                    for r in 0..n {
-                        let gr = g.row_slice(r);
-                        let xr = xhat.row_slice(r);
-                        gx.extend((0..d).map(|c| {
-                            let dxh = gr[c] * gv.as_slice()[c];
-                            (invstd.as_slice()[c] / nf)
-                                * (nf * dxh - sum_dxhat[c] - xr[c] * sum_dxhat_xhat[c])
-                        }));
-                    }
-                    pool::put(sum_dxhat);
-                    pool::put(sum_dxhat_xhat);
+                    let src = BnGrad::Saved {
+                        g: g.as_slice(),
+                        xhat: xhat.as_slice(),
+                    };
+                    let (gx, dgamma, dbeta) = bn_backward_with(
+                        Backend::active(),
+                        src,
+                        self.value(*gamma).as_slice(),
+                        invstd.as_slice(),
+                        n,
+                    );
                     acc(&mut local, *x, Tensor::from_vec(n, d, gx));
                     acc(&mut local, *gamma, Tensor::from_vec(1, d, dgamma));
                     acc(&mut local, *beta, Tensor::from_vec(1, d, dbeta));
+                    g.recycle();
+                }
+                Op::BnReluDropoutAdd {
+                    x,
+                    gamma,
+                    beta,
+                    residual,
+                    mean,
+                    invstd,
+                    mask,
+                } => {
+                    let (n, d) = self.shape(*x);
+                    let src = BnGrad::Fused {
+                        g: g.as_slice(),
+                        x: self.value(*x).as_slice(),
+                        mask: mask.as_deref(),
+                        mean: mean.as_slice(),
+                        beta: self.value(*beta).as_slice(),
+                    };
+                    let (gx, dgamma, dbeta) = bn_backward_with(
+                        Backend::active(),
+                        src,
+                        self.value(*gamma).as_slice(),
+                        invstd.as_slice(),
+                        n,
+                    );
+                    // The residual add's gradient lands first, as the
+                    // unfused chain's last op (the add) did.
+                    acc(&mut local, *residual, g);
+                    acc(&mut local, *x, Tensor::from_vec(n, d, gx));
+                    acc(&mut local, *gamma, Tensor::from_vec(1, d, dgamma));
+                    acc(&mut local, *beta, Tensor::from_vec(1, d, dbeta));
+                }
+                Op::EdgeHat {
+                    ce,
+                    dx,
+                    ex,
+                    dst,
+                    src,
+                } => {
+                    let (gdx, gex) =
+                        edge_hat_backward(&g, dst, src, self.shape(*dx).0, self.shape(*ex).0);
+                    acc(&mut local, *ce, g);
+                    acc(&mut local, *ex, gex);
+                    acc(&mut local, *dx, gdx);
+                }
+                Op::GatedAggregate {
+                    e_hat,
+                    bx,
+                    src,
+                    dst,
+                    den,
+                } => {
+                    let (ge, gbx) = gated_aggregate_backward(
+                        Backend::active(),
+                        &g,
+                        self.value(Var(i)),
+                        den,
+                        self.value(*e_hat),
+                        self.value(*bx),
+                        src,
+                        dst,
+                    );
+                    acc(&mut local, *bx, gbx);
+                    acc(&mut local, *e_hat, ge);
                     g.recycle();
                 }
                 Op::BceWithLogits(a, y) => {

@@ -1089,11 +1089,7 @@ impl Tensor {
     /// Column-wise sum, returned as a `1 × cols` row vector.
     pub fn col_sum(&self) -> Tensor {
         let mut out = pool::take_zeroed(self.cols);
-        for r in 0..self.rows {
-            for (o, &v) in out.iter_mut().zip(self.row_slice(r)) {
-                *o += v;
-            }
-        }
+        crate::fused::col_sums_with(Backend::active(), &self.data, &mut out);
         Tensor {
             rows: 1,
             cols: self.cols,

@@ -280,6 +280,118 @@ proptest! {
     }
 }
 
+/// The training batch-norm kernels — column statistics, the fused
+/// BN → ReLU → dropout → residual forward, and both backwards — at the
+/// row counts around the vector widths and the edge stream's size
+/// (E ≈ 17k), on and off the 8/16-lane grid.
+#[test]
+fn training_batch_norm_kernels_are_bitwise_equal_across_backends() {
+    for rows in [1, 31, 33, 17_000] {
+        for cols in [8, 19, 32] {
+            check_training_batch_norm(rows, cols, (rows * 7 + cols) as u64);
+        }
+    }
+}
+
+fn check_training_batch_norm(rows: usize, cols: usize, seed: u64) {
+    let x = tensor(rows, cols, seed);
+    let g = tensor(rows, cols, seed ^ 0x5151);
+    let residual = tensor(rows, cols, seed ^ 0x1357);
+    let gamma = tensor(1, cols, seed ^ 0xaaaa);
+    let beta = tensor(1, cols, seed ^ 0xbbbb);
+    // An inverted-dropout mask with p = 0.25 and a few exact zeros.
+    let mask: Vec<f32> = fill(rows * cols, seed ^ 0x7777)
+        .iter()
+        .map(|v| if *v < -1.0 { 0.0 } else { 1.0 / 0.75 })
+        .collect();
+    let (mean, var) = ops::batch_stats(Backend::Scalar, &x);
+    let invstd = var.map(|v| 1.0 / (v + 1e-5).sqrt());
+    let xhat = ops::batch_norm(
+        Backend::Scalar,
+        &x,
+        &Tensor::ones(1, cols),
+        &Tensor::zeros(1, cols),
+        1e-5,
+        &mean,
+        &var,
+    );
+    let run = |backend: Backend| {
+        let (m, v) = ops::batch_stats(backend, &x);
+        let mut outs = vec![m, v];
+        let (gx, dg, db) = ops::batch_norm_backward(backend, &g, &xhat, &gamma, &invstd);
+        outs.extend([gx, dg, db]);
+        for mk in [Some(mask.as_slice()), None] {
+            outs.push(ops::batch_norm_relu_dropout_add(
+                backend, &x, &residual, mk, &mean, &invstd, &gamma, &beta,
+            ));
+            let (gx, dg, db) = ops::batch_norm_relu_dropout_add_backward(
+                backend, &g, &x, mk, &mean, &invstd, &gamma, &beta,
+            );
+            outs.extend([gx, dg, db]);
+        }
+        outs
+    };
+    let labels = [
+        "mean",
+        "var",
+        "bn gx",
+        "bn dgamma",
+        "bn dbeta",
+        "fused fwd",
+        "fused gx",
+        "fused dgamma",
+        "fused dbeta",
+        "fused fwd (no mask)",
+        "fused gx (no mask)",
+        "fused dgamma (no mask)",
+        "fused dbeta (no mask)",
+    ];
+    let scalar = run(Backend::Scalar);
+    for backend in backends() {
+        for ((label, s), v) in labels.iter().zip(&scalar).zip(run(backend)) {
+            assert_bitwise(
+                &format!("{label} {rows}x{cols}"),
+                backend,
+                s.as_slice(),
+                v.as_slice(),
+            );
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn gated_aggregate_backward_is_bitwise_equal_across_backends(
+        (nodes, cols, edges) in (1usize..10, 1usize..40, 0usize..30),
+        seed in 0u64..500,
+    ) {
+        let bx = tensor(nodes, cols, seed);
+        let e_hat = tensor(edges, cols, seed ^ 0x4141);
+        let g = tensor(nodes, cols, seed ^ 0x4242);
+        let agg = tensor(nodes, cols, seed ^ 0x4343);
+        let den = Tensor::from_vec(
+            nodes,
+            cols,
+            fill(nodes * cols, seed ^ 0x4444).iter().map(|v| v.abs() + 1e-6).collect(),
+        );
+        let src: Vec<usize> = (0..edges)
+            .map(|i| (i.wrapping_mul(7) ^ seed as usize) % nodes)
+            .collect();
+        let dst: Vec<usize> = (0..edges)
+            .map(|i| (i.wrapping_mul(13) ^ (seed as usize >> 3)) % nodes)
+            .collect();
+        let run = |backend| {
+            ops::gated_aggregate_backward(backend, &g, &agg, &den, &e_hat, &bx, &src, &dst)
+        };
+        let (ge_s, gbx_s) = run(Backend::Scalar);
+        for backend in backends() {
+            let (ge_v, gbx_v) = run(backend);
+            assert_bitwise("gated backward g_e", backend, ge_s.as_slice(), ge_v.as_slice());
+            assert_bitwise("gated backward g_bx", backend, gbx_s.as_slice(), gbx_v.as_slice());
+        }
+    }
+}
+
 /// Packed-batch shapes for the fused Performer forward: one to three
 /// blocks of 1–600 rows, optionally led by a 523-row hub-net block.
 fn performer_packs() -> impl Strategy<Value = Vec<(usize, usize)>> {
