@@ -1,12 +1,16 @@
 //! Attention-only microbench: forward+backward of the fused
 //! block-diagonal attention ops over one packed sub-batch (8 blocks of
-//! 96 nodes), plus tape-free MHA and Performer inference, isolated from
-//! the rest of the GPS layer. Regressions here are visible without the
-//! MPNN/MLP costs averaged in.
+//! 96 nodes), the fused Performer backward alone per SIMD backend at the
+//! training pack shape, plus tape-free MHA and Performer inference,
+//! isolated from the rest of the GPS layer. Regressions here are visible
+//! without the MPNN/MLP costs averaged in.
 
 use std::sync::Arc;
 
-use cirgps_nn::{GradStore, MultiHeadAttention, ParamStore, PerformerAttention, Tape, Tensor};
+use cirgps_nn::simd::ops;
+use cirgps_nn::{
+    Backend, GradStore, MultiHeadAttention, ParamStore, PerformerAttention, Tape, Tensor,
+};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 
@@ -51,6 +55,48 @@ fn bench_attention(c: &mut Criterion) {
             std::hint::black_box(&grads);
         })
     });
+    // The fused Performer backward alone on every backend this CPU runs
+    // (scalar included), at `train_ssram`'s pack shape: 32 blocks of
+    // about 51 rows (40–64), 4 heads × 8, 32 features.
+    let spans: Vec<(usize, usize)> = (0..32)
+        .scan(0, |r0, b| {
+            let len = 40 + (b * 7) % 25;
+            *r0 += len;
+            Some((*r0 - len, len))
+        })
+        .collect();
+    let rows = spans.last().map_or(0, |&(r0, len)| r0 + len);
+    let mut random = |r: usize, c: usize| {
+        Tensor::from_vec(r, c, (0..r * c).map(|_| rng.gen_range(-1.0..1.0)).collect())
+    };
+    let (qkv, proj, g) = (
+        random(rows, 3 * DIM),
+        random(4 * 32, DIM / 4),
+        random(rows, DIM),
+    );
+    let (y, phi_q, phi_k) =
+        ops::performer_block_diag(Backend::active(), &qkv, &proj, &spans, 4, DIM / 4, 32, true);
+    for backend in Backend::ALL.into_iter().filter(|b| b.available()) {
+        let name = format!("performer_block_diag_bwd/{backend}/pack32x51");
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                ops::performer_block_diag_backward(
+                    backend,
+                    &qkv,
+                    &proj,
+                    &spans,
+                    4,
+                    DIM / 4,
+                    32,
+                    &y,
+                    &g,
+                    &phi_q,
+                    &phi_k,
+                )
+                .recycle()
+            })
+        });
+    }
     group.bench_function("mha_infer_blocks/pack8x96", |b| {
         b.iter(|| std::hint::black_box(mha.infer_blocks(&store, &x, &blocks)).recycle())
     });

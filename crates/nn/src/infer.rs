@@ -13,10 +13,13 @@
 //! recycle intermediates explicitly, so steady-state batched inference
 //! performs no per-op heap allocation — and, unlike the tape, it keeps
 //! no op log, no [`crate::Var`] table and no per-op shape bookkeeping.
+//!
+//! The fused Performer backward (`performer_block_diag_bwd`) also
+//! lives here, next to the forward whose saved feature maps it reads.
 
 use crate::pool;
 use crate::simd::Backend;
-use crate::tensor::{fast_exp, gemm, Tensor};
+use crate::tensor::{dot_with, fast_exp, gemm, transpose_into, Tensor};
 
 /// In-place `v = max(v, 0)` on an explicit backend (bitwise-equal to the
 /// scalar sweep, including `-0.0 → +0.0` and `NaN → 0.0`).
@@ -815,10 +818,17 @@ pub(crate) fn performer_feature_map_with(
     Tensor::from_vec(rows, m, out)
 }
 
+/// FAVOR+'s feature-map ε: `φ = (exp(z) + ε)/√m`. The forward kernels
+/// add it and the fused backward takes `ε/√m` off again (`dz = dφ ⊙ (φ −
+/// ε/√m)`), so every copy reads this one constant: if two copies drifted
+/// apart, the gradients would be silently biased.
+pub(crate) const PERFORMER_EPS: f32 = 1e-6;
+
 /// Performer feature map over `rows` rows read in place (row `r` is
 /// `x[r·ld .. r·ld + dh]`, scaled by `scale` as it is read) into the
 /// `rows × m` buffer `dst`. Each element is the GEMM chain of
-/// `x̂·Ωᵀ` (`omega_t` is `dh × m`), then `(fast_exp(· − ½‖x̂‖²) + 1e-6)·inv`.
+/// `x̂·Ωᵀ` (`omega_t` is `dh × m`), then `(fast_exp(· − ½‖x̂‖²) + ε)·inv`
+/// with ε = [`PERFORMER_EPS`].
 #[allow(clippy::too_many_arguments)]
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 fn performer_phi(
@@ -848,8 +858,8 @@ fn performer_phi(
             xs.clear();
             xs.extend(x[r * ld..r * ld + dh].iter().map(|&v| v * scale));
             let half = half_sq_norm(&x[r * ld..r * ld + dh], scale);
-            let prod = 0.0 + crate::tensor::dot_with(backend, &xs, omega_t);
-            dst[r] = (fast_exp(prod - half) + 1e-6) * inv;
+            let prod = 0.0 + dot_with(backend, &xs, omega_t);
+            dst[r] = (fast_exp(prod - half) + PERFORMER_EPS) * inv;
         }
         pool::put(xs);
         return;
@@ -904,7 +914,7 @@ fn performer_phi(
         }
         let half = half_sq_norm(xr, scale);
         for v in orow.iter_mut() {
-            *v = (fast_exp(*v - half) + 1e-6) * inv;
+            *v = (fast_exp(*v - half) + PERFORMER_EPS) * inv;
         }
     }
 }
@@ -1033,7 +1043,6 @@ fn performer_attend(
     out: &mut [f32],
     ldo: usize,
 ) {
-    use crate::tensor::dot_with;
     assert!(
         pq.len() >= len * m && kv.len() >= m * dh && k_sum.len() >= m,
         "attend shape mismatch"
@@ -1193,6 +1202,577 @@ pub(crate) fn performer_block_diag_with(
     (cat, saved_q, saved_k)
 }
 
+/// Fused backward of [`performer_block_diag_fwd`]: the gradient of the
+/// packed `N × 3·heads·head_dim` QKV matrix for the output gradient `g`,
+/// from the forward's output `y` and its saved feature maps `phi_q`,
+/// `phi_k` (one `N × features` map per head).
+///
+/// Per block and head, one pass over `φ(K)` and V rebuilds the key sums
+/// and `kv = φ(K)ᵀ·V` in one pooled scratch buffer. A pass over the
+/// block's rows then forms `dφ(Q) = dnum·kvᵀ + dden·ksumᵀ` and `dz = dφ ⊙
+/// (φ − ε/√m)` while it accumulates `dkv = φ(Q)ᵀ·dnum` and `dksum =
+/// φ(Q)ᵀ·dden`; a second forms `dφ(K) = V·dkvᵀ + 1·dksumᵀ`. The feature-map backward (`dz·Ω`,
+/// the row sum of `dz` and the `d^{-1/4}` scale) and `dV = φ(K)·dkv` are
+/// written straight into the packed gradient. `qkv`, `g`, `y`, Ω and the
+/// feature maps are read in place. Rows outside every block get the
+/// feature-map backward of a zero `dφ`, as in the per-block composition.
+///
+/// Every element keeps that composition's chain of operations: key
+/// sums added row by row (not the forward's laned sum), `0 + dot`
+/// denominators, `gemm_abt`'s 8-lane tree for `dφ` followed by a
+/// separate multiply and add, `gemm_atb`'s ascending FMA chains for `kv`,
+/// `dkv` and `dksum`, `gemm`'s chain for `dV` and `dz·Ω`, and sequential
+/// `Σ g·y` and `dz` row sums. See `docs/perf.md` ("Fused Performer
+/// backward").
+///
+/// # Panics
+///
+/// Panics on shape mismatch or a block outside `qkv`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn performer_block_diag_bwd(
+    qkv: &Tensor,
+    proj: &Tensor,
+    blocks: &[(usize, usize)],
+    heads: usize,
+    head_dim: usize,
+    features: usize,
+    y: &Tensor,
+    g: &Tensor,
+    phi_q: &[Tensor],
+    phi_k: &[Tensor],
+) -> Tensor {
+    performer_block_diag_bwd_with(
+        Backend::active(),
+        qkv,
+        proj,
+        blocks,
+        heads,
+        head_dim,
+        features,
+        y,
+        g,
+        phi_q,
+        phi_k,
+    )
+}
+
+/// [`performer_block_diag_bwd`] on an explicit backend.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn performer_block_diag_bwd_with(
+    backend: Backend,
+    qkv: &Tensor,
+    proj: &Tensor,
+    blocks: &[(usize, usize)],
+    heads: usize,
+    head_dim: usize,
+    features: usize,
+    y: &Tensor,
+    g: &Tensor,
+    phi_q: &[Tensor],
+    phi_k: &[Tensor],
+) -> Tensor {
+    let dim = heads * head_dim;
+    let (m, dh) = (features, head_dim);
+    let n = qkv.rows();
+    assert_eq!(qkv.cols(), 3 * dim, "qkv width must be 3·heads·head_dim");
+    assert_eq!(proj.shape(), (heads * m, dh), "projection shape mismatch");
+    assert_eq!(y.shape(), (n, dim), "attention output shape mismatch");
+    assert_eq!(g.shape(), (n, dim), "output gradient shape mismatch");
+    assert!(
+        phi_q.len() == heads && phi_k.len() == heads,
+        "one saved feature map per head"
+    );
+    assert!(
+        phi_q.iter().chain(phi_k).all(|p| p.shape() == (n, m)),
+        "saved feature map shape mismatch"
+    );
+    let mut covered = pool::take_zeroed(n);
+    for &(r0, len) in blocks {
+        assert!(r0 + len <= n, "attention block out of range");
+        covered[r0..r0 + len].fill(1.0);
+    }
+    let ctx = PerformerBwd {
+        backend,
+        proj: proj.as_slice(),
+        x: qkv.as_slice(),
+        g: g.as_slice(),
+        y: y.as_slice(),
+        ld: 3 * dim,
+        dim,
+        dh,
+        m,
+        xscale: 1.0 / (dh as f32).powf(0.25),
+        shift: PERFORMER_EPS * (1.0 / (m as f32).sqrt()),
+    };
+    // The scratch holds one block's rows; uncovered rows run one at a time.
+    let rows = blocks.iter().map(|b| b.1).max().unwrap_or(0).max(1);
+    let mut buf = pool::take_zeroed(3 * m * dh + 2 * m + rows * (dh + m + 1));
+    let mut s = BwdScratch::split(&mut buf, m, dh, rows);
+    let mut gq = Tensor::zeros(n, 3 * dim);
+    // Blocks outer, heads inner: a block's rows of `gq`, `qkv`, `g` and
+    // `y` stay cache-hot across its heads. Heads own disjoint columns, so
+    // the order changes no element.
+    for &(r0, len) in blocks.iter().filter(|b| b.1 > 0) {
+        for h in 0..heads {
+            ctx.block(h, r0, len, &phi_q[h], &phi_k[h], &mut s, gq.as_mut_slice());
+        }
+    }
+    for r in (0..n).filter(|&r| covered[r] == 0.0) {
+        for h in 0..heads {
+            for (phi, col) in [(&phi_q[h], h * dh), (&phi_k[h], dim + h * dh)] {
+                for (z, &p) in s.z[..m].iter_mut().zip(phi.row_slice(r)) {
+                    *z = 0.0 * (p - ctx.shift);
+                }
+                ctx.feature_map_rows(h, r, 1, col, &mut s, gq.as_mut_slice());
+            }
+        }
+    }
+    pool::put(buf);
+    pool::put(covered);
+    gq
+}
+
+/// The shapes and in-place inputs every block of
+/// [`performer_block_diag_bwd_with`] shares.
+struct PerformerBwd<'a> {
+    backend: Backend,
+    /// The stacked random projection: head `h`'s `m × dh` Ω at row `h·m`.
+    proj: &'a [f32],
+    /// The packed QKV matrix (row stride `ld`).
+    x: &'a [f32],
+    /// The output gradient and the forward's output (row stride `dim`).
+    g: &'a [f32],
+    y: &'a [f32],
+    ld: usize,
+    dim: usize,
+    dh: usize,
+    m: usize,
+    /// `d^{-1/4}`, the forward's input scale.
+    xscale: f32,
+    /// `ε/√m`: `φ − shift = exp(z)/√m`.
+    shift: f32,
+}
+
+/// Views into the backward's one pooled scratch buffer: the per-block
+/// `kvᵀ` and `dkvᵀ` (`dh × m`), `dkv` (`m × dh`), the key sums and their
+/// gradient, and per-row `dden` (or ones), `dnum` and `dz` for up to
+/// `rows` rows.
+struct BwdScratch<'s> {
+    kvt: &'s mut [f32],
+    dkv: &'s mut [f32],
+    dkvt: &'s mut [f32],
+    ksum: &'s mut [f32],
+    dksum: &'s mut [f32],
+    coef: &'s mut [f32],
+    dnum: &'s mut [f32],
+    z: &'s mut [f32],
+}
+
+impl<'s> BwdScratch<'s> {
+    fn split(buf: &'s mut [f32], m: usize, dh: usize, rows: usize) -> Self {
+        let (kvt, rest) = buf.split_at_mut(m * dh);
+        let (dkv, rest) = rest.split_at_mut(m * dh);
+        let (dkvt, rest) = rest.split_at_mut(m * dh);
+        let (ksum, rest) = rest.split_at_mut(m);
+        let (dksum, rest) = rest.split_at_mut(m);
+        let (coef, rest) = rest.split_at_mut(rows);
+        let (dnum, rest) = rest.split_at_mut(rows * dh);
+        let z = &mut rest[..rows * m];
+        BwdScratch {
+            kvt,
+            dkv,
+            dkvt,
+            ksum,
+            dksum,
+            coef,
+            dnum,
+            z,
+        }
+    }
+}
+
+impl PerformerBwd<'_> {
+    /// Head `h`'s gradient over the block `[r0, r0 + len)`; `pq`/`pk`
+    /// are the head's whole-pack feature maps.
+    #[allow(clippy::too_many_arguments)]
+    fn block(
+        &self,
+        h: usize,
+        r0: usize,
+        len: usize,
+        pq: &Tensor,
+        pk: &Tensor,
+        s: &mut BwdScratch<'_>,
+        gq: &mut [f32],
+    ) {
+        let (backend, ld, dim, dh, m) = (self.backend, self.ld, self.dim, self.dh, self.m);
+        let off = h * dh;
+        let span = r0 * m..(r0 + len) * m;
+        let (pq, pk) = (&pq.as_slice()[span.clone()], &pk.as_slice()[span]);
+        let v = &self.x[r0 * ld + 2 * dim + off..];
+        // ksum = φ(K)ᵀ·1 added row by row, kvᵀ = (φ(K)ᵀ·V)ᵀ.
+        performer_kvt_ksum(backend, pk, m, v, ld, len, dh, s.kvt, s.ksum);
+        // out = num/den ⇒ dnum = gO/den, dden = −Σ(gO ⊙ out)/den, with
+        // den = φ(Q)·ksum.
+        let (g, y) = (&self.g[r0 * dim + off..], &self.y[r0 * dim + off..]);
+        performer_out_grads(backend, pq, m, s.ksum, g, y, dim, len, dh, s.dnum, s.coef);
+        // dφ(Q) = dnum·kvᵀ + dden·ksumᵀ, accumulating dkv = φ(Q)ᵀ·dnum
+        // and dksum = φ(Q)ᵀ·dden.
+        s.dkvt.fill(0.0);
+        s.dksum.fill(0.0);
+        performer_dphi(
+            backend,
+            s.dnum,
+            dh,
+            len,
+            dh,
+            s.kvt,
+            s.coef,
+            s.ksum,
+            pq,
+            m,
+            self.shift,
+            s.z,
+            Some((&mut *s.dkvt, &mut *s.dksum)),
+        );
+        self.feature_map_rows(h, r0, len, off, s, gq);
+        // dφ(K) = V·dkvᵀ + 1·dksumᵀ (`1·` is exact), then dV = φ(K)·dkv.
+        transpose_into(s.dkvt, dh, m, s.dkv);
+        s.coef[..len].fill(1.0);
+        performer_dphi(
+            backend, v, ld, len, dh, s.dkvt, s.coef, s.dksum, pk, m, self.shift, s.z, None,
+        );
+        self.feature_map_rows(h, r0, len, dim + off, s, gq);
+        let out = &mut gq[r0 * ld + 2 * dim + off..];
+        performer_rows_gemm(backend, pk, len, m, s.dkv, dh, out, ld, None);
+    }
+
+    /// Head `h`'s feature-map backward of rows `[r0, r0 + rows)` for the
+    /// input columns at `col`, from `dz` in the scratch:
+    /// `z = x̂Ωᵀ − ‖x̂‖²/2 ⇒ dx̂ = dz·Ω − x̂·rowsum(dz)`, then `dx =
+    /// dx̂/d^{1/4}`, written into those columns of `gq`.
+    fn feature_map_rows(
+        &self,
+        h: usize,
+        r0: usize,
+        rows: usize,
+        col: usize,
+        s: &mut BwdScratch<'_>,
+        gq: &mut [f32],
+    ) {
+        let (m, dh, ld) = (self.m, self.dh, self.ld);
+        let omega = &self.proj[h * m * dh..(h + 1) * m * dh];
+        let fmap = Some(FeatureMapEpilogue {
+            x: &self.x[r0 * ld + col..],
+            ldx: ld,
+            scale: self.xscale,
+        });
+        let out = &mut gq[r0 * ld + col..];
+        performer_rows_gemm(self.backend, s.z, rows, m, omega, dh, out, ld, fmap);
+    }
+}
+
+/// The feature-map backward's row epilogue in [`performer_rows_gemm`],
+/// whose left factor is `dz`: `out[i, j] = scale·(acc − (scale·x[i,
+/// j])·rs)` with `rs` row `i` of `dz` summed left to right (as
+/// `iter().sum()` does, from −0.0), each product and difference rounded
+/// separately. Row `i` of `x` starts at `x[i·ldx]`.
+#[derive(Clone, Copy)]
+pub(crate) struct FeatureMapEpilogue<'a> {
+    pub(crate) x: &'a [f32],
+    pub(crate) ldx: usize,
+    pub(crate) scale: f32,
+}
+
+impl FeatureMapEpilogue<'_> {
+    #[inline]
+    pub(crate) fn apply(&self, i: usize, j: usize, acc: f32, rs: f32) -> f32 {
+        self.scale * (acc - (self.scale * self.x[i * self.ldx + j]) * rs)
+    }
+}
+
+/// The fused Performer backward's key pass over one block: `kvt[j, f] =
+/// Σ_p φ(K)[p, f]·v[p, j]`, the transpose (`dh × m`) of `kv = φ(K)ᵀ·V`
+/// with `gemm_atb`'s chain (one FMA per row, rows ascending from zero),
+/// and `ksum[f] = Σ_p φ(K)[p, f]` added row by row. Row `p` of `v` starts
+/// at `v[p·ld]` (the packed QKV matrix read in place).
+#[allow(clippy::too_many_arguments)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn performer_kvt_ksum(
+    backend: Backend,
+    pk: &[f32],
+    m: usize,
+    v: &[f32],
+    ld: usize,
+    len: usize,
+    dh: usize,
+    kvt: &mut [f32],
+    ksum: &mut [f32],
+) {
+    assert!(
+        pk.len() >= len * m && kvt.len() >= m * dh && ksum.len() >= m,
+        "key pass shape mismatch"
+    );
+    assert!(
+        len == 0 || v.len() >= (len - 1) * ld + dh,
+        "value rows too short"
+    );
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if backend != Backend::Scalar {
+        // SAFETY: the backend's CPU-feature probe succeeded; the asserts
+        // above are the kernels' size requirements.
+        unsafe {
+            done = match backend {
+                Backend::Avx512 => {
+                    crate::simd::avx512::performer_kvt_ksum(pk, m, v, ld, len, dh, kvt, ksum)
+                }
+                _ => crate::simd::avx2::performer_kvt_ksum(pk, m, v, ld, len, dh, kvt, ksum),
+            };
+        }
+    }
+    if done == m {
+        return;
+    }
+    ksum[done..m].fill(0.0);
+    for j in 0..dh {
+        kvt[j * m + done..(j + 1) * m].fill(0.0);
+    }
+    for p in 0..len {
+        let prow = &pk[p * m + done..(p + 1) * m];
+        for (s, &x) in ksum[done..m].iter_mut().zip(prow) {
+            *s += x;
+        }
+        for (j, &vj) in v[p * ld..p * ld + dh].iter().enumerate() {
+            for (o, &x) in kvt[j * m + done..(j + 1) * m].iter_mut().zip(prow) {
+                *o = x.mul_add(vj, *o);
+            }
+        }
+    }
+}
+
+/// The output side of one block's backward: per row `i`, `den = 0 +
+/// dot(φ(Q)[i], ksum)`, `dnum[i, j] = g[i, j]/den` and `coef[i] =
+/// −(Σ_j g[i, j]·y[i, j])/den`, the products summed left to right from
+/// `+0.0`, each product and sum rounded separately. Row `i` of `g` and
+/// `y` starts at `i·ld`.
+#[allow(clippy::too_many_arguments)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn performer_out_grads(
+    backend: Backend,
+    pq: &[f32],
+    m: usize,
+    ksum: &[f32],
+    g: &[f32],
+    y: &[f32],
+    ld: usize,
+    rows: usize,
+    dh: usize,
+    dnum: &mut [f32],
+    coef: &mut [f32],
+) {
+    assert!(
+        pq.len() >= rows * m && ksum.len() >= m,
+        "denominator inputs too short"
+    );
+    assert!(
+        rows == 0 || (g.len() >= (rows - 1) * ld + dh && y.len() >= (rows - 1) * ld + dh),
+        "output gradient rows too short"
+    );
+    assert!(
+        dnum.len() >= rows * dh && coef.len() >= rows,
+        "output gradient buffers too short"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if backend != Backend::Scalar {
+        // SAFETY: non-scalar backends imply a successful AVX2+FMA probe;
+        // the asserts above are the kernel's size requirements.
+        return unsafe {
+            crate::simd::avx2::performer_out_grads(pq, m, ksum, g, y, ld, rows, dh, dnum, coef)
+        };
+    }
+    for i in 0..rows {
+        let den = 0.0 + dot_with(backend, &pq[i * m..(i + 1) * m], &ksum[..m]);
+        let mut sum = 0.0f32;
+        for ((o, &gv), &yv) in dnum[i * dh..(i + 1) * dh]
+            .iter_mut()
+            .zip(&g[i * ld..i * ld + dh])
+            .zip(&y[i * ld..i * ld + dh])
+        {
+            sum += gv * yv;
+            *o = gv / den;
+        }
+        coef[i] = -sum / den;
+    }
+}
+
+/// `dot_with(a, column f of bt)` for the `a.len() × m` row-major `bt`:
+/// [`dot_with`]'s scalar lanes and tree (keep in sync), read down a
+/// column so the transposed factor needs no copy.
+fn dot_column(a: &[f32], bt: &[f32], m: usize, f: usize) -> f32 {
+    let k8 = a.len() - a.len() % 8;
+    let mut lanes = [0.0f32; 8];
+    for c in (0..k8).step_by(8) {
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            *lane = a[c + l].mul_add(bt[(c + l) * m + f], *lane);
+        }
+    }
+    let mut tail = 0.0f32;
+    for (p, &x) in a.iter().enumerate().skip(k8) {
+        tail = x.mul_add(bt[p * m + f], tail);
+    }
+    let s0 = (lanes[0] + lanes[4]) + (lanes[1] + lanes[5]);
+    let s1 = (lanes[2] + lanes[6]) + (lanes[3] + lanes[7]);
+    (s0 + s1) + tail
+}
+
+/// `dφ` rows of the fused Performer backward, with `a` the `rows × dh`
+/// left factor (row `i` at `a[i·lda..]`: `dnum`, or V read in place),
+/// `kvt` the transpose (`dh × m`) of the `m × dh` right factor `kv`,
+/// `coef` one coefficient per row and `w` one weight per feature:
+/// `z[i, f] = ((0 + dot(a_i, kv_f)) + coef[i]·w[f]) · (φ[i, f] − shift)`,
+/// the dot with [`dot_with`]'s lanes and tree (as `gemm_abt` forms it),
+/// the product and the sum rounded separately. With `acc = (dkvt, dksum)`
+/// it also continues the chains `dkvt[j, f] += φ[i, f]·a[i, j]` and
+/// `dksum[f] += φ[i, f]·coef[i]`, one FMA per row, rows ascending
+/// (`gemm_atb`'s chain).
+#[allow(clippy::too_many_arguments)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn performer_dphi(
+    backend: Backend,
+    a: &[f32],
+    lda: usize,
+    rows: usize,
+    dh: usize,
+    kvt: &[f32],
+    coef: &[f32],
+    w: &[f32],
+    phi: &[f32],
+    m: usize,
+    shift: f32,
+    z: &mut [f32],
+    mut acc: Option<(&mut [f32], &mut [f32])>,
+) {
+    assert!(
+        rows == 0 || a.len() >= (rows - 1) * lda + dh,
+        "dφ left factor too short"
+    );
+    assert!(
+        kvt.len() >= m * dh && w.len() >= m,
+        "dφ right factor shape mismatch"
+    );
+    assert!(
+        coef.len() >= rows && phi.len() >= rows * m && z.len() >= rows * m,
+        "dφ row buffers too short"
+    );
+    assert!(
+        acc.as_ref()
+            .is_none_or(|(dkvt, dks)| dkvt.len() >= m * dh && dks.len() >= m),
+        "dφ accumulators too short"
+    );
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if backend != Backend::Scalar {
+        // SAFETY: the backend's CPU-feature probe succeeded; the asserts
+        // above are the kernels' size requirements.
+        unsafe {
+            done = match backend {
+                Backend::Avx512 => crate::simd::avx512::performer_dphi(
+                    a, lda, rows, dh, kvt, coef, w, phi, m, shift, z, &mut acc,
+                ),
+                _ => crate::simd::avx2::performer_dphi(
+                    a, lda, rows, dh, kvt, coef, w, phi, m, shift, z, &mut acc,
+                ),
+            };
+        }
+    }
+    if done == m {
+        return;
+    }
+    for i in 0..rows {
+        let ai = &a[i * lda..i * lda + dh];
+        let pi = &phi[i * m..(i + 1) * m];
+        for f in done..m {
+            let dp = (0.0 + dot_column(ai, kvt, m, f)) + coef[i] * w[f];
+            z[i * m + f] = dp * (pi[f] - shift);
+        }
+        if let Some((dkvt, dks)) = acc.as_mut() {
+            for (j, &av) in ai.iter().enumerate() {
+                let drow = &mut dkvt[j * m..(j + 1) * m];
+                for (d, &p) in drow[done..].iter_mut().zip(&pi[done..]) {
+                    *d = p.mul_add(av, *d);
+                }
+            }
+            for (d, &p) in dks[done..m].iter_mut().zip(&pi[done..]) {
+                *d = p.mul_add(coef[i], *d);
+            }
+        }
+    }
+}
+
+/// `out[i·ldo + j] = Σ_f a[i, f]·b[f, j]` over `rows` rows of the
+/// `rows × k` matrix `a` and the `k × n` matrix `b`: each element one
+/// FMA chain over `f` from zero, `gemm`'s chain (a one-column `b` takes
+/// its `0 + dot` path). With `fmap`, the feature-map epilogue (which also
+/// sums each row of `a`) runs on each element before the only store.
+#[allow(clippy::too_many_arguments)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn performer_rows_gemm(
+    backend: Backend,
+    a: &[f32],
+    rows: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+    ldo: usize,
+    fmap: Option<FeatureMapEpilogue<'_>>,
+) {
+    assert!(
+        a.len() >= rows * k && b.len() >= k * n,
+        "row GEMM shape mismatch"
+    );
+    assert!(
+        rows == 0 || out.len() >= (rows - 1) * ldo + n,
+        "row GEMM output too short"
+    );
+    assert!(
+        fmap.is_none_or(|e| rows == 0 || e.x.len() >= (rows - 1) * e.ldx + n),
+        "feature-map epilogue inputs too short"
+    );
+    let row_sum = |i: usize| a[i * k..(i + 1) * k].iter().sum::<f32>();
+    if n == 1 {
+        for i in 0..rows {
+            let acc = 0.0 + dot_with(backend, &a[i * k..(i + 1) * k], &b[..k]);
+            out[i * ldo] = fmap.map_or(acc, |e| e.apply(i, 0, acc, row_sum(i)));
+        }
+        return;
+    }
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if backend != Backend::Scalar {
+        // SAFETY: non-scalar backends imply a successful AVX2+FMA probe;
+        // the asserts above are the kernel's size requirements. (Eight
+        // columns per vector: a 16-lane kernel measured slower at the
+        // model's head width of 8.)
+        done = unsafe { crate::simd::avx2::performer_rows_gemm(a, rows, k, b, n, out, ldo, fmap) };
+    }
+    if done == n {
+        return;
+    }
+    for i in 0..rows {
+        let ar = &a[i * k..(i + 1) * k];
+        let rs = row_sum(i);
+        for j in done..n {
+            let mut acc = 0.0f32;
+            for (f, &av) in ar.iter().enumerate() {
+                acc = av.mul_add(b[f * n + j], acc);
+            }
+            out[i * ldo + j] = fmap.map_or(acc, |e| e.apply(i, j, acc, rs));
+        }
+    }
+}
+
 /// Eval-mode batch norm: normalizes by the given (running) statistics,
 /// then applies the affine transform. Matches the tape's eval-mode
 /// `batch_norm` arithmetic element for element: the inverse standard
@@ -1322,7 +1902,7 @@ mod tests {
             for r in 0..rows {
                 let half: f32 = xs.row_slice(r).iter().map(|&v| v * v).sum::<f32>() * 0.5;
                 for v in &mut prod[r * m..(r + 1) * m] {
-                    *v = (fast_exp(*v - half) + 1e-6) * inv;
+                    *v = (fast_exp(*v - half) + PERFORMER_EPS) * inv;
                 }
             }
             Tensor::from_vec(rows, m, prod)
@@ -1366,6 +1946,129 @@ mod tests {
             saved_k.push(phi_k);
         }
         (cat, saved_q, saved_k)
+    }
+
+    /// The Performer backward `Tape::backward` ran before the fused
+    /// kernel: per head and block, five slice copies, five small GEMMs
+    /// and three block writes, then per head a gathered Ω, the `dz·Ω`
+    /// GEMM and a row-sum pass over the whole pack. The bitwise
+    /// reference of [`performer_block_diag_bwd`].
+    #[allow(clippy::too_many_arguments)]
+    fn performer_backward_reference(
+        qkv_v: &Tensor,
+        proj: &Tensor,
+        blocks: &[(usize, usize)],
+        heads: usize,
+        dh: usize,
+        m: usize,
+        y: &Tensor,
+        g: &Tensor,
+        phi_q: &[Tensor],
+        phi_k: &[Tensor],
+    ) -> Tensor {
+        let dim = heads * dh;
+        let n = qkv_v.rows();
+        let inv_sqrt_m = 1.0 / (m as f32).sqrt();
+        let xscale = 1.0 / (dh as f32).powf(0.25);
+        let mut gq = Tensor::zeros(n, 3 * dim);
+        for h in 0..heads {
+            let off = h * dh;
+            let pq_all = &phi_q[h];
+            let pk_all = &phi_k[h];
+            let mut dphi_q = Tensor::zeros(n, m);
+            let mut dphi_k = Tensor::zeros(n, m);
+            for &(r0, len) in blocks.iter() {
+                let pq = block_slice(pq_all, r0, len, 0, m);
+                let pk = block_slice(pk_all, r0, len, 0, m);
+                let vh = block_slice(qkv_v, r0, len, 2 * dim + off, dh);
+                let gh = block_slice(g, r0, len, off, dh);
+                let yb = block_slice(y, r0, len, off, dh);
+                // Cheap forward intermediates, recomputed per
+                // block: kv = φ(K)ᵀ·V, ksum = φ(K)ᵀ·1,
+                // den = φ(Q)·ksum.
+                let kv = pk.t_matmul(&vh); // m×dh
+                let mut ksum = pool::take_zeroed(m);
+                for r in 0..len {
+                    for (s, &v) in ksum.iter_mut().zip(pk.row_slice(r)) {
+                        *s += v;
+                    }
+                }
+                let ksum = Tensor::from_vec(m, 1, ksum);
+                let den = pq.matmul(&ksum); // len×1
+
+                // out = num/den ⇒ dnum = gO/den,
+                // dden = −rowsum(gO ⊙ out)/den.
+                let mut dnum = pool::take_capacity(len * dh);
+                let mut dden = pool::take_capacity(len);
+                for r in 0..len {
+                    let dval = den.get(r, 0);
+                    let mut s = 0.0f32;
+                    for (&gv, &yv) in gh.row_slice(r).iter().zip(yb.row_slice(r)) {
+                        s += gv * yv;
+                        dnum.push(gv / dval);
+                    }
+                    dden.push(-s / dval);
+                }
+                let dnum = Tensor::from_vec(len, dh, dnum);
+                let dden = Tensor::from_vec(len, 1, dden);
+                // dφ(Q) = dnum·kvᵀ + dden·ksumᵀ
+                let mut dp = dnum.matmul_t(&kv); // len×m
+                for r in 0..len {
+                    let dd = dden.get(r, 0);
+                    for (o, &ks) in dp.row_slice_mut(r).iter_mut().zip(ksum.as_slice()) {
+                        *o += dd * ks;
+                    }
+                }
+                // dkv = φ(Q)ᵀ·dnum, dksum = φ(Q)ᵀ·dden
+                let dkv = pq.t_matmul(&dnum); // m×dh
+                let dksum = pq.t_matmul(&dden); // m×1
+
+                // dφ(K) = V·dkvᵀ + 1·dksumᵀ
+                let mut dpk = vh.matmul_t(&dkv); // len×m
+                for r in 0..len {
+                    for (o, &dks) in dpk.row_slice_mut(r).iter_mut().zip(dksum.as_slice()) {
+                        *o += dks;
+                    }
+                }
+                // dV = φ(K)·dkv, straight into the packed
+                // QKV gradient.
+                let dvh = pk.matmul(&dkv); // len×dh
+                block_write(&mut gq, &dvh, r0, 2 * dim + off);
+                block_write(&mut dphi_q, &dp, r0, 0);
+                block_write(&mut dphi_k, &dpk, r0, 0);
+                for t in [
+                    pq, pk, vh, gh, yb, kv, ksum, den, dnum, dden, dp, dkv, dksum, dpk, dvh,
+                ] {
+                    t.recycle();
+                }
+            }
+            // Feature-map backward, once over the whole pack
+            // per head (mirrors the forward structure):
+            // φ = (exp(z) + ε)/√m ⇒ dz = dφ ⊙ (φ − ε/√m);
+            // z = x̂Ωᵀ − ‖x̂‖²/2 ⇒ dx̂ = dz·Ω − x̂·rowsum(dz);
+            // x̂ = x/d^{1/4} ⇒ dx = dx̂/d^{1/4}.
+            let rows: Vec<usize> = (h * m..(h + 1) * m).collect();
+            let omega = gather_rows(proj, &rows); // m×dh
+            for (dphi, phi, col0) in [(dphi_q, pq_all, off), (dphi_k, pk_all, dim + off)] {
+                let mut dz = dphi;
+                for (dzv, &pv) in dz.as_mut_slice().iter_mut().zip(phi.as_slice()) {
+                    *dzv *= pv - PERFORMER_EPS * inv_sqrt_m;
+                }
+                let dxs = dz.matmul(&omega); // N×dh
+                for r in 0..n {
+                    let rs: f32 = dz.row_slice(r).iter().sum();
+                    let xrow = &qkv_v.row_slice(r)[col0..col0 + dh];
+                    let grow = &mut gq.row_slice_mut(r)[col0..col0 + dh];
+                    for ((o, &dxv), &xv) in grow.iter_mut().zip(dxs.row_slice(r)).zip(xrow) {
+                        *o = xscale * (dxv - (xscale * xv) * rs);
+                    }
+                }
+                dz.recycle();
+                dxs.recycle();
+            }
+            omega.recycle();
+        }
+        gq
     }
 
     fn assert_bits(label: &str, want: &[f32], got: &[f32]) {
@@ -1439,6 +2142,46 @@ mod tests {
                     want.as_slice(),
                     lean.as_slice(),
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_performer_backward_is_bitwise_equal_to_the_per_block_reference() {
+        // Blocks of 0, 1, 2, 3, 17 and 51 rows, with rows outside every
+        // block before the 17-row block and at the end of the pack.
+        let mut blocks = Vec::new();
+        let mut r0 = 0;
+        for len in [0, 1, 2, 3, 17, 51] {
+            r0 += usize::from(len == 17);
+            blocks.push((r0, len));
+            r0 += len;
+        }
+        let n = r0 + 1;
+        for backend in Backend::ALL.into_iter().filter(|b| b.available()) {
+            for (heads, dh, m) in [1, 4]
+                .into_iter()
+                .flat_map(|h| [1, 8, 19].map(|d| (h, d)))
+                .flat_map(|(h, d)| [1, 7, 32, 33].map(|m| (h, d, m)))
+            {
+                let seed = (heads * 7 + dh * 3 + m) as f32;
+                let dim = heads * dh;
+                let wave = |len: usize, step: f32| -> Vec<f32> {
+                    (0..len).map(|i| (i as f32 * step + seed).sin()).collect()
+                };
+                let qkv = Tensor::from_vec(n, 3 * dim, wave(n * 3 * dim, 0.37));
+                let proj = Tensor::from_vec(heads * m, dh, wave(heads * m * dh, 0.61));
+                let g = Tensor::from_vec(n, dim, wave(n * dim, 0.23));
+                let (y, pq, pk) =
+                    performer_block_diag_fwd(&qkv, &proj, &blocks, heads, dh, m, true);
+                let want = performer_backward_reference(
+                    &qkv, &proj, &blocks, heads, dh, m, &y, &g, &pq, &pk,
+                );
+                let got = performer_block_diag_bwd_with(
+                    backend, &qkv, &proj, &blocks, heads, dh, m, &y, &g, &pq, &pk,
+                );
+                let label = format!("{backend} {heads}x{dh}, m={m}");
+                assert_bits(&label, want.as_slice(), got.as_slice());
             }
         }
     }

@@ -4,8 +4,8 @@
 //! instead, every hot kernel (the fixed-width GEMM microkernels, the
 //! generic blocked GEMM, the backward `a·bᵀ`/`aᵀ·b` GEMMs, the
 //! `fast_exp`/sigmoid/softmax sweeps, the fused infer epilogues, the
-//! fused Performer attention forward and the training batch-norm and
-//! gated-aggregation kernels) has
+//! fused Performer attention forward and backward and the training
+//! batch-norm and gated-aggregation kernels) has
 //! explicit `std::arch` implementations for
 //! AVX2+FMA and AVX-512F, selected **once per process** by
 //! [`Backend::active`] from runtime CPU-feature detection. The same
@@ -206,6 +206,7 @@ pub(crate) mod avx2 {
     use std::arch::x86_64::*;
 
     use crate::fused::BnGrad;
+    use crate::infer::FeatureMapEpilogue;
 
     /// `out += a · b` for compile-time width `N` (multiple of 8): the
     /// SIMD twin of `tensor::gemm_fixed_n`. Per-element k-order matches
@@ -1224,7 +1225,7 @@ pub(crate) mod avx2 {
 
     /// Performer feature map φ over rows read in place from the packed
     /// QKV matrix, features `[c0, m − m % 8)`:
-    /// `dst[r, f] = (fast_exp(Σ_p x̂[r, p]·Ωᵀ[p, f] − half[r]) + 1e-6)·inv`
+    /// `dst[r, f] = (fast_exp(Σ_p x̂[r, p]·Ωᵀ[p, f] − half[r]) + ε)·inv`
     /// with `x̂ = x·scale` and row `r`'s input at `x[r·ld .. r·ld + dh]`.
     /// The product accumulates in registers with [`gemm_fixed`]'s chain
     /// (groups of four sequential FMAs, then single FMAs) and the exp
@@ -1377,7 +1378,7 @@ pub(crate) mod avx2 {
             }
             p += 1;
         }
-        let eps = _mm256_set1_ps(1e-6);
+        let eps = _mm256_set1_ps(crate::infer::PERFORMER_EPS);
         let vi = _mm256_set1_ps(inv);
         for r in 0..R {
             let vh = _mm256_set1_ps(half[r]);
@@ -1652,6 +1653,398 @@ pub(crate) mod avx2 {
             }
             for r in 0..R {
                 _mm256_storeu_ps(out.add(r * ldo + c), _mm256_div_ps(acc[r], den[r]));
+            }
+            c += 8;
+        }
+        R
+    }
+
+    /// The fused Performer backward's output side for one block: per
+    /// row, `den = 0 + dot(pq[i], ksum)` ([`dot`] itself), `dnum[i, ·] =
+    /// g[i, ·]/den` eight columns per divide, and `coef[i] = −(Σ_j g[i,
+    /// j]·y[i, j])/den` with the products formed eight at a time and
+    /// summed left to right from `+0.0` in scalar code. Row `i` of `g`
+    /// and `y` starts at `i·ld`.
+    ///
+    /// # Safety
+    ///
+    /// Besides the CPU-feature contract, `pq` must hold `rows·m` floats,
+    /// `ksum` `m`, `g` and `y` `(rows − 1)·ld + dh`, `dnum` `rows·dh` and
+    /// `coef` `rows`.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn performer_out_grads(
+        pq: &[f32],
+        m: usize,
+        ksum: &[f32],
+        g: &[f32],
+        y: &[f32],
+        ld: usize,
+        rows: usize,
+        dh: usize,
+        dnum: &mut [f32],
+        coef: &mut [f32],
+    ) {
+        let dh8 = dh - dh % 8;
+        for i in 0..rows {
+            let den = 0.0 + dot(&pq[i * m..(i + 1) * m], &ksum[..m]);
+            let (gr, yr) = (g.as_ptr().add(i * ld), y.as_ptr().add(i * ld));
+            let out = dnum.as_mut_ptr().add(i * dh);
+            let dv = _mm256_set1_ps(den);
+            let mut sum = 0.0f32;
+            let mut j = 0;
+            while j < dh8 {
+                let gv = _mm256_loadu_ps(gr.add(j));
+                _mm256_storeu_ps(out.add(j), _mm256_div_ps(gv, dv));
+                let mut prod = [0.0f32; 8];
+                _mm256_storeu_ps(
+                    prod.as_mut_ptr(),
+                    _mm256_mul_ps(gv, _mm256_loadu_ps(yr.add(j))),
+                );
+                for p in prod {
+                    sum += p;
+                }
+                j += 8;
+            }
+            while j < dh {
+                let gv = *gr.add(j);
+                sum += gv * *yr.add(j);
+                *out.add(j) = gv / den;
+                j += 1;
+            }
+            coef[i] = -sum / den;
+        }
+    }
+
+    /// The fused Performer backward's key pass over one block, features
+    /// `[0, m − m % 8)`, eight per vector: `kvt[j, f] = Σ_p pk[p, f]·v[p,
+    /// j]` (one FMA per row, rows ascending from zero: `gemm_atb`'s chain)
+    /// stored transposed, `dh × m`, and `ksum[f] = Σ_p pk[p, f]` added row
+    /// by row. Each tile's accumulators stay in registers for the whole
+    /// block. The caller finishes the ragged features. Returns the
+    /// features done.
+    ///
+    /// # Safety
+    ///
+    /// Besides the CPU-feature contract, `pk` must hold `len·m` floats,
+    /// `v` `(len − 1)·ld + dh`, `kvt` `dh·m` and `ksum` `m`.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn performer_kvt_ksum(
+        pk: &[f32],
+        m: usize,
+        v: &[f32],
+        ld: usize,
+        len: usize,
+        dh: usize,
+        kvt: &mut [f32],
+        ksum: &mut [f32],
+    ) -> usize {
+        let m8 = m - m % 8;
+        let (pp, vp, op, sp) = (pk.as_ptr(), v.as_ptr(), kvt.as_mut_ptr(), ksum.as_mut_ptr());
+        let mut f = 0;
+        while f < m8 {
+            let mut j = 0;
+            // The first column chunk also carries the key sums.
+            let mut sums = Some(sp.add(f));
+            while j < dh.max(1) {
+                let cols = (dh - j).min(8);
+                kvt_tile(
+                    pp.add(f),
+                    m,
+                    vp.add(j),
+                    ld,
+                    len,
+                    cols,
+                    op.add(j * m + f),
+                    sums.take(),
+                );
+                j += cols.max(1);
+            }
+            f += 8;
+        }
+        m8
+    }
+
+    /// Eight features × `cols ≤ 8` value columns of
+    /// [`performer_kvt_ksum`] (`pk`, `v`, `kvt` and `ksum` already offset
+    /// to the tile's corner).
+    ///
+    /// # Safety
+    ///
+    /// As [`performer_kvt_ksum`], for the tile.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn kvt_tile(
+        pk: *const f32,
+        m: usize,
+        v: *const f32,
+        ld: usize,
+        len: usize,
+        cols: usize,
+        kvt: *mut f32,
+        ksum: Option<*mut f32>,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); 8];
+        let mut ks = _mm256_setzero_ps();
+        for p in 0..len {
+            let a = _mm256_loadu_ps(pk.add(p * m));
+            if ksum.is_some() {
+                ks = _mm256_add_ps(ks, a);
+            }
+            for j in 0..8 {
+                if j < cols {
+                    acc[j] = _mm256_fmadd_ps(a, _mm256_set1_ps(*v.add(p * ld + j)), acc[j]);
+                }
+            }
+        }
+        for j in 0..cols {
+            _mm256_storeu_ps(kvt.add(j * m), acc[j]);
+        }
+        if let Some(sp) = ksum {
+            _mm256_storeu_ps(sp, ks);
+        }
+    }
+
+    /// The fused Performer backward's `dφ` rows over features `[0, m −
+    /// m % 8)`, eight per vector. Per row `i`, lane `l` of each feature's
+    /// dot takes columns `8c + l` of `a_i` against the transposed `kvt`
+    /// (`dh × m`), the ragged columns form a sequential tail chain, and
+    /// [`dot`]'s tree `((l0+l4) + (l1+l5)) + ((l2+l6) + (l3+l7)) + tail`
+    /// finishes it (`gemm_abt`'s element). Then `z = ((0 + dot) +
+    /// coef[i]·w) · (φ − shift)`, every product and sum rounded
+    /// separately. With `acc`, each broadcast of `a[i, j]` also continues
+    /// `dkvt[j, f] += φ[i, f]·a[i, j]`, and `dksum[f] += φ[i, f]·coef[i]`
+    /// follows: one FMA per row, rows ascending (`gemm_atb`'s chain). The
+    /// caller finishes the ragged features. Returns the features done.
+    ///
+    /// # Safety
+    ///
+    /// Besides the CPU-feature contract, `a` must hold `(rows − 1)·lda +
+    /// dh` floats, `kvt` `dh·m`, `w` `m`, `coef` `rows`, `phi` and `z`
+    /// `rows·m`, and the accumulators `dh·m` and `m`.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn performer_dphi(
+        a: &[f32],
+        lda: usize,
+        rows: usize,
+        dh: usize,
+        kvt: &[f32],
+        coef: &[f32],
+        w: &[f32],
+        phi: &[f32],
+        m: usize,
+        shift: f32,
+        z: &mut [f32],
+        acc: &mut Option<(&mut [f32], &mut [f32])>,
+    ) -> usize {
+        let m8 = m - m % 8;
+        let (dkvt, dks) = match acc {
+            Some((d, k)) => (d.as_mut_ptr(), k.as_mut_ptr()),
+            None => (std::ptr::null_mut(), std::ptr::null_mut()),
+        };
+        let mut f = 0;
+        while f < m8 {
+            dphi_tile(
+                a.as_ptr(),
+                lda,
+                rows,
+                dh,
+                kvt.as_ptr().add(f),
+                coef,
+                w.as_ptr().add(f),
+                phi.as_ptr().add(f),
+                m,
+                shift,
+                z.as_mut_ptr().add(f),
+                (!dkvt.is_null()).then(|| (dkvt.add(f), dks.add(f))),
+            );
+            f += 8;
+        }
+        m8
+    }
+
+    /// Eight features of [`performer_dphi`] over every row (`kvt`, `w`,
+    /// `phi`, `z` and the accumulators already offset to the first one).
+    ///
+    /// # Safety
+    ///
+    /// As [`performer_dphi`], for the eight features.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn dphi_tile(
+        a: *const f32,
+        lda: usize,
+        rows: usize,
+        dh: usize,
+        kvt: *const f32,
+        coef: &[f32],
+        w: *const f32,
+        phi: *const f32,
+        m: usize,
+        shift: f32,
+        z: *mut f32,
+        acc: Option<(*mut f32, *mut f32)>,
+    ) {
+        let zero = _mm256_setzero_ps();
+        let (sh, wv) = (_mm256_set1_ps(shift), _mm256_loadu_ps(w));
+        let dh8 = dh - dh % 8;
+        for i in 0..rows {
+            let ar = a.add(i * lda);
+            let c = _mm256_set1_ps(coef[i]);
+            let ph = _mm256_loadu_ps(phi.add(i * m));
+            let dkvt = acc.map(|(d, _)| d);
+            let mut lanes = [zero; 8];
+            let mut p = 0;
+            while p < dh8 {
+                for l in 0..8 {
+                    lanes[l] = dphi_step(*ar.add(p + l), kvt, ph, dkvt, p + l, m, lanes[l]);
+                }
+                p += 8;
+            }
+            let mut tail = zero;
+            while p < dh {
+                tail = dphi_step(*ar.add(p), kvt, ph, dkvt, p, m, tail);
+                p += 1;
+            }
+            let s0 = _mm256_add_ps(
+                _mm256_add_ps(lanes[0], lanes[4]),
+                _mm256_add_ps(lanes[1], lanes[5]),
+            );
+            let s1 = _mm256_add_ps(
+                _mm256_add_ps(lanes[2], lanes[6]),
+                _mm256_add_ps(lanes[3], lanes[7]),
+            );
+            let dot = _mm256_add_ps(_mm256_add_ps(s0, s1), tail);
+            let dp = _mm256_add_ps(_mm256_add_ps(zero, dot), _mm256_mul_ps(c, wv));
+            if let Some((_, dks)) = acc {
+                _mm256_storeu_ps(dks, _mm256_fmadd_ps(ph, c, _mm256_loadu_ps(dks)));
+            }
+            _mm256_storeu_ps(z.add(i * m), _mm256_mul_ps(dp, _mm256_sub_ps(ph, sh)));
+        }
+    }
+
+    /// One column `p` of a [`dphi_tile`] row: the dot lane's FMA
+    /// `lane + x·kvt[p, ·]`, and with `dkvt` the chain step `dkvt[p, ·] +=
+    /// φ·x`.
+    ///
+    /// # Safety
+    ///
+    /// As [`performer_dphi`], for row `p` of `kvt` and `dkvt`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn dphi_step(
+        x: f32,
+        kvt: *const f32,
+        ph: __m256,
+        dkvt: Option<*mut f32>,
+        p: usize,
+        m: usize,
+        lane: __m256,
+    ) -> __m256 {
+        let x = _mm256_set1_ps(x);
+        if let Some(dkvt) = dkvt {
+            let d = dkvt.add(p * m);
+            _mm256_storeu_ps(d, _mm256_fmadd_ps(ph, x, _mm256_loadu_ps(d)));
+        }
+        _mm256_fmadd_ps(x, _mm256_loadu_ps(kvt.add(p * m)), lane)
+    }
+
+    /// The fused Performer backward's row GEMM over columns `[0, n −
+    /// n % 8)`: `out[i·ldo + j] = Σ_f a[i, f]·b[f, j]`, each element one
+    /// FMA chain over `f` from zero (`gemm`'s chain), up to eight rows
+    /// sharing each load of `b`. With `fmap`, each row's sum `rs` of `a`
+    /// runs alongside (scalar adds in `f` order from −0.0, `iter().sum()`'s
+    /// chain) and the epilogue `scale·(acc − (scale·x)·rs)` runs on the
+    /// accumulators before the only store. The caller finishes the
+    /// ragged columns. Returns the columns done.
+    ///
+    /// # Safety
+    ///
+    /// Besides the CPU-feature contract, `a` must hold `rows·k` floats,
+    /// `b` `k·n` and `out` `(rows − 1)·ldo + n`; with `fmap`, `x` must
+    /// hold `(rows − 1)·ldx + n`.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn performer_rows_gemm(
+        a: &[f32],
+        rows: usize,
+        k: usize,
+        b: &[f32],
+        n: usize,
+        out: &mut [f32],
+        ldo: usize,
+        fmap: Option<FeatureMapEpilogue<'_>>,
+    ) -> usize {
+        let n8 = n - n % 8;
+        if n8 == 0 {
+            return 0;
+        }
+        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        let mut i = 0;
+        while i < rows {
+            let (a_, o_) = (ap.add(i * k), op.add(i * ldo));
+            i += match (rows - i, fmap) {
+                (8.., None) => rows_gemm_tile::<8, false>(a_, k, bp, n, n8, o_, ldo, fmap, i),
+                (8.., Some(_)) => rows_gemm_tile::<8, true>(a_, k, bp, n, n8, o_, ldo, fmap, i),
+                (4..=7, _) => rows_gemm_tile::<4, true>(a_, k, bp, n, n8, o_, ldo, fmap, i),
+                (2 | 3, _) => rows_gemm_tile::<2, true>(a_, k, bp, n, n8, o_, ldo, fmap, i),
+                _ => rows_gemm_tile::<1, true>(a_, k, bp, n, n8, o_, ldo, fmap, i),
+            };
+        }
+        n8
+    }
+
+    /// `R` rows of [`performer_rows_gemm`] starting at row `i0` (`a` and
+    /// `out` already offset to it); returns `R`. `SUM` adds the row sums
+    /// the epilogue needs (the eight-row hot path skips them without it).
+    ///
+    /// # Safety
+    ///
+    /// As [`performer_rows_gemm`], for the `R` rows.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn rows_gemm_tile<const R: usize, const SUM: bool>(
+        a: *const f32,
+        k: usize,
+        b: *const f32,
+        n: usize,
+        n8: usize,
+        out: *mut f32,
+        ldo: usize,
+        fmap: Option<FeatureMapEpilogue<'_>>,
+        i0: usize,
+    ) -> usize {
+        let mut c = 0;
+        while c < n8 {
+            let mut acc = [_mm256_setzero_ps(); R];
+            let mut rs = [-0.0f32; R];
+            for f in 0..k {
+                let bv = _mm256_loadu_ps(b.add(f * n + c));
+                for r in 0..R {
+                    let x = *a.add(r * k + f);
+                    acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(x), bv, acc[r]);
+                    if SUM {
+                        rs[r] += x;
+                    }
+                }
+            }
+            for r in 0..R {
+                let v = match fmap {
+                    Some(e) => {
+                        let s = _mm256_set1_ps(e.scale);
+                        let xv = _mm256_loadu_ps(e.x.as_ptr().add((i0 + r) * e.ldx + c));
+                        let t = _mm256_mul_ps(_mm256_mul_ps(s, xv), _mm256_set1_ps(rs[r]));
+                        _mm256_mul_ps(s, _mm256_sub_ps(acc[r], t))
+                    }
+                    None => acc[r],
+                };
+                _mm256_storeu_ps(out.add(r * ldo + c), v);
             }
             c += 8;
         }
@@ -2465,7 +2858,7 @@ pub(crate) mod avx512 {
             }
             p += 1;
         }
-        let eps = _mm512_set1_ps(1e-6);
+        let eps = _mm512_set1_ps(crate::infer::PERFORMER_EPS);
         let vi = _mm512_set1_ps(inv);
         for r in 0..R {
             let vh = _mm512_set1_ps(half[r]);
@@ -2477,6 +2870,256 @@ pub(crate) mod avx512 {
                 );
             }
         }
+    }
+
+    /// 16-lane twin of [`super::avx2::performer_kvt_ksum`] over all `m`
+    /// features, 32 at a time with the ragged ones in masked lanes; every
+    /// lane keeps the same chains. Returns `m`.
+    ///
+    /// # Safety
+    ///
+    /// As [`super::avx2::performer_kvt_ksum`], under the AVX-512F contract.
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn performer_kvt_ksum(
+        pk: &[f32],
+        m: usize,
+        v: &[f32],
+        ld: usize,
+        len: usize,
+        dh: usize,
+        kvt: &mut [f32],
+        ksum: &mut [f32],
+    ) -> usize {
+        let (pp, vp, op, sp) = (pk.as_ptr(), v.as_ptr(), kvt.as_mut_ptr(), ksum.as_mut_ptr());
+        let mut f = 0;
+        while f < m {
+            let width = (m - f).min(32);
+            let mut j = 0;
+            // The first column chunk also carries the key sums.
+            let mut sums = Some(sp.add(f));
+            while j < dh.max(1) {
+                let cols = (dh - j).min(8);
+                let (a, b, o) = (pp.add(f), vp.add(j), op.add(j * m + f));
+                if width > 16 {
+                    kvt_tile::<2>(a, m, b, ld, len, cols, o, sums.take(), block_masks(width));
+                } else {
+                    kvt_tile::<1>(a, m, b, ld, len, cols, o, sums.take(), block_masks(width));
+                }
+                j += cols.max(1);
+            }
+            f += width;
+        }
+        m
+    }
+
+    /// `16·NV` features × `cols ≤ 8` value columns of
+    /// [`performer_kvt_ksum`] (pointers already offset to the tile's
+    /// corner), lanes restricted by `mask`.
+    ///
+    /// # Safety
+    ///
+    /// As [`performer_kvt_ksum`], for the tile's live lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn kvt_tile<const NV: usize>(
+        pk: *const f32,
+        m: usize,
+        v: *const f32,
+        ld: usize,
+        len: usize,
+        cols: usize,
+        kvt: *mut f32,
+        ksum: Option<*mut f32>,
+        mask: [__mmask16; NV],
+    ) {
+        let mut acc = [[_mm512_setzero_ps(); NV]; 8];
+        let mut ks = [_mm512_setzero_ps(); NV];
+        for p in 0..len {
+            let mut a = [_mm512_setzero_ps(); NV];
+            for w in 0..NV {
+                a[w] = _mm512_maskz_loadu_ps(mask[w], pk.add(p * m + w * 16));
+                if ksum.is_some() {
+                    ks[w] = _mm512_add_ps(ks[w], a[w]);
+                }
+            }
+            for j in 0..8 {
+                if j < cols {
+                    let b = _mm512_set1_ps(*v.add(p * ld + j));
+                    for w in 0..NV {
+                        acc[j][w] = _mm512_fmadd_ps(a[w], b, acc[j][w]);
+                    }
+                }
+            }
+        }
+        for j in 0..cols {
+            for w in 0..NV {
+                _mm512_mask_storeu_ps(kvt.add(j * m + w * 16), mask[w], acc[j][w]);
+            }
+        }
+        if let Some(sp) = ksum {
+            for w in 0..NV {
+                _mm512_mask_storeu_ps(sp.add(w * 16), mask[w], ks[w]);
+            }
+        }
+    }
+
+    /// 16-lane twin of [`super::avx2::performer_dphi`] over all `m`
+    /// features, 32 at a time, the ragged ones in masked lanes (a
+    /// masked-off lane never touches memory). Every lane keeps the same
+    /// chains: the dot's eight lanes, tail and tree, the separate
+    /// multiply and add, and one accumulator FMA per row. Returns `m`.
+    ///
+    /// # Safety
+    ///
+    /// As [`super::avx2::performer_dphi`], under the AVX-512F contract.
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn performer_dphi(
+        a: &[f32],
+        lda: usize,
+        rows: usize,
+        dh: usize,
+        kvt: &[f32],
+        coef: &[f32],
+        w: &[f32],
+        phi: &[f32],
+        m: usize,
+        shift: f32,
+        z: &mut [f32],
+        acc: &mut Option<(&mut [f32], &mut [f32])>,
+    ) -> usize {
+        let (dkvt, dks) = match acc {
+            Some((d, k)) => (d.as_mut_ptr(), k.as_mut_ptr()),
+            None => (std::ptr::null_mut(), std::ptr::null_mut()),
+        };
+        let mut f = 0;
+        while f < m {
+            let cols = (m - f).min(32);
+            let acc = (!dkvt.is_null()).then(|| (dkvt.add(f), dks.add(f)));
+            let (ap, kp, wp) = (a.as_ptr(), kvt.as_ptr().add(f), w.as_ptr().add(f));
+            let (pp, zp) = (phi.as_ptr().add(f), z.as_mut_ptr().add(f));
+            if cols > 16 {
+                let mk = block_masks::<2>(cols);
+                dphi_tile::<2>(ap, lda, rows, dh, kp, coef, wp, pp, m, shift, zp, acc, mk);
+            } else {
+                let mk = block_masks::<1>(cols);
+                dphi_tile::<1>(ap, lda, rows, dh, kp, coef, wp, pp, m, shift, zp, acc, mk);
+            }
+            f += cols;
+        }
+        m
+    }
+
+    /// `16·NV` features of [`performer_dphi`] over every row (`kvt`,
+    /// `w`, `phi`, `z` and the accumulators already offset to the first
+    /// one), lanes restricted by `mask`.
+    ///
+    /// # Safety
+    ///
+    /// As [`performer_dphi`], for the live features.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn dphi_tile<const NV: usize>(
+        a: *const f32,
+        lda: usize,
+        rows: usize,
+        dh: usize,
+        kvt: *const f32,
+        coef: &[f32],
+        w: *const f32,
+        phi: *const f32,
+        m: usize,
+        shift: f32,
+        z: *mut f32,
+        acc: Option<(*mut f32, *mut f32)>,
+        mask: [__mmask16; NV],
+    ) {
+        let zero = _mm512_setzero_ps();
+        let sh = _mm512_set1_ps(shift);
+        let mut wv = [zero; NV];
+        for v in 0..NV {
+            wv[v] = _mm512_maskz_loadu_ps(mask[v], w.add(v * 16));
+        }
+        let dh8 = dh - dh % 8;
+        for i in 0..rows {
+            let ar = a.add(i * lda);
+            let c = _mm512_set1_ps(coef[i]);
+            let mut ph = [zero; NV];
+            for v in 0..NV {
+                ph[v] = _mm512_maskz_loadu_ps(mask[v], phi.add(i * m + v * 16));
+            }
+            let dkvt = acc.map(|(d, _)| d);
+            let mut lanes = [[zero; NV]; 8];
+            let mut p = 0;
+            while p < dh8 {
+                for l in 0..8 {
+                    let x = *ar.add(p + l);
+                    lanes[l] = dphi_step(x, kvt, &ph, dkvt, p + l, m, lanes[l], mask);
+                }
+                p += 8;
+            }
+            let mut tail = [zero; NV];
+            while p < dh {
+                tail = dphi_step(*ar.add(p), kvt, &ph, dkvt, p, m, tail, mask);
+                p += 1;
+            }
+            for v in 0..NV {
+                let l = &lanes;
+                let s0 = _mm512_add_ps(
+                    _mm512_add_ps(l[0][v], l[4][v]),
+                    _mm512_add_ps(l[1][v], l[5][v]),
+                );
+                let s1 = _mm512_add_ps(
+                    _mm512_add_ps(l[2][v], l[6][v]),
+                    _mm512_add_ps(l[3][v], l[7][v]),
+                );
+                let dot = _mm512_add_ps(_mm512_add_ps(s0, s1), tail[v]);
+                let dp = _mm512_add_ps(_mm512_add_ps(zero, dot), _mm512_mul_ps(c, wv[v]));
+                if let Some((_, dks)) = acc {
+                    let d = dks.add(v * 16);
+                    let o = _mm512_maskz_loadu_ps(mask[v], d);
+                    _mm512_mask_storeu_ps(d, mask[v], _mm512_fmadd_ps(ph[v], c, o));
+                }
+                let zv = _mm512_mul_ps(dp, _mm512_sub_ps(ph[v], sh));
+                _mm512_mask_storeu_ps(z.add(i * m + v * 16), mask[v], zv);
+            }
+        }
+    }
+
+    /// One column `p` of a [`dphi_tile`] row: the dot lanes' FMAs `lane
+    /// + x·kvt[p, ·]`, and with `dkvt` the chain steps `dkvt[p, ·] += φ·x`.
+    ///
+    /// # Safety
+    ///
+    /// As [`performer_dphi`], for row `p` of `kvt` and `dkvt`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn dphi_step<const NV: usize>(
+        x: f32,
+        kvt: *const f32,
+        ph: &[__m512; NV],
+        dkvt: Option<*mut f32>,
+        p: usize,
+        m: usize,
+        mut lane: [__m512; NV],
+        mask: [__mmask16; NV],
+    ) -> [__m512; NV] {
+        let x = _mm512_set1_ps(x);
+        for v in 0..NV {
+            let row = p * m + v * 16;
+            if let Some(dkvt) = dkvt {
+                let d = dkvt.add(row);
+                let o = _mm512_maskz_loadu_ps(mask[v], d);
+                _mm512_mask_storeu_ps(d, mask[v], _mm512_fmadd_ps(ph[v], x, o));
+            }
+            let b = _mm512_maskz_loadu_ps(mask[v], kvt.add(row));
+            lane[v] = _mm512_fmadd_ps(x, b, lane[v]);
+        }
+        lane
     }
 }
 
@@ -2799,6 +3442,29 @@ pub mod ops {
         check(backend);
         crate::infer::performer_block_diag_with(
             backend, qkv, proj, blocks, heads, head_dim, features, save,
+        )
+    }
+
+    /// Fused backward of [`performer_block_diag`]: the packed QKV
+    /// gradient for the output gradient `g`, from the forward's output
+    /// `y` and its saved feature maps.
+    #[allow(clippy::too_many_arguments)]
+    pub fn performer_block_diag_backward(
+        backend: Backend,
+        qkv: &Tensor,
+        proj: &Tensor,
+        blocks: &[(usize, usize)],
+        heads: usize,
+        head_dim: usize,
+        features: usize,
+        y: &Tensor,
+        g: &Tensor,
+        phi_q: &[Tensor],
+        phi_k: &[Tensor],
+    ) -> Tensor {
+        check(backend);
+        crate::infer::performer_block_diag_bwd_with(
+            backend, qkv, proj, blocks, heads, head_dim, features, y, g, phi_q, phi_k,
         )
     }
 

@@ -39,8 +39,8 @@ use crate::fused::{
 use crate::infer::{
     add_gathered2_inplace, block_slice, block_write, colvec_zip, concat_cols as concat_cols_fwd,
     exp_sweep_with, gated_scatter, gather_rows, linear_fwd, mha_block_diag_fwd,
-    performer_block_diag_fwd, qkv_pack_weights, row_sum_fwd, scatter_add_rows, sigmoid_sweep_with,
-    softmax_rows_fwd, stable_sigmoid,
+    performer_block_diag_bwd, performer_block_diag_fwd, qkv_pack_weights, row_sum_fwd,
+    scatter_add_rows, sigmoid_sweep_with, softmax_rows_fwd, stable_sigmoid,
 };
 use crate::params::{BufferId, BufferUpdate, GradStore, ParamId, ParamStore};
 use crate::pool;
@@ -1681,117 +1681,18 @@ impl<'p> Tape<'p> {
                     phi_q,
                     phi_k,
                 } => {
-                    let qkv_v = self.value(*qkv);
-                    let y = self.value(Var(i));
-                    let (heads, dh, m) = (*heads, *head_dim, *features);
-                    let dim = heads * dh;
-                    let n = qkv_v.rows();
-                    let inv_sqrt_m = 1.0 / (m as f32).sqrt();
-                    let xscale = 1.0 / (dh as f32).powf(0.25);
-                    let mut gq = Tensor::zeros(n, 3 * dim);
-                    for h in 0..heads {
-                        let off = h * dh;
-                        let pq_all = &phi_q[h];
-                        let pk_all = &phi_k[h];
-                        let mut dphi_q = Tensor::zeros(n, m);
-                        let mut dphi_k = Tensor::zeros(n, m);
-                        for &(r0, len) in blocks.iter() {
-                            let pq = block_slice(pq_all, r0, len, 0, m);
-                            let pk = block_slice(pk_all, r0, len, 0, m);
-                            let vh = block_slice(qkv_v, r0, len, 2 * dim + off, dh);
-                            let gh = block_slice(&g, r0, len, off, dh);
-                            let yb = block_slice(y, r0, len, off, dh);
-                            // Cheap forward intermediates, recomputed per
-                            // block: kv = φ(K)ᵀ·V, ksum = φ(K)ᵀ·1,
-                            // den = φ(Q)·ksum.
-                            let kv = pk.t_matmul(&vh); // m×dh
-                            let mut ksum = pool::take_zeroed(m);
-                            for r in 0..len {
-                                for (s, &v) in ksum.iter_mut().zip(pk.row_slice(r)) {
-                                    *s += v;
-                                }
-                            }
-                            let ksum = Tensor::from_vec(m, 1, ksum);
-                            let den = pq.matmul(&ksum); // len×1
-                                                        // out = num/den ⇒ dnum = gO/den,
-                                                        // dden = −rowsum(gO ⊙ out)/den.
-                            let mut dnum = pool::take_capacity(len * dh);
-                            let mut dden = pool::take_capacity(len);
-                            for r in 0..len {
-                                let dval = den.get(r, 0);
-                                let mut s = 0.0f32;
-                                for (&gv, &yv) in gh.row_slice(r).iter().zip(yb.row_slice(r)) {
-                                    s += gv * yv;
-                                    dnum.push(gv / dval);
-                                }
-                                dden.push(-s / dval);
-                            }
-                            let dnum = Tensor::from_vec(len, dh, dnum);
-                            let dden = Tensor::from_vec(len, 1, dden);
-                            // dφ(Q) = dnum·kvᵀ + dden·ksumᵀ
-                            let mut dp = dnum.matmul_t(&kv); // len×m
-                            for r in 0..len {
-                                let dd = dden.get(r, 0);
-                                for (o, &ks) in dp.row_slice_mut(r).iter_mut().zip(ksum.as_slice())
-                                {
-                                    *o += dd * ks;
-                                }
-                            }
-                            // dkv = φ(Q)ᵀ·dnum, dksum = φ(Q)ᵀ·dden
-                            let dkv = pq.t_matmul(&dnum); // m×dh
-                            let dksum = pq.t_matmul(&dden); // m×1
-                                                            // dφ(K) = V·dkvᵀ + 1·dksumᵀ
-                            let mut dpk = vh.matmul_t(&dkv); // len×m
-                            for r in 0..len {
-                                for (o, &dks) in
-                                    dpk.row_slice_mut(r).iter_mut().zip(dksum.as_slice())
-                                {
-                                    *o += dks;
-                                }
-                            }
-                            // dV = φ(K)·dkv, straight into the packed
-                            // QKV gradient.
-                            let dvh = pk.matmul(&dkv); // len×dh
-                            block_write(&mut gq, &dvh, r0, 2 * dim + off);
-                            block_write(&mut dphi_q, &dp, r0, 0);
-                            block_write(&mut dphi_k, &dpk, r0, 0);
-                            for t in [
-                                pq, pk, vh, gh, yb, kv, ksum, den, dnum, dden, dp, dkv, dksum, dpk,
-                                dvh,
-                            ] {
-                                t.recycle();
-                            }
-                        }
-                        // Feature-map backward, once over the whole pack
-                        // per head (mirrors the forward structure):
-                        // φ = (exp(z) + ε)/√m ⇒ dz = dφ ⊙ (φ − ε/√m);
-                        // z = x̂Ωᵀ − ‖x̂‖²/2 ⇒ dx̂ = dz·Ω − x̂·rowsum(dz);
-                        // x̂ = x/d^{1/4} ⇒ dx = dx̂/d^{1/4}.
-                        let rows: Vec<usize> = (h * m..(h + 1) * m).collect();
-                        let omega = gather_rows(self.params.get(*proj), &rows); // m×dh
-                        for (dphi, phi, col0) in
-                            [(dphi_q, pq_all, off), (dphi_k, pk_all, dim + off)]
-                        {
-                            let mut dz = dphi;
-                            for (dzv, &pv) in dz.as_mut_slice().iter_mut().zip(phi.as_slice()) {
-                                *dzv *= pv - 1e-6 * inv_sqrt_m;
-                            }
-                            let dxs = dz.matmul(&omega); // N×dh
-                            for r in 0..n {
-                                let rs: f32 = dz.row_slice(r).iter().sum();
-                                let xrow = &qkv_v.row_slice(r)[col0..col0 + dh];
-                                let grow = &mut gq.row_slice_mut(r)[col0..col0 + dh];
-                                for ((o, &dxv), &xv) in
-                                    grow.iter_mut().zip(dxs.row_slice(r)).zip(xrow)
-                                {
-                                    *o = xscale * (dxv - (xscale * xv) * rs);
-                                }
-                            }
-                            dz.recycle();
-                            dxs.recycle();
-                        }
-                        omega.recycle();
-                    }
+                    let gq = performer_block_diag_bwd(
+                        self.value(*qkv),
+                        self.params.get(*proj),
+                        blocks,
+                        *heads,
+                        *head_dim,
+                        *features,
+                        self.value(Var(i)),
+                        &g,
+                        phi_q,
+                        phi_k,
+                    );
                     acc(&mut local, *qkv, gq);
                     g.recycle();
                 }

@@ -644,7 +644,7 @@ pub(crate) fn gemm_abt_with(
 }
 
 /// Cache-blocked transpose of row-major `src (r×c)` into `dst (c×r)`.
-fn transpose_into(src: &[f32], r: usize, c: usize, dst: &mut [f32]) {
+pub(crate) fn transpose_into(src: &[f32], r: usize, c: usize, dst: &mut [f32]) {
     const TB: usize = 32;
     for r0 in (0..r).step_by(TB) {
         let r1 = (r0 + TB).min(r);

@@ -444,6 +444,54 @@ proptest! {
     }
 }
 
+/// Packs for the fused Performer backward: blocks of 0–60 rows, some
+/// separated by rows outside every block.
+fn performer_backward_packs() -> impl Strategy<Value = (Vec<(usize, usize)>, usize)> {
+    proptest::collection::vec((0usize..61, 0usize..2), 1..5).prop_map(|spans| {
+        let mut r0 = 0;
+        let blocks = spans
+            .into_iter()
+            .map(|(len, gap)| {
+                r0 += gap + len;
+                (r0 - len, len)
+            })
+            .collect();
+        (blocks, r0)
+    })
+}
+
+proptest! {
+    #[test]
+    fn performer_block_diag_backward_is_bitwise_equal_across_backends(
+        (blocks, n) in performer_backward_packs(),
+        (heads, head_dim) in prop_oneof![
+            Just((4usize, 8usize)),
+            Just((1usize, 1usize)),
+            Just((2usize, 19usize)),
+            Just((3usize, 5usize)),
+        ],
+        features in prop_oneof![Just(32usize), 1usize..40],
+        seed in 0u64..500,
+    ) {
+        let dim = heads * head_dim;
+        let qkv = tensor(n, 3 * dim, seed);
+        let proj = tensor(heads * features, head_dim, seed ^ 0x7f7f);
+        let g = tensor(n, dim, seed ^ 0x3c3c);
+        let (y, pq, pk) =
+            ops::performer_block_diag(Backend::Scalar, &qkv, &proj, &blocks, heads, head_dim, features, true);
+        let run = |backend| {
+            ops::performer_block_diag_backward(
+                backend, &qkv, &proj, &blocks, heads, head_dim, features, &y, &g, &pq, &pk,
+            )
+        };
+        let s = run(Backend::Scalar);
+        for backend in backends() {
+            let v = run(backend);
+            assert_bitwise("performer_block_diag_backward", backend, s.as_slice(), v.as_slice());
+        }
+    }
+}
+
 /// Env-forced backends and in-process comparisons must agree: whatever
 /// `Backend::active()` latched, re-running a kernel through the explicit
 /// `ops` surface with that same backend reproduces the implicit path.
