@@ -9,9 +9,9 @@ use std::time::Instant;
 
 use ams_datagen::{DesignKind, SizePreset};
 use circuitgps::{
-    evaluate_link, evaluate_regression, finetune_regression, prepare_link_dataset,
-    prepare_node_dataset, pretrain_link, AttnKind, CircuitGps, FinetuneMode, LinkMetrics,
-    ModelConfig, MpnnKind, PreparedSample, RegMetrics, TrainConfig,
+    evaluate_link, evaluate_regression, finetune_regression, predict_regression,
+    prepare_link_dataset, prepare_node_dataset, pretrain_link, AttnKind, CircuitGps, FinetuneMode,
+    LinkMetrics, ModelConfig, MpnnKind, PreparedSample, RegMetrics, TrainConfig,
 };
 use cirgps_baselines::{
     Baseline, BaselineConfig, BaselineKind, BaselineTrainConfig, FullGraphInputs, NodeTask,
@@ -753,31 +753,24 @@ pub fn fig4(preset: SizePreset, seed: u64, cmp: &MainComparison) -> String {
             max_nodes: 2048,
         };
         use rayon::prelude::*;
-        let samples: Vec<(usize, PreparedSample)> = entries
+        let samples: Vec<PreparedSample> = entries
             .par_chunks(64)
             .flat_map_iter(|chunk| {
                 let mut sampler = subgraph_sample::SubgraphSampler::new(&aug, sampler_cfg);
                 chunk
                     .iter()
-                    .map(|&(ci, a, b)| {
+                    .map(|&(_, a, b)| {
                         let sub = sampler.enclosing_subgraph(a, b);
-                        (
-                            ci,
-                            PreparedSample::new(sub, PeKind::Dspd, &cmp.xcn, 1.0, 0.0),
-                        )
+                        PreparedSample::new(sub, PeKind::Dspd, &cmp.xcn, 1.0, 0.0)
                     })
                     .collect::<Vec<_>>()
             })
             .collect();
-        let refs: Vec<&PreparedSample> = samples.iter().map(|(_, s)| s).collect();
-        let outputs: Vec<f32> = refs
-            .par_chunks(32)
-            .flat_map_iter(|batch| cmp.model_all_ft.predict_reg_batch(batch))
-            .collect();
-        let predicted: std::collections::HashMap<usize, f64> = samples
+        let outputs = predict_regression(&cmp.model_all_ft, &samples);
+        let predicted: std::collections::HashMap<usize, f64> = entries
             .iter()
             .zip(outputs)
-            .map(|(&(ci, _), p)| (ci, cmp.cap_norm.decode(p)))
+            .map(|(&(ci, _, _), p)| (ci, cmp.cap_norm.decode(p)))
             .collect();
 
         // Assemble per-net capacitances (gt vs predicted couplings).

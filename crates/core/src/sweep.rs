@@ -28,7 +28,7 @@
 //! 4. **Size-binned batching** — unique samples are ordered by node
 //!    count before being packed into the block-diagonal batch
 //!    machinery, keeping tiles homogeneous; [`SweepConfig::threads`]
-//!    splits the batch across worker threads.
+//!    splits the batch into slices that run through the rayon shim.
 //!
 //! Every step is bitwise-safe: sweep output for a pair equals
 //! [`InferenceSession::predict_links`] / `predict_couplings` (and hence
@@ -41,6 +41,7 @@
 use std::collections::HashMap;
 
 use circuit_graph::{CircuitGraph, NodeStamps, NodeType};
+use rayon::prelude::*;
 use subgraph_sample::{SamplerConfig, Subgraph, SubgraphSampler, XcNormalizer};
 
 use crate::model::CircuitGps;
@@ -66,7 +67,8 @@ pub struct SweepConfig {
     /// Pairs per planned window: the bounded-memory knob. Results are
     /// emitted (and memory released) once per window.
     pub chunk: usize,
-    /// Worker threads for the batched forward (1 = inline).
+    /// Slices of the batched forward, run through the rayon shim (at
+    /// most one worker per core; 1 = inline).
     pub threads: usize,
     /// Deduplicate content-identical subgraphs within a window (exact
     /// byte comparison — semantics-free, disable only for measurement).
@@ -141,8 +143,8 @@ fn neighborhood_key(sub: &Subgraph) -> Vec<u8> {
 }
 
 /// Runs the batched forward over `uniques` in size-binned order, split
-/// across `threads` workers, returning one prediction per unique sample
-/// (in `uniques` order).
+/// into `threads` slices that fan out through the rayon shim, returning
+/// one prediction per unique sample (in `uniques` order).
 fn predict_uniques(
     model: &CircuitGps,
     uniques: &[PreparedSample],
@@ -164,27 +166,11 @@ fn predict_uniques(
         }
     };
 
+    let per = order.len().div_ceil(threads.max(1)).max(1);
+    let preds: Vec<f32> = order.par_chunks(per).flat_map_iter(run).collect();
     let mut out = vec![0.0f32; uniques.len()];
-    let workers = threads.max(1).min(order.len().max(1));
-    if workers <= 1 {
-        for (&i, p) in order.iter().zip(run(&order)) {
-            out[i] = p;
-        }
-        return out;
-    }
-    let per = order.len().div_ceil(workers);
-    let slices: Vec<&[usize]> = order.chunks(per).collect();
-    let results: Vec<Vec<f32>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = slices
-            .iter()
-            .map(|idxs| scope.spawn(move || run(idxs)))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for (idxs, preds) in slices.iter().zip(results) {
-        for (&i, p) in idxs.iter().zip(preds) {
-            out[i] = p;
-        }
+    for (&i, p) in order.iter().zip(preds) {
+        out[i] = p;
     }
     out
 }

@@ -471,14 +471,10 @@ pub fn train_resumable(
             // semantics (BN statistics are per sub-batch). The compat
             // rayon shim runs the chunks on real `std::thread::scope`
             // workers, so sub-batches train in parallel on multicore
-            // hosts. Note the per-op threaded matmul kernels can nest
-            // inside these workers for very large sub-batches (above the
-            // `CIRGPS_PAR_MACS` threshold); that oversubscribes briefly
-            // but stays correct — set `CIRGPS_PAR_MACS=0` to keep
-            // batch-level threading only. Batch-norm running-stat
-            // updates are held back per sub-batch and applied in
-            // sub-batch order below, so they never depend on which
-            // worker finishes first.
+            // hosts; the GEMM kernels inside them are serial, so this is
+            // the only fan-out. Batch-norm running-stat updates are held
+            // back per sub-batch and applied in sub-batch order below, so
+            // they never depend on which worker finishes first.
             let n_sub = rayon::current_num_threads().clamp(1, batch.len().div_ceil(2).max(1));
             let sub_size = batch.len().div_ceil(n_sub);
             let results: Vec<(f64, GradStore, Vec<BufferUpdate>)> = batch

@@ -115,9 +115,10 @@ pub(crate) fn linear_fwd(xv: &Tensor, wv: &Tensor, bias: Option<&Tensor>, relu: 
         }
         None => out.resize(m * n, 0.0),
     }
-    gemm(xv.as_slice(), wv.as_slice(), &mut out, m, k, n);
+    let backend = Backend::active();
+    gemm(backend, xv.as_slice(), wv.as_slice(), &mut out, m, k, n);
     if relu {
-        relu_sweep_with(Backend::active(), &mut out);
+        relu_sweep_with(backend, &mut out);
     }
     Tensor::from_vec(m, n, out)
 }
@@ -1897,7 +1898,15 @@ mod tests {
         let feature_map = |xs: &Tensor, omega_t: &Tensor| {
             let (rows, k) = xs.shape();
             let mut prod = vec![0.0f32; rows * m];
-            gemm(xs.as_slice(), omega_t.as_slice(), &mut prod, rows, k, m);
+            gemm(
+                backend,
+                xs.as_slice(),
+                omega_t.as_slice(),
+                &mut prod,
+                rows,
+                k,
+                m,
+            );
             let inv = 1.0 / (m as f32).sqrt();
             for r in 0..rows {
                 let half: f32 = xs.row_slice(r).iter().map(|&v| v * v).sum::<f32>() * 0.5;
@@ -1924,9 +1933,9 @@ mod tests {
                 let pk = &phi_k.as_slice()[r0 * m..(r0 + len) * m];
                 let vb = &vh.as_slice()[r0 * dh..(r0 + len) * dh];
                 let mut kv = vec![0.0f32; m * dh];
-                gemm_atb(pk, vb, &mut kv, m, len, dh);
+                gemm_atb(backend, pk, vb, &mut kv, m, len, dh);
                 let mut num = vec![0.0f32; len * dh];
-                gemm(pq, &kv, &mut num, len, m, dh);
+                gemm(backend, pq, &kv, &mut num, len, m, dh);
                 let k_sum: Vec<f32> = (0..m)
                     .map(|f| {
                         let col: Vec<f32> = (0..len).map(|r| pk[r * m + f]).collect();
@@ -1934,7 +1943,7 @@ mod tests {
                     })
                     .collect();
                 let mut den = vec![0.0f32; len];
-                gemm(pq, &k_sum, &mut den, len, m, 1);
+                gemm(backend, pq, &k_sum, &mut den, len, m, 1);
                 for r in 0..len {
                     let drow = &mut cat.row_slice_mut(r0 + r)[off..off + dh];
                     for (o, &nv) in drow.iter_mut().zip(&num[r * dh..(r + 1) * dh]) {

@@ -342,7 +342,7 @@ pub(crate) mod avx2 {
     }
 
     /// Generic `out += a · b` (any `n`): SIMD twin of the k-panelled
-    /// AXPY loop in `tensor::gemm_serial`. The vector body and the
+    /// AXPY loop in `tensor::gemm`. The vector body and the
     /// scalar `mul_add` column tail use the same per-element chain.
     #[target_feature(enable = "avx2,fma")]
     pub(crate) unsafe fn gemm_generic(
@@ -421,46 +421,43 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// `out += aᵀ · b` for output rows `[i0, i0 + rows)` (the band
-    /// `oband`), with `a` stored `k × m` and `b` `k × n`: the SIMD twin
-    /// of `tensor::atb_band`. Per `kc`-row panel of `a` and `b`, each
-    /// tile of up to four rows × 16 columns is loaded from `oband` once,
-    /// accumulates in registers (one broadcast of `a[p·m + i]` per row
-    /// and k-step) and is stored once. Every element's chain is the
-    /// scalar kernel's: one FMA per `p`, ascending. The `n % 8` ragged
-    /// columns run the same chain in scalar code.
+    /// `out += aᵀ · b` with `a` stored `k × m`, `b` `k × n` and `out`
+    /// `m × n`: the SIMD twin of `tensor::gemm_atb`'s scalar loop. Per
+    /// `kc`-row panel of `a` and `b`, each tile of up to four rows × 16
+    /// columns is loaded from `out` once, accumulates in registers (one
+    /// broadcast of `a[p·m + i]` per row and k-step) and is stored once.
+    /// Every element's chain is the scalar kernel's: one FMA per `p`,
+    /// ascending. The `n % 8` ragged columns run the same chain in
+    /// scalar code.
     ///
     /// # Safety
     ///
     /// Besides the CPU-feature contract, `a` must hold `k·m` floats, `b`
-    /// `k·n`, `oband` a multiple of `n`, and `i0 + rows ≤ m`.
+    /// `k·n`, and `out` `m·n`.
     #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
     pub(crate) unsafe fn gemm_atb(
         a: &[f32],
         b: &[f32],
-        oband: &mut [f32],
-        i0: usize,
+        out: &mut [f32],
         m: usize,
         k: usize,
         n: usize,
         kc: usize,
     ) {
-        let rows = oband.len().checked_div(n).unwrap_or(0);
-        debug_assert!(a.len() >= k * m && b.len() >= k * n && i0 + rows <= m);
+        debug_assert!(a.len() >= k * m && b.len() >= k * n && out.len() >= m * n);
         let n8 = n - n % 8;
-        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), oband.as_mut_ptr());
+        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
         let mut p0 = 0;
         while p0 < k {
             let len = kc.min(k - p0);
-            let (pa, pb) = (ap.add(p0 * m + i0), bp.add(p0 * n));
+            let (pa, pb) = (ap.add(p0 * m), bp.add(p0 * n));
             let mut j = 0;
             while j < n8 {
                 let wide = j + 16 <= n8;
                 let mut i = 0;
-                while i < rows {
+                while i < m {
                     let (a_, b_, o_) = (pa.add(i), pb.add(j), op.add(i * n + j));
-                    i += match (rows - i, wide) {
+                    i += match (m - i, wide) {
                         (4.., true) => atb_tile::<4, 2>(a_, m, b_, n, len, o_),
                         (4.., false) => atb_tile::<4, 1>(a_, m, b_, n, len, o_),
                         (2 | 3, true) => atb_tile::<2, 2>(a_, m, b_, n, len, o_),
@@ -473,13 +470,13 @@ pub(crate) mod avx2 {
             }
             p0 += len;
         }
-        for i in 0..rows {
+        for i in 0..m {
             for j in n8..n {
-                let mut o = oband[i * n + j];
+                let mut o = out[i * n + j];
                 for p in 0..k {
-                    o = (*ap.add(p * m + i0 + i)).mul_add(*bp.add(p * n + j), o);
+                    o = (*ap.add(p * m + i)).mul_add(*bp.add(p * n + j), o);
                 }
-                oband[i * n + j] = o;
+                out[i * n + j] = o;
             }
         }
     }
@@ -1441,7 +1438,7 @@ pub(crate) mod avx2 {
     /// is the block's `len × m` feature map, row `p` of `v` starts at
     /// `v[p·ld]` (the packed QKV matrix read in place) and `kv` is
     /// `m × dh` row-major. Each accumulator holds eight features of one
-    /// output column for the whole p loop, with `atb_band`'s chain
+    /// output column for the whole p loop, with `gemm_atb`'s chain
     /// (groups of four sequential FMAs, then single FMAs).
     ///
     /// # Safety
@@ -2422,7 +2419,7 @@ pub(crate) mod avx512 {
 
     /// 16-lane twin of [`super::avx2::gemm_atb`]: per `kc`-row panel,
     /// tiles of up to eight rows × 32 columns stay in registers (16
-    /// accumulators), loaded from `oband` once and stored once. Ragged
+    /// accumulators), loaded from `out` once and stored once. Ragged
     /// columns run in masked lanes (a masked-off lane never touches
     /// memory), so every element keeps the scalar chain: one FMA per `p`,
     /// ascending.
@@ -2431,33 +2428,30 @@ pub(crate) mod avx512 {
     ///
     /// As [`super::avx2::gemm_atb`], under the AVX-512F contract.
     #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
     pub(crate) unsafe fn gemm_atb(
         a: &[f32],
         b: &[f32],
-        oband: &mut [f32],
-        i0: usize,
+        out: &mut [f32],
         m: usize,
         k: usize,
         n: usize,
         kc: usize,
     ) {
-        let rows = oband.len().checked_div(n).unwrap_or(0);
-        debug_assert!(a.len() >= k * m && b.len() >= k * n && i0 + rows <= m);
-        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), oband.as_mut_ptr());
+        debug_assert!(a.len() >= k * m && b.len() >= k * n && out.len() >= m * n);
+        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
         let mut p0 = 0;
         while p0 < k {
             let len = kc.min(k - p0);
-            let (pa, pb) = (ap.add(p0 * m + i0), bp.add(p0 * n));
+            let (pa, pb) = (ap.add(p0 * m), bp.add(p0 * n));
             let mut j = 0;
             while j < n {
                 let cols = (n - j).min(32);
                 let mut i = 0;
-                while i < rows {
+                while i < m {
                     let (a_, b_, o_) = (pa.add(i), pb.add(j), op.add(i * n + j));
                     i += if cols > 16 {
                         let mk = block_masks::<2>(cols);
-                        match rows - i {
+                        match m - i {
                             8.. => atb_tile::<8, 2>(a_, m, b_, n, len, o_, mk),
                             4..=7 => atb_tile::<4, 2>(a_, m, b_, n, len, o_, mk),
                             2 | 3 => atb_tile::<2, 2>(a_, m, b_, n, len, o_, mk),
@@ -2465,7 +2459,7 @@ pub(crate) mod avx512 {
                         }
                     } else {
                         let mk = block_masks::<1>(cols);
-                        match rows - i {
+                        match m - i {
                             8.. => atb_tile::<8, 1>(a_, m, b_, n, len, o_, mk),
                             4..=7 => atb_tile::<4, 1>(a_, m, b_, n, len, o_, mk),
                             2 | 3 => atb_tile::<2, 1>(a_, m, b_, n, len, o_, mk),
@@ -3142,8 +3136,7 @@ pub mod ops {
         );
     }
 
-    /// `out += a · b` for row-major `a (m×k)`, `b (k×n)`, `out (m×n)`
-    /// (auto serial/parallel; the parallel banding is bitwise-equal).
+    /// `out += a · b` for row-major `a (m×k)`, `b (k×n)`, `out (m×n)`.
     pub fn gemm(
         backend: Backend,
         a: &[f32],
@@ -3157,7 +3150,7 @@ pub mod ops {
         assert_eq!(a.len(), m * k, "a length");
         assert_eq!(b.len(), k * n, "b length");
         assert_eq!(out.len(), m * n, "out length");
-        crate::tensor::gemm_with(backend, a, b, out, m, k, n);
+        crate::tensor::gemm(backend, a, b, out, m, k, n);
     }
 
     /// `out += aᵀ · b` for row-major `a (k×m)`, `b (k×n)`, `out (m×n)`.
@@ -3174,7 +3167,7 @@ pub mod ops {
         assert_eq!(a.len(), k * m, "a length");
         assert_eq!(b.len(), k * n, "b length");
         assert_eq!(out.len(), m * n, "out length");
-        crate::tensor::gemm_atb_with(backend, a, b, out, m, k, n);
+        crate::tensor::gemm_atb(backend, a, b, out, m, k, n);
     }
 
     /// `out += a · bᵀ` for row-major `a (m×k)`, `b (n×k)`, `out (m×n)`.
@@ -3191,7 +3184,7 @@ pub mod ops {
         assert_eq!(a.len(), m * k, "a length");
         assert_eq!(b.len(), n * k, "b length");
         assert_eq!(out.len(), m * n, "out length");
-        crate::tensor::gemm_abt_with(backend, a, b, out, m, k, n);
+        crate::tensor::gemm_abt(backend, a, b, out, m, k, n);
     }
 
     /// Eight-lane dot product (same reduction tree on every backend).

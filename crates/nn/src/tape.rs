@@ -1600,12 +1600,13 @@ impl<'p> Tape<'p> {
                     let d3 = g.cols();
                     let d_out = d3 / 3;
                     // gx = g · Wcatᵀ: one GEMM over the packed weight.
+                    let be = Backend::active();
                     let mut gx = pool::take_zeroed(n * d_in);
-                    gemm_abt(g.as_slice(), wcat.as_slice(), &mut gx, n, d3, d_in);
+                    gemm_abt(be, g.as_slice(), wcat.as_slice(), &mut gx, n, d3, d_in);
                     // gWcat = xᵀ · g, then split into the three
                     // projection gradients (column blocks of the pack).
                     let mut gw = pool::take_zeroed(d_in * d3);
-                    gemm_atb(xv.as_slice(), g.as_slice(), &mut gw, d_in, n, d3);
+                    gemm_atb(be, xv.as_slice(), g.as_slice(), &mut gw, d_in, n, d3);
                     for (slot, var) in [(0usize, *wq), (1, *wk), (2, *wv)] {
                         let mut part = pool::take_capacity(d_in * d_out);
                         for r in 0..d_in {
@@ -1716,6 +1717,7 @@ impl<'p> Tape<'p> {
             // gx = g · Wᵀ
             let mut gx = pool::take_zeroed(xv.len());
             gemm_abt(
+                Backend::active(),
                 g.as_slice(),
                 wv.as_slice(),
                 &mut gx,
@@ -1726,6 +1728,7 @@ impl<'p> Tape<'p> {
             // gW = xᵀ · g
             let mut gw = pool::take_zeroed(wv.len());
             gemm_atb(
+                Backend::active(),
                 xv.as_slice(),
                 g.as_slice(),
                 &mut gw,

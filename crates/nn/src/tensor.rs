@@ -13,12 +13,12 @@
 //!   buffers to the pool when it is dropped or reset, so steady-state
 //!   training does no per-op heap allocation.
 //! * The three matmul variants use cache-blocked kernels (k-panelled
-//!   i-k-j loops whose inner loop is a contiguous AXPY/dot) and switch to
-//!   a row-partitioned multi-threaded path above a size threshold — see
-//!   [`Tensor::matmul_parallel`] and `docs/perf.md`.
+//!   i-k-j loops whose inner loop is a contiguous AXPY/dot). Kernels are
+//!   serial and start no threads: callers fan out over independent
+//!   samples (training sub-batches, eval chunks, sweep slices, serve
+//!   workers) instead — see `docs/perf.md`.
 
 use std::fmt;
-use std::sync::OnceLock;
 
 use crate::pool;
 use crate::simd::Backend;
@@ -30,56 +30,19 @@ use crate::simd::Backend;
 /// loop.
 const KC: usize = 128;
 
-/// Default multiply-accumulate count above which matmuls go parallel.
-const DEFAULT_PAR_MACS: usize = 4 << 20;
-
-/// MAC-count threshold for the parallel matmul path; override with the
-/// `CIRGPS_PAR_MACS` environment variable (`0` disables threading).
-fn par_macs_threshold() -> usize {
-    static CELL: OnceLock<usize> = OnceLock::new();
-    *CELL.get_or_init(|| {
-        std::env::var("CIRGPS_PAR_MACS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_PAR_MACS)
-    })
-}
-
-pub(crate) fn hardware_threads() -> usize {
-    static CELL: OnceLock<usize> = OnceLock::new();
-    *CELL.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
-pub(crate) fn use_parallel(m: usize, k: usize, n: usize) -> bool {
-    let threshold = par_macs_threshold();
-    threshold > 0
-        && hardware_threads() > 1
-        && m > 1
-        && m.saturating_mul(k).saturating_mul(n) >= threshold
-}
-
-/// `out += a · b` for row-major `a (m×k)`, `b (k×n)`, `out (m×n)`.
+/// `out += a · b` for row-major `a (m×k)`, `b (k×n)`, `out (m×n)` on an
+/// explicit backend.
 ///
 /// k-panelled so a `KC × n` slab of `b` stays cache-resident across all
 /// output rows, with the inner accumulation unrolled over four k-steps:
 /// the output row is streamed once per four B rows instead of once per
-/// row, which is what makes the small `d×d` model matmuls fast. The
-/// serial and parallel paths share this kernel, so they stay
-/// bitwise-identical; versus a naive i-k-j loop the 4-way grouping is
-/// tolerance-equal (different f32 summation tree), not bitwise.
-pub(crate) fn gemm_serial(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_serial_with(Backend::active(), a, b, out, m, k, n)
-}
-
-/// [`gemm_serial`] on an explicit backend. The SIMD microkernels keep
-/// each output element's k-accumulation order, so every backend is
-/// bitwise-equal (see `crate::simd`).
+/// row, which is what makes the small `d×d` model matmuls fast. Versus a
+/// naive i-k-j loop the 4-way grouping is tolerance-equal (different f32
+/// summation tree), not bitwise. The SIMD microkernels keep each output
+/// element's k-accumulation order, so every backend is bitwise-equal
+/// (see `crate::simd`).
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn gemm_serial_with(
+pub(crate) fn gemm(
     backend: Backend,
     a: &[f32],
     b: &[f32],
@@ -94,8 +57,6 @@ pub(crate) fn gemm_serial_with(
     if n == 1 {
         // Column-vector RHS (e.g. the d→1 output heads): one dot product
         // per output element; the AXPY loop would make k width-1 passes.
-        // Lives here (not in the `gemm` dispatcher) so serial, parallel,
-        // and auto paths all use the same kernel for this shape.
         for (i, o) in out.iter_mut().enumerate() {
             *o += dot_with(backend, &a[i * k..(i + 1) * k], b);
         }
@@ -189,7 +150,7 @@ pub(crate) fn gemm_serial_with(
 /// `out += a · b` for a compile-time column count `N`: each output row
 /// accumulates in registers across the whole (panelled, 4-unrolled) k
 /// loop. Same per-element accumulation order as the generic kernel in
-/// [`gemm_serial`], hence bitwise-equal — just ~2× fewer loads/stores.
+/// [`gemm`], hence bitwise-equal — just ~2× fewer loads/stores.
 fn gemm_fixed_n<const N: usize>(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize) {
     gemm_fixed_n_epilogue::<N, _>(a, b, out, m, k, |_, _| {});
 }
@@ -290,125 +251,14 @@ pub(crate) fn gemm_fixed_n_epilogue<const N: usize, E>(
     }
 }
 
-/// Row-partitioned parallel `out += a · b`. Each worker owns a disjoint
-/// band of output rows and runs the serial kernel on it, so the result
-/// is bitwise-identical to [`gemm_serial`].
-pub(crate) fn gemm_parallel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_parallel_with(Backend::active(), a, b, out, m, k, n)
-}
-
-/// [`gemm_parallel`] on an explicit backend (each band runs the serial
-/// kernel for that backend, so results stay bitwise-identical).
-pub(crate) fn gemm_parallel_with(
-    backend: Backend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let threads = hardware_threads().min(m).max(1);
-    // Empty output: nothing to do (and `chunks_mut(0)` would panic).
-    if out.is_empty() || threads < 2 {
-        return gemm_serial_with(backend, a, b, out, m, k, n);
-    }
-    let rows_per = m.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (ti, ochunk) in out.chunks_mut(rows_per * n).enumerate() {
-            let i0 = ti * rows_per;
-            let rows = ochunk.len() / n;
-            let aband = &a[i0 * k..(i0 + rows) * k];
-            s.spawn(move || gemm_serial_with(backend, aband, b, ochunk, rows, k, n));
-        }
-    });
-}
-
-pub(crate) fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_with(Backend::active(), a, b, out, m, k, n)
-}
-
-/// Auto serial/parallel `out += a · b` on an explicit backend.
-pub(crate) fn gemm_with(
-    backend: Backend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if n != 1 && use_parallel(m, k, n) {
-        gemm_parallel_with(backend, a, b, out, m, k, n);
-    } else {
-        gemm_serial_with(backend, a, b, out, m, k, n);
-    }
-}
-
-/// Band kernel shared by the serial and parallel `aᵀ · b` paths: updates
-/// output rows `[i0, i0 + rows)`. Every element is one sequential FMA
-/// chain over `p` (the scalar loop groups four k-steps per pass over the
-/// output row; the SIMD kernels hold register tiles across a k-panel),
-/// so every backend and any banding is bitwise-identical.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-#[allow(clippy::too_many_arguments)]
-fn atb_band(
-    backend: Backend,
-    a: &[f32],
-    b: &[f32],
-    oband: &mut [f32],
-    i0: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if backend != Backend::Scalar {
-        // SAFETY: a non-scalar backend is only selected after its CPU
-        // feature probe succeeded (`Backend::available`).
-        return unsafe {
-            match backend {
-                Backend::Avx512 => crate::simd::avx512::gemm_atb(a, b, oband, i0, m, k, n, KC),
-                _ => crate::simd::avx2::gemm_atb(a, b, oband, i0, m, k, n, KC),
-            }
-        };
-    }
-    let rows = oband.len().checked_div(n).unwrap_or(0);
-    let mut p = 0;
-    while p + 4 <= k {
-        let b0 = &b[p * n..p * n + n];
-        let b1 = &b[(p + 1) * n..(p + 1) * n + n];
-        let b2 = &b[(p + 2) * n..(p + 2) * n + n];
-        let b3 = &b[(p + 3) * n..(p + 3) * n + n];
-        for i in 0..rows {
-            let a0 = a[p * m + i0 + i];
-            let a1 = a[(p + 1) * m + i0 + i];
-            let a2 = a[(p + 2) * m + i0 + i];
-            let a3 = a[(p + 3) * m + i0 + i];
-            let orow = &mut oband[i * n..i * n + n];
-            for ((((o, &v0), &v1), &v2), &v3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-                let t = a1.mul_add(v1, a0.mul_add(v0, *o));
-                *o = a3.mul_add(v3, a2.mul_add(v2, t));
-            }
-        }
-        p += 4;
-    }
-    while p < k {
-        let brow = &b[p * n..p * n + n];
-        for i in 0..rows {
-            let av = a[p * m + i0 + i];
-            let orow = &mut oband[i * n..i * n + n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o = av.mul_add(bv, *o);
-            }
-        }
-        p += 1;
-    }
-}
-
 /// `out += aᵀ · b` for row-major `a (k×m)`, `b (k×n)`, `out (m×n)`,
-/// without materializing the transpose, on an explicit backend.
-pub(crate) fn gemm_atb_serial_with(
+/// without materializing the transpose, on an explicit backend. Every
+/// element is one sequential FMA chain over `p` (the scalar loop groups
+/// four k-steps per pass over the output row; the SIMD kernels hold
+/// register tiles across a k-panel), so every backend is
+/// bitwise-identical.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn gemm_atb(
     backend: Backend,
     a: &[f32],
     b: &[f32],
@@ -420,52 +270,46 @@ pub(crate) fn gemm_atb_serial_with(
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    atb_band(backend, a, b, out, 0, m, k, n);
-}
-
-/// Parallel `out += aᵀ · b` on an explicit backend: workers own disjoint
-/// output-row bands (columns of `a`) and run the same band kernel, so
-/// results match [`gemm_atb_serial_with`] bitwise.
-pub(crate) fn gemm_atb_parallel_with(
-    backend: Backend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let threads = hardware_threads().min(m).max(1);
-    if out.is_empty() || threads < 2 {
-        return gemm_atb_serial_with(backend, a, b, out, m, k, n);
+    #[cfg(target_arch = "x86_64")]
+    if backend != Backend::Scalar {
+        // SAFETY: a non-scalar backend is only selected after its CPU
+        // feature probe succeeded (`Backend::available`).
+        return unsafe {
+            match backend {
+                Backend::Avx512 => crate::simd::avx512::gemm_atb(a, b, out, m, k, n, KC),
+                _ => crate::simd::avx2::gemm_atb(a, b, out, m, k, n, KC),
+            }
+        };
     }
-    let rows_per = m.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (ti, ochunk) in out.chunks_mut(rows_per * n).enumerate() {
-            let i0 = ti * rows_per;
-            s.spawn(move || atb_band(backend, a, b, ochunk, i0, m, k, n));
+    let mut p = 0;
+    while p + 4 <= k {
+        let b0 = &b[p * n..p * n + n];
+        let b1 = &b[(p + 1) * n..(p + 1) * n + n];
+        let b2 = &b[(p + 2) * n..(p + 2) * n + n];
+        let b3 = &b[(p + 3) * n..(p + 3) * n + n];
+        for i in 0..m {
+            let a0 = a[p * m + i];
+            let a1 = a[(p + 1) * m + i];
+            let a2 = a[(p + 2) * m + i];
+            let a3 = a[(p + 3) * m + i];
+            let orow = &mut out[i * n..i * n + n];
+            for ((((o, &v0), &v1), &v2), &v3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+                let t = a1.mul_add(v1, a0.mul_add(v0, *o));
+                *o = a3.mul_add(v3, a2.mul_add(v2, t));
+            }
         }
-    });
-}
-
-pub(crate) fn gemm_atb(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_atb_with(Backend::active(), a, b, out, m, k, n)
-}
-
-/// Auto serial/parallel `out += aᵀ · b` on an explicit backend.
-pub(crate) fn gemm_atb_with(
-    backend: Backend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if use_parallel(m, k, n) {
-        gemm_atb_parallel_with(backend, a, b, out, m, k, n);
-    } else {
-        gemm_atb_serial_with(backend, a, b, out, m, k, n);
+        p += 4;
+    }
+    while p < k {
+        let brow = &b[p * n..p * n + n];
+        for i in 0..m {
+            let av = a[p * m + i];
+            let orow = &mut out[i * n..i * n + n];
+            for (o, &bv) in orow.iter_mut().zip(brow) {
+                *o = av.mul_add(bv, *o);
+            }
+        }
+        p += 1;
     }
 }
 
@@ -526,56 +370,13 @@ pub(crate) fn laned_sum_with(backend: Backend, x: &[f32]) -> f32 {
     (s0 + s1) + tail
 }
 
-/// The `k × n` transpose of `b (n×k)` that the SIMD `a · bᵀ` kernels
-/// read (pool-backed; empty on the scalar backend, which reads `b`).
-fn abt_pack(backend: Backend, b: &[f32], n: usize, k: usize) -> Vec<f32> {
-    if backend == Backend::Scalar {
-        return Vec::new();
-    }
-    let mut bt = pool::take_zeroed(n * k);
-    transpose_into(b, n, k, &mut bt);
-    bt
-}
-
-/// Row kernel shared by the serial and parallel `a · bᵀ` paths, with
-/// `bt` from [`abt_pack`]: every output element is `out + dot_with(a_i,
-/// b_j)` on every backend (the SIMD kernels replay [`dot_with`]'s lanes
-/// and tree in registers), so the reduction order is backend-invariant.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-#[allow(clippy::too_many_arguments)]
-fn abt_rows(
-    backend: Backend,
-    a: &[f32],
-    b: &[f32],
-    bt: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if backend != Backend::Scalar {
-        // SAFETY: a non-scalar backend is only selected after its CPU
-        // feature probe succeeded (`Backend::available`).
-        return unsafe {
-            match backend {
-                Backend::Avx512 => crate::simd::avx512::gemm_abt(a, bt, out, m, k, n),
-                _ => crate::simd::avx2::gemm_abt(a, b, bt, out, m, k, n),
-            }
-        };
-    }
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (j, o) in orow.iter_mut().enumerate() {
-            *o += dot_with(backend, arow, &b[j * k..(j + 1) * k]);
-        }
-    }
-}
-
 /// `out += a · bᵀ` for row-major `a (m×k)`, `b (n×k)`, `out (m×n)` on an
-/// explicit backend (see [`abt_rows`]).
-pub(crate) fn gemm_abt_serial_with(
+/// explicit backend: every output element is `out + dot_with(a_i, b_j)`
+/// on every backend (the SIMD kernels read a pooled `k × n` transpose of
+/// `b` and replay [`dot_with`]'s lanes and tree in registers), so the
+/// reduction order is backend-invariant.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn gemm_abt(
     backend: Backend,
     a: &[f32],
     b: &[f32],
@@ -587,59 +388,27 @@ pub(crate) fn gemm_abt_serial_with(
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
-    let bt = abt_pack(backend, b, n, k);
-    abt_rows(backend, a, b, &bt, out, m, k, n);
-    pool::put(bt);
-}
-
-/// Row-partitioned parallel `out += a · bᵀ` on an explicit backend: `b`
-/// is transposed once, then every band runs [`abt_rows`], so results
-/// are bitwise-equal to [`gemm_abt_serial_with`].
-pub(crate) fn gemm_abt_parallel_with(
-    backend: Backend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let threads = hardware_threads().min(m).max(1);
-    if out.is_empty() || threads < 2 {
-        return gemm_abt_serial_with(backend, a, b, out, m, k, n);
-    }
-    let bt = abt_pack(backend, b, n, k);
-    let rows_per = m.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (ti, ochunk) in out.chunks_mut(rows_per * n).enumerate() {
-            let i0 = ti * rows_per;
-            let rows = ochunk.len() / n;
-            let aband = &a[i0 * k..(i0 + rows) * k];
-            let bt = &bt;
-            s.spawn(move || abt_rows(backend, aband, b, bt, ochunk, rows, k, n));
+    #[cfg(target_arch = "x86_64")]
+    if backend != Backend::Scalar {
+        let mut bt = pool::take_zeroed(n * k);
+        transpose_into(b, n, k, &mut bt);
+        // SAFETY: a non-scalar backend is only selected after its CPU
+        // feature probe succeeded (`Backend::available`).
+        unsafe {
+            match backend {
+                Backend::Avx512 => crate::simd::avx512::gemm_abt(a, &bt, out, m, k, n),
+                _ => crate::simd::avx2::gemm_abt(a, b, &bt, out, m, k, n),
+            }
         }
-    });
-    pool::put(bt);
-}
-
-pub(crate) fn gemm_abt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_abt_with(Backend::active(), a, b, out, m, k, n)
-}
-
-/// Auto serial/parallel `out += a · bᵀ` on an explicit backend.
-pub(crate) fn gemm_abt_with(
-    backend: Backend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if use_parallel(m, k, n) {
-        gemm_abt_parallel_with(backend, a, b, out, m, k, n);
-    } else {
-        gemm_abt_serial_with(backend, a, b, out, m, k, n);
+        pool::put(bt);
+        return;
+    }
+    for i in 0..m {
+        let arow = &a[i * k..(i + 1) * k];
+        let orow = &mut out[i * n..(i + 1) * n];
+        for (j, o) in orow.iter_mut().enumerate() {
+            *o += dot_with(backend, arow, &b[j * k..(j + 1) * k]);
+        }
     }
 }
 
@@ -922,12 +691,8 @@ impl Tensor {
         );
     }
 
-    /// Matrix product `self × rhs`.
-    ///
-    /// Uses the blocked kernel and switches to the row-partitioned
-    /// parallel path above the `CIRGPS_PAR_MACS` threshold; all paths
-    /// (including the `rhs.cols() == 1` dot-product shape) produce
-    /// bitwise-identical results to [`Tensor::matmul_serial`].
+    /// Matrix product `self × rhs` via the blocked serial kernel (the
+    /// `rhs.cols() == 1` shape runs one dot product per row).
     ///
     /// # Panics
     ///
@@ -936,37 +701,7 @@ impl Tensor {
         self.check_matmul(rhs);
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         let mut out = pool::take_zeroed(m * n);
-        gemm(&self.data, &rhs.data, &mut out, m, k, n);
-        Tensor {
-            rows: m,
-            cols: n,
-            data: out,
-        }
-    }
-
-    /// Matrix product via the serial blocked kernel, regardless of size.
-    ///
-    /// Exists so tests and benches can compare against
-    /// [`Tensor::matmul_parallel`]; `matmul` picks between the two.
-    pub fn matmul_serial(&self, rhs: &Tensor) -> Tensor {
-        self.check_matmul(rhs);
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        let mut out = pool::take_zeroed(m * n);
-        gemm_serial(&self.data, &rhs.data, &mut out, m, k, n);
-        Tensor {
-            rows: m,
-            cols: n,
-            data: out,
-        }
-    }
-
-    /// Matrix product via the row-partitioned threaded kernel, regardless
-    /// of size. Bitwise-equal to [`Tensor::matmul_serial`].
-    pub fn matmul_parallel(&self, rhs: &Tensor) -> Tensor {
-        self.check_matmul(rhs);
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        let mut out = pool::take_zeroed(m * n);
-        gemm_parallel(&self.data, &rhs.data, &mut out, m, k, n);
+        gemm(Backend::active(), &self.data, &rhs.data, &mut out, m, k, n);
         Tensor {
             rows: m,
             cols: n,
@@ -979,7 +714,7 @@ impl Tensor {
         assert_eq!(self.rows, rhs.rows, "t_matmul shape mismatch");
         let (m, k, n) = (self.cols, self.rows, rhs.cols);
         let mut out = pool::take_zeroed(m * n);
-        gemm_atb(&self.data, &rhs.data, &mut out, m, k, n);
+        gemm_atb(Backend::active(), &self.data, &rhs.data, &mut out, m, k, n);
         Tensor {
             rows: m,
             cols: n,
@@ -992,7 +727,7 @@ impl Tensor {
         assert_eq!(self.cols, rhs.cols, "matmul_t shape mismatch");
         let (m, k, n) = (self.rows, self.cols, rhs.rows);
         let mut out = pool::take_zeroed(m * n);
-        gemm_abt(&self.data, &rhs.data, &mut out, m, k, n);
+        gemm_abt(Backend::active(), &self.data, &rhs.data, &mut out, m, k, n);
         Tensor {
             rows: m,
             cols: n,
@@ -1175,104 +910,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_kernels_match_serial_exactly() {
-        // Larger-than-one-tile shapes so blocking and partitioning both
-        // engage; the parallel path must be bitwise-identical.
-        let k = 300;
-        let a = Tensor::from_vec(
-            37,
-            k,
-            (0..37 * k).map(|i| (i as f32 * 0.137).sin()).collect(),
-        );
-        let b = Tensor::from_vec(
-            k,
-            19,
-            (0..k * 19).map(|i| (i as f32 * 0.071).cos()).collect(),
-        );
-        assert_eq!(
-            a.matmul_serial(&b).as_slice(),
-            a.matmul_parallel(&b).as_slice()
-        );
-
-        let mut o1 = vec![0.0f32; a.cols() * b.cols()];
-        let mut o2 = vec![0.0f32; a.cols() * b.cols()];
-        let at = Tensor::from_vec(
-            k,
-            37,
-            (0..k * 37).map(|i| (i as f32 * 0.093).sin()).collect(),
-        );
-        let be = Backend::active();
-        gemm_atb_serial_with(
-            be,
-            at.as_slice(),
-            b.as_slice(),
-            &mut o1[..37 * 19],
-            37,
-            k,
-            19,
-        );
-        gemm_atb_parallel_with(
-            be,
-            at.as_slice(),
-            b.as_slice(),
-            &mut o2[..37 * 19],
-            37,
-            k,
-            19,
-        );
-        assert_eq!(&o1[..37 * 19], &o2[..37 * 19]);
-
-        let bt = Tensor::from_vec(
-            19,
-            k,
-            (0..19 * k).map(|i| (i as f32 * 0.059).cos()).collect(),
-        );
-        let mut o3 = vec![0.0f32; 37 * 19];
-        let mut o4 = vec![0.0f32; 37 * 19];
-        gemm_abt_serial_with(be, a.as_slice(), bt.as_slice(), &mut o3, 37, k, 19);
-        gemm_abt_parallel_with(be, a.as_slice(), bt.as_slice(), &mut o4, 37, k, 19);
-        assert_eq!(o3, o4);
-    }
-
-    #[test]
-    fn ragged_row_bands_match_the_serial_kernels_exactly() {
-        // The row-parallel paths hand each worker a band of output rows;
-        // bands of 13, 17 and 15 rows leave partial `aᵀ·b` register tiles
-        // (4 or 8 rows) at every band edge, and `a·bᵀ` bands share one
-        // transposed `b`. Every backend must match its serial kernel.
-        let (m, k, n) = (45, 150, 19);
-        let fill =
-            |len: usize, f: f32| -> Vec<f32> { (0..len).map(|i| (i as f32 * f).sin()).collect() };
-        let (at, a, b, bt) = (
-            fill(k * m, 0.093),
-            fill(m * k, 0.137),
-            fill(k * n, 0.071),
-            fill(n * k, 0.059),
-        );
-        let bands = [(0, 13), (13, 30), (30, 45)];
-        for backend in Backend::ALL.into_iter().filter(|b| b.available()) {
-            let mut serial = vec![0.0f32; m * n];
-            gemm_atb_serial_with(backend, &at, &b, &mut serial, m, k, n);
-            let mut banded = vec![0.0f32; m * n];
-            for (i0, i1) in bands {
-                let oband = &mut banded[i0 * n..i1 * n];
-                atb_band(backend, &at, &b, oband, i0, m, k, n);
-            }
-            assert_eq!(serial, banded, "aᵀ·b bands on {backend}");
-
-            let mut serial = vec![0.0f32; m * n];
-            gemm_abt_serial_with(backend, &a, &bt, &mut serial, m, k, n);
-            let packed = abt_pack(backend, &bt, n, k);
-            let mut banded = vec![0.0f32; m * n];
-            for (i0, i1) in bands {
-                let (aband, oband) = (&a[i0 * k..i1 * k], &mut banded[i0 * n..i1 * n]);
-                abt_rows(backend, aband, &bt, &packed, oband, i1 - i0, k, n);
-            }
-            assert_eq!(serial, banded, "a·bᵀ bands on {backend}");
-        }
-    }
-
-    #[test]
     fn blocked_gemm_matches_naive_triple_loop() {
         let (m, k, n) = (5, 200, 7);
         let a: Vec<f32> = (0..m * k)
@@ -1359,25 +996,20 @@ mod tests {
         let outer = colvec.matmul(&rowvec);
         assert_eq!(outer.shape(), (3, 3));
         assert_eq!(outer.get(2, 0), 6.0);
+        // Zero-row / zero-column outputs must not panic.
         let empty = Tensor::zeros(0, 4).matmul(&Tensor::zeros(4, 2));
         assert_eq!(empty.shape(), (0, 2));
-        // Zero-column / zero-row outputs must not panic on any path.
         let wide = Tensor::zeros(8, 4);
-        assert_eq!(wide.matmul_parallel(&Tensor::zeros(4, 0)).shape(), (8, 0));
-        assert_eq!(
-            Tensor::zeros(0, 4)
-                .matmul_parallel(&Tensor::zeros(4, 2))
-                .shape(),
-            (0, 2)
-        );
-        // n == 1 uses the dot kernel on every path; serial and parallel
-        // must still agree bitwise.
+        assert_eq!(wide.matmul(&Tensor::zeros(4, 0)).shape(), (8, 0));
+        // n == 1 runs one dot product per output row.
         let a = Tensor::from_vec(9, 7, (0..63).map(|i| (i as f32 * 0.3).sin()).collect());
         let b = Tensor::from_vec(7, 1, (0..7).map(|i| (i as f32 * 0.7).cos()).collect());
-        assert_eq!(a.matmul(&b).as_slice(), a.matmul_serial(&b).as_slice());
-        assert_eq!(
-            a.matmul_serial(&b).as_slice(),
-            a.matmul_parallel(&b).as_slice()
-        );
+        let out = a.matmul(&b);
+        for r in 0..9 {
+            assert_eq!(
+                out.get(r, 0),
+                dot_with(Backend::active(), a.row_slice(r), b.as_slice())
+            );
+        }
     }
 }

@@ -65,12 +65,16 @@ fn gemm_shapes() -> impl Strategy<Value = (usize, usize, usize)> {
         // Ragged widths around the 8/16-lane boundaries.
         (1usize..6, 1usize..32, 1usize..20),
         // Training shapes: output rows around the `aᵀ·b` register-tile
-        // heights (4 and 8 rows), k across the 128-step panel boundary
-        // and off the 8-lane grid (the `a·bᵀ` lane tail), n on and off
-        // the vector widths.
+        // heights (4 and 8 rows; 13, 15 and 17 leave a partial tile of
+        // each height), k across the 128-step panel boundary and off the
+        // 8-lane grid (the `a·bᵀ` lane tail), n on and off the vector
+        // widths.
         (
             prop_oneof![
                 Just(8usize),
+                Just(13usize),
+                Just(15usize),
+                Just(17usize),
                 Just(31usize),
                 Just(32usize),
                 Just(33usize),

@@ -2,7 +2,7 @@
 //! generation → SEAL-style link injection → parallel enclosing-subgraph
 //! extraction.
 
-use ams_netlist::{Netlist, SpfFile, SpfNode};
+use ams_netlist::{Netlist, SpfFile};
 use circuit_graph::{CircuitGraph, Edge, NodeMap, NodeType};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -65,12 +65,33 @@ pub struct LinkDataset {
 }
 
 impl LinkDataset {
+    /// Selects the dataset's links without extracting anything: joins
+    /// SPF couplings, balances by the rarest type, generates structural
+    /// negatives and shuffles. Returns every joined coupling (the
+    /// injection context [`LinkDataset::build`] needs) and the selected
+    /// links in sample order.
+    pub fn select_links(
+        graph: &CircuitGraph,
+        netlist: &Netlist,
+        map: &NodeMap,
+        spf: &SpfFile,
+        cfg: &DatasetConfig,
+    ) -> (LinkSet, Vec<Link>) {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let all = LinkSet::from_spf(spf, netlist, graph, map, cfg.cap_range);
+        let per_type = all.balance_count().min(cfg.max_per_type);
+        let mut links = all.balanced(per_type, &mut rng);
+        links.extend(generate_negatives(graph, &links, &all, cfg.seed ^ 0x5eed));
+        links.shuffle(&mut rng);
+        (all, links)
+    }
+
     /// Builds the dataset for one design.
     ///
-    /// Follows the paper's protocol: join SPF couplings, balance by the
-    /// rarest type, generate structural negatives, inject *all* sampled
-    /// links into the graph (SEAL setup), then extract 1-hop enclosing
-    /// subgraphs in parallel.
+    /// Follows the paper's protocol: select links
+    /// ([`LinkDataset::select_links`]), inject *all* sampled links into
+    /// the graph (SEAL setup), then extract 1-hop enclosing subgraphs in
+    /// parallel.
     pub fn build(
         design: &str,
         graph: &CircuitGraph,
@@ -79,16 +100,7 @@ impl LinkDataset {
         spf: &SpfFile,
         cfg: &DatasetConfig,
     ) -> LinkDataset {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let all = LinkSet::from_spf(spf, netlist, graph, map, cfg.cap_range);
-        let raw_counts = all.counts();
-        let per_type = all.balance_count().min(cfg.max_per_type);
-        let positives = all.balanced(per_type, &mut rng);
-        let negatives = generate_negatives(graph, &positives, &all, cfg.seed ^ 0x5eed);
-
-        let mut links: Vec<Link> = positives;
-        links.extend(negatives);
-        links.shuffle(&mut rng);
+        let (all, links) = Self::select_links(graph, netlist, map, spf, cfg);
 
         // SEAL link injection: ALL observed positive couplings plus the
         // sampled negatives become edges of the augmented graph (each
@@ -138,7 +150,7 @@ impl LinkDataset {
             samples,
             mean_subgraph_nodes: sum_n as f64 / count,
             mean_subgraph_edges: sum_e as f64 / count,
-            raw_counts,
+            raw_counts: all.counts(),
         }
     }
 
@@ -202,8 +214,6 @@ impl NodeDataset {
             if graph.node_type(v) == NodeType::Device {
                 continue;
             }
-            let merged = matches!(&g.node, SpfNode::Pin { .. });
-            let _ = merged;
             if seen.insert(v) {
                 targets.push((v, g.value));
             }

@@ -218,7 +218,8 @@ USAGE:
         --chunk N         pairs per planned window — the bounded-memory
                           knob; results flush once per window
                           (default 4096)
-        --threads N       forward-pass worker threads (default 1)
+        --threads N       forward-pass slices, run on at most one
+                          worker per core (default 1)
         --format jsonl|csv
                           output format (default jsonl, same fields as
                           `cirgps predict` minus the dataset label)
@@ -1288,8 +1289,12 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     let (graph, map) = netlist_to_graph(&netlist);
-    let ds = LinkDataset::build(
-        &netlist.name,
+    // The pairs `LinkDataset::build` would train on, without its link
+    // injection or extraction: the session extracts each pair's subgraph
+    // from the *plain* graph, since an augmented graph with every
+    // candidate coupling injected (the training-time convention) would
+    // leak the candidate structure into a pure inference query.
+    let (_, links) = LinkDataset::select_links(
         &graph,
         &netlist,
         &map,
@@ -1316,12 +1321,7 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
     )
     .with_batch_size(batch_size);
 
-    // The session re-extracts each pair's subgraph from the *plain*
-    // graph rather than reusing the dataset's: `LinkDataset::build`
-    // samples from an augmented graph with every candidate coupling
-    // injected as an edge (the training-time convention), which would
-    // leak the candidate structure into a pure inference query.
-    let pairs: Vec<(u32, u32)> = ds.samples.iter().map(|s| (s.link.a, s.link.b)).collect();
+    let pairs: Vec<(u32, u32)> = links.iter().map(|l| (l.a, l.b)).collect();
     let preds = match task {
         "link" => session.predict_links(&pairs),
         _ => session.predict_couplings(&pairs),
@@ -1329,7 +1329,7 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
 
     let cap_norm = CapNormalizer::paper_range();
     let mut lines = String::new();
-    for (s, &p) in ds.samples.iter().zip(&preds) {
+    for (l, &p) in links.iter().zip(&preds) {
         let extra = if task == "cap" {
             format!(",\"cap_pred_f\":{:.4e}", cap_norm.decode(p))
         } else {
@@ -1337,9 +1337,9 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
         };
         lines.push_str(&format!(
             "{{\"a\":{},\"b\":{},\"label\":{},\"{}\":{:.6}{}}}\n",
-            s.link.a,
-            s.link.b,
-            s.link.label,
+            l.a,
+            l.b,
+            l.label,
             if task == "link" { "prob" } else { "cap_norm" },
             p,
             extra
