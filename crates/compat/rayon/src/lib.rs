@@ -28,6 +28,17 @@ pub fn current_num_threads() -> usize {
 /// costs far more than mapping one cheap item.
 pub const MIN_PAR_ITEMS: usize = 2;
 
+/// Workers for a collect of `n` items. Asking the host for its core
+/// count costs tens of microseconds (the standard library reads the
+/// cgroup CPU quota), so a collect too small to fan out never asks.
+fn workers_for(n: usize) -> usize {
+    if n < MIN_PAR_ITEMS {
+        1
+    } else {
+        current_num_threads()
+    }
+}
+
 /// Maps `items` with `f` across `threads` scoped workers, preserving
 /// item order (contiguous chunks, concatenated in spawn order).
 fn parallel_map<T, U, F>(items: Vec<T>, threads: usize, f: &F) -> Vec<U>
@@ -130,9 +141,8 @@ impl<I: Iterator, F> ParMap<I, F> {
         C: FromIterator<U>,
     {
         let items: Vec<I::Item> = self.iter.collect();
-        parallel_map(items, current_num_threads(), &self.f)
-            .into_iter()
-            .collect()
+        let threads = workers_for(items.len());
+        parallel_map(items, threads, &self.f).into_iter().collect()
     }
 }
 
@@ -156,7 +166,8 @@ impl<I: Iterator, F> ParFlatMap<I, F> {
         let items: Vec<I::Item> = self.iter.collect();
         let f = self.f;
         let expand = |item: I::Item| f(item).into_iter().collect::<Vec<U::Item>>();
-        parallel_map(items, current_num_threads(), &expand)
+        let threads = workers_for(items.len());
+        parallel_map(items, threads, &expand)
             .into_iter()
             .flatten()
             .collect()

@@ -122,8 +122,6 @@ pub struct TrainConfig {
     pub warmup: usize,
     /// Shuffling / dropout seed.
     pub seed: u64,
-    /// Print progress every n epochs (0 silences).
-    pub log_every: usize,
 }
 
 impl Default for TrainConfig {
@@ -136,7 +134,6 @@ impl Default for TrainConfig {
             clip: 1.0,
             warmup: 20,
             seed: 0x7141,
-            log_every: 0,
         }
     }
 }

@@ -1,6 +1,10 @@
 //! Tape-free batched inference: block-diagonal attention over packed
 //! subgraph batches, `predict_*_batch` entry points and an
-//! [`InferenceSession`] with a keyed answer cache.
+//! [`InferenceSession`]: a keyed answer cache in front of the crate's one
+//! query planner, the extract → dedup → forward step that
+//! [`sweep_pairs`](crate::sweep_pairs) and the evaluation functions run
+//! too. So a query's answer does not depend on which entry point asked
+//! it: session == sweep parity holds by construction.
 //!
 //! The evaluation path used to allocate a fresh autodiff tape per sample
 //! and run samples one at a time. This module executes the same forward
@@ -21,12 +25,13 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use circuit_graph::{CircuitGraph, NodeType, XC_DIM};
 use cirgps_nn::infer::{colvec_zip, concat_cols, gather_rows, scatter_add_rows, stable_sigmoid};
 use cirgps_nn::{EdgeIndex, ParamStore, Tensor};
-use subgraph_sample::{SamplerConfig, SubgraphSampler, XcNormalizer};
+use subgraph_sample::{SamplerConfig, XcNormalizer};
 
 use crate::model::{
     assemble_batch, collect_pe_dense, collect_pe_pair, collect_pe_single, AttnBlock, BatchLayout,
     CircuitGps, GpsLayer, PeEncoder,
 };
+use crate::plan::Planner;
 use crate::prepared::PreparedSample;
 
 /// Overwrites the rows of zero-edge blocks in `dst` with the matching
@@ -369,25 +374,6 @@ impl CircuitGps {
     }
 }
 
-/// How an [`InferenceSession`] refers to its model: owning it (the
-/// classic single-session setup) or borrowing one shared, read-only
-/// model (a serving daemon runs one session per scheduler worker, all
-/// against the same weights — see `cirgps-serve`).
-#[derive(Debug)]
-enum ModelRef<'g> {
-    Owned(Box<CircuitGps>),
-    Shared(&'g CircuitGps),
-}
-
-impl ModelRef<'_> {
-    fn get(&self) -> &CircuitGps {
-        match self {
-            ModelRef::Owned(m) => m,
-            ModelRef::Shared(m) => m,
-        }
-    }
-}
-
 /// One prediction request against an [`InferenceSession`], used by the
 /// heterogeneous batch entry point
 /// [`InferenceSession::predict_batch`]. The three variants map onto the
@@ -416,14 +402,19 @@ impl Query {
     }
 }
 
-/// A long-lived inference engine over one design: the model (owned or
-/// shared), the fitted [`XcNormalizer`], a subgraph sampler and a
-/// FIFO-bounded cache of *answers* keyed by `(a, b, head)`, so a repeated
-/// query skips subgraph extraction, PE and the forward pass entirely.
+/// A long-lived inference engine over one design: the crate's query
+/// planner (a borrowed model, the fitted [`XcNormalizer`], the pair and
+/// node samplers) plus a FIFO-bounded cache of *answers* keyed by
+/// `(a, b, head)`, so a repeated query skips subgraph extraction, PE and
+/// the forward pass entirely.
 ///
-/// Caching answers is exact: a batched forward is bitwise equal to the
-/// per-sample one, so an answer does not depend on which batch computed
-/// it. Prepared samples live only while their chunk is forwarded.
+/// Cache misses go through the same extract → dedup → forward step as
+/// [`sweep_pairs`](crate::sweep_pairs) and `cirgps eval`: misses whose
+/// subgraphs are content-identical share one forward, and unique samples
+/// run sorted by size. Caching answers is exact: a batched forward is
+/// bitwise equal to the per-sample one, so an answer does not depend on
+/// which batch computed it. Prepared samples live only while their chunk
+/// is forwarded.
 ///
 /// # Examples
 ///
@@ -434,21 +425,14 @@ impl Query {
 /// let model = CircuitGps::new(ModelConfig::default());
 /// let xcn = XcNormalizer::fit(&[graph]);
 /// let cfg = SamplerConfig { hops: 1, max_nodes: 2048 };
-/// let mut session = InferenceSession::new(model, xcn, graph, cfg).with_batch_size(32);
+/// let mut session = InferenceSession::shared(&model, xcn, graph, cfg).with_batch_size(32);
 /// let probs = session.predict_links(&[(0, 5), (2, 7)]);
 /// # let _ = probs;
 /// # }
 /// ```
 #[derive(Debug)]
 pub struct InferenceSession<'g> {
-    model: ModelRef<'g>,
-    xcn: XcNormalizer,
-    /// Enclosing-subgraph sampler for pair (link/coupling) queries.
-    sampler: SubgraphSampler<'g>,
-    /// Node-subgraph sampler for ground-capacitance queries — separate
-    /// because the paper uses 1-hop subgraphs for links but 2-hop for
-    /// node tasks.
-    node_sampler: SubgraphSampler<'g>,
+    planner: Planner<'g>,
     /// Answers keyed by `(a, b, reg)`: the sample (`(n, n)` for a ground
     /// query) and whether the regression head produced the value, so a
     /// link probability and a coupling prediction never alias.
@@ -461,52 +445,25 @@ pub struct InferenceSession<'g> {
 }
 
 impl<'g> InferenceSession<'g> {
-    /// Creates a session over `graph` with default batch size 32 and a
-    /// cache capacity of 65 536 answers. `sampler_cfg` drives
-    /// the pair queries; node (ground-capacitance) queries default to
-    /// 2-hop subgraphs with the same node cap, matching the training
-    /// pipeline's convention.
-    pub fn new(
-        model: CircuitGps,
-        xcn: XcNormalizer,
-        graph: &'g CircuitGraph,
-        sampler_cfg: SamplerConfig,
-    ) -> Self {
-        Self::with_model_ref(ModelRef::Owned(Box::new(model)), xcn, graph, sampler_cfg)
-    }
-
-    /// Creates a session that *borrows* a shared, read-only model instead
-    /// of owning one. Defaults match [`InferenceSession::new`].
+    /// Creates a session over `graph` that borrows a shared, read-only
+    /// model, with batch size 32 and a cache capacity of 65 536 answers.
+    /// `sampler_cfg` drives the pair queries; node (ground-capacitance)
+    /// queries use 2-hop subgraphs with the same node cap, matching the
+    /// training pipeline's convention.
     ///
-    /// This is the serving-daemon constructor: `CircuitGps` forward
-    /// passes take `&self`, so one model can back many concurrent
-    /// sessions (one per scheduler worker, each with its own sampler
-    /// scratch and answer cache) without duplicating weights.
-    /// The session is `Send`, so it can be handed to a worker thread.
+    /// `CircuitGps` forward passes take `&self`, so one model can back
+    /// many concurrent sessions (a serving daemon runs one per scheduler
+    /// worker, each with its own sampler scratch and answer cache)
+    /// without duplicating weights. The session is `Send`, so it can be
+    /// handed to a worker thread.
     pub fn shared(
         model: &'g CircuitGps,
         xcn: XcNormalizer,
         graph: &'g CircuitGraph,
         sampler_cfg: SamplerConfig,
     ) -> Self {
-        Self::with_model_ref(ModelRef::Shared(model), xcn, graph, sampler_cfg)
-    }
-
-    fn with_model_ref(
-        model: ModelRef<'g>,
-        xcn: XcNormalizer,
-        graph: &'g CircuitGraph,
-        sampler_cfg: SamplerConfig,
-    ) -> Self {
-        let node_cfg = SamplerConfig {
-            hops: 2,
-            ..sampler_cfg
-        };
         InferenceSession {
-            model,
-            xcn,
-            sampler: SubgraphSampler::new(graph, sampler_cfg),
-            node_sampler: SubgraphSampler::new(graph, node_cfg),
+            planner: Planner::new(model, xcn, graph, sampler_cfg),
             answers: HashMap::new(),
             fifo: VecDeque::new(),
             cache_capacity: 65_536,
@@ -533,13 +490,15 @@ impl<'g> InferenceSession<'g> {
         self
     }
 
-    /// The wrapped model (owned or shared).
+    /// The borrowed model.
     pub fn model(&self) -> &CircuitGps {
-        self.model.get()
+        self.planner.model()
     }
 
     /// `(hits, misses)` of the answer cache. A key repeated within one
-    /// batch is one miss (one forward) plus a hit per repeat.
+    /// batch is one miss plus a hit per repeat. Misses whose subgraphs
+    /// are content-identical share one forward, so forwards never exceed
+    /// misses.
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
@@ -641,15 +600,7 @@ impl<'g> InferenceSession<'g> {
             self.misses += misses.len() as u64;
             self.hits += (chunk.len() - misses.len()) as u64;
             if !misses.is_empty() {
-                let samples: Vec<PreparedSample> =
-                    misses.iter().map(|&k| self.prepare(k)).collect();
-                let batch: Vec<&PreparedSample> = samples.iter().collect();
-                let model = self.model.get();
-                let preds = if reg {
-                    model.predict_reg_batch(&batch)
-                } else {
-                    model.predict_link_batch(&batch)
-                };
+                let (preds, _) = self.planner.predict(&misses, reg, 1, true);
                 // Answers enter the cache only after the forward returned,
                 // so a panic mid-chunk leaves the cache untouched.
                 for (&(a, b), p) in misses.iter().zip(preds) {
@@ -665,26 +616,17 @@ impl<'g> InferenceSession<'g> {
         }
         out
     }
-
-    /// Extracts and prepares the subgraph for one query key: the 2-hop
-    /// node subgraph for `(n, n)`, the enclosing pair subgraph otherwise.
-    fn prepare(&mut self, (a, b): (u32, u32)) -> PreparedSample {
-        let sub = if a == b {
-            self.node_sampler.node_subgraph(a)
-        } else {
-            self.sampler.enclosing_subgraph(a, b)
-        };
-        PreparedSample::new(sub, self.model.get().cfg.pe, &self.xcn, 1.0, 0.0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{AttnKind, ModelConfig, MpnnKind};
-    use circuit_graph::{Edge, EdgeType, GraphBuilder};
+    use crate::toy::{model_with, toy_graph_and_links, TOY_CFG};
+    use circuit_graph::{EdgeType, GraphBuilder};
     use cirgps_nn::Tape;
     use graph_pe::PeKind;
+    use subgraph_sample::SubgraphSampler;
 
     /// The taped reference for one sample: the link logit of a
     /// one-sample eval tape through a sigmoid.
@@ -702,57 +644,6 @@ mod tests {
         tape.value(out).item()
     }
 
-    /// Builds a graph with two pin clusters and a connecting path, plus
-    /// the candidate links used to derive ≥ 17 distinct samples.
-    fn toy_graph_and_links() -> (CircuitGraph, Vec<(u32, u32)>) {
-        let mut b = GraphBuilder::new();
-        let cluster = |b: &mut GraphBuilder, tag: &str| -> Vec<u32> {
-            let hub = b.add_node(NodeType::Net, &format!("{tag}hub"));
-            let mut out = vec![hub];
-            for i in 0..6 {
-                let p = b.add_node(NodeType::Pin, &format!("{tag}p{i}"));
-                b.set_xc(p, 0, (i % 3) as f32);
-                b.add_edge(hub, p, EdgeType::NetPin);
-                out.push(p);
-            }
-            out
-        };
-        let c1 = cluster(&mut b, "a");
-        let c2 = cluster(&mut b, "b");
-        let mut prev = c1[0];
-        for i in 0..4 {
-            let mid = b.add_node(NodeType::Device, &format!("m{i}"));
-            b.add_edge(prev, mid, EdgeType::DevicePin);
-            prev = mid;
-        }
-        b.add_edge(prev, c2[0], EdgeType::DevicePin);
-        let g = b.build();
-
-        let mut links = Vec::new();
-        for i in 1..5 {
-            links.push((c1[i], c1[i + 1]));
-            links.push((c2[i], c2[i + 1]));
-            links.push((c1[i], c2[i]));
-            links.push((c1[i + 1], c2[i]));
-            links.push((c1[1], c2[i + 1]));
-        }
-        let injected: Vec<Edge> = links
-            .iter()
-            .map(|&(a, b2)| Edge {
-                a,
-                b: b2,
-                ty: EdgeType::CouplingPinPin,
-            })
-            .collect();
-        (g.with_injected_links(&injected), links)
-    }
-
-    /// The sampler every toy session and sample uses.
-    const TOY_CFG: SamplerConfig = SamplerConfig {
-        hops: 1,
-        max_nodes: 64,
-    };
-
     fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()
     }
@@ -769,18 +660,6 @@ mod tests {
                 PreparedSample::new(sub, PeKind::Dspd, &xcn, 1.0, 0.4)
             })
             .collect()
-    }
-
-    fn model_with(attn: AttnKind) -> CircuitGps {
-        CircuitGps::new(ModelConfig {
-            hidden_dim: 16,
-            pe_dim: 4,
-            heads: 2,
-            num_layers: 2,
-            mpnn: MpnnKind::GatedGcn,
-            attn,
-            ..Default::default()
-        })
     }
 
     fn attn_kinds() -> [AttnKind; 2] {
@@ -960,7 +839,7 @@ mod tests {
                 .collect::<Vec<f32>>()
         };
 
-        let mut session = InferenceSession::new(model, xcn, &g, TOY_CFG).with_batch_size(4);
+        let mut session = InferenceSession::shared(&model, xcn, &g, TOY_CFG).with_batch_size(4);
         let first = session.predict_links(&links);
         for (a, b) in first.iter().zip(&direct) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -978,21 +857,14 @@ mod tests {
     }
 
     #[test]
-    fn shared_sessions_match_owned_and_are_send() {
+    fn concurrent_shared_sessions_match_one_session_and_are_send() {
         fn assert_send<T: Send>(_: &T) {}
 
         let (g, links) = toy_graph_and_links();
         let xcn = XcNormalizer::fit(&[&g]);
         let model = model_with(AttnKind::Transformer);
-        let owned = {
-            let m2 = {
-                let mut bytes = Vec::new();
-                model.save_checkpoint(&mut bytes).unwrap();
-                CircuitGps::load_checkpoint(&bytes[..]).unwrap().0
-            };
-            let mut session = InferenceSession::new(m2, xcn.clone(), &g, TOY_CFG);
-            session.predict_links(&links)
-        };
+        let whole =
+            InferenceSession::shared(&model, xcn.clone(), &g, TOY_CFG).predict_links(&links);
 
         // Two concurrent shared sessions over one model, as a serving
         // daemon's scheduler workers would run them.
@@ -1008,10 +880,7 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         let shared: Vec<f32> = halves.into_iter().flatten().collect();
-        assert_eq!(owned.len(), shared.len());
-        for (a, b) in owned.iter().zip(&shared) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_eq!(bits(&shared), bits(&whole));
     }
 
     #[test]
@@ -1063,7 +932,7 @@ mod tests {
         let (g, links) = toy_graph_and_links();
         let xcn = XcNormalizer::fit(&[&g]);
         let model = model_with(AttnKind::Transformer);
-        let mut session = InferenceSession::new(model, xcn, &g, TOY_CFG)
+        let mut session = InferenceSession::shared(&model, xcn, &g, TOY_CFG)
             .with_batch_size(4)
             .with_cache_capacity(4);
         let first = session.predict_links(&links);

@@ -38,8 +38,11 @@ mod infer;
 pub mod interrupt;
 mod metrics;
 mod model;
+mod plan;
 mod prepared;
 mod sweep;
+#[cfg(test)]
+mod toy;
 mod train;
 
 pub use checkpoint::{

@@ -1,51 +1,38 @@
-//! Full-chip sweep planner: batch extraction + inference over very large
-//! candidate-pair sets.
+//! Full-chip sweep: streaming inference over very large candidate-pair
+//! sets, plus the candidate enumeration ([`CandidatePairs`]).
 //!
-//! `predict`/`serve` answer one pair at a time: extract the enclosing
-//! subgraph, compute the PE, run one forward. A full-chip parasitic
-//! sweep asks the same model millions of questions about **one fixed
-//! graph**, and the independent-query loop wastes almost all of its
-//! time recomputing work that repeats across pairs. This module plans
-//! the whole workload:
+//! A full-chip parasitic sweep asks the same model millions of
+//! questions about **one fixed graph**. [`sweep_pairs`] consumes pairs
+//! from a streaming iterator in windows of [`SweepConfig::chunk`] and
+//! hands each window to the crate's one query planner, the same
+//! extract → dedup → forward step that [`InferenceSession`] and the
+//! evaluation functions run:
 //!
-//! 1. **Chunking** — pairs are consumed from a streaming iterator in
-//!    windows of [`SweepConfig::chunk`]; only one window of prepared
-//!    samples and results is ever resident, so memory is bounded by the
-//!    window, not the pair count ([`SweepStats::peak_resident`] proves
-//!    it).
-//! 2. **Shared extraction** — one [`SubgraphSampler`] (the extractor
-//!    training and `predict` use) serves every pair, reusing its stamp
-//!    set, local CSR and one output [`Subgraph`]'s buffers across the
-//!    sweep.
-//! 3. **Neighborhood deduplication** — the model's forward pass depends
-//!    only on the subgraph's *content* (types, features, arcs, anchor
-//!    distances), never on parent node ids. Pairs whose enclosing
-//!    subgraphs are content-identical — abundant in regular layouts,
-//!    where cell neighborhoods repeat thousands of times — share one
-//!    prepared sample: PE (including LapPE), normalization and the
-//!    forward pass run once per *neighborhood class* and fan out to
-//!    every matching pair.
-//! 4. **Size-binned batching** — unique samples are ordered by node
-//!    count before being packed into the block-diagonal batch
-//!    machinery, keeping tiles homogeneous; [`SweepConfig::threads`]
-//!    splits the batch into slices that run through the rayon shim.
+//! - one reused `SubgraphSampler` extracts every pair;
+//! - pairs whose enclosing subgraphs are content-identical (abundant in
+//!   regular layouts, where cell neighborhoods repeat thousands of
+//!   times) share one prepared sample and one forward
+//!   ([`SweepConfig::dedup`]);
+//! - the unique samples are forwarded sorted by node count, split into
+//!   [`SweepConfig::threads`] slices that run through the rayon shim.
 //!
-//! Every step is bitwise-safe: sweep output for a pair equals
-//! [`InferenceSession::predict_links`] / `predict_couplings` (and hence
-//! `cirgps predict`) for that pair, which the unit tests and the CI
-//! smoke leg assert on the exact bits.
+//! Only one window of prepared samples and results is ever resident, so
+//! memory is bounded by the window, not the pair count
+//! ([`SweepStats::peak_resident`] shows it). Because `predict` and
+//! `serve` answer through the same planner, sweep output for a pair
+//! equals [`InferenceSession::predict_links`] / `predict_couplings`
+//! (and hence `cirgps predict`) bit for bit by construction; the unit
+//! tests and the CI smoke leg check it on the exact bits.
 //!
+//! [`InferenceSession`]: crate::InferenceSession
 //! [`InferenceSession::predict_links`]:
 //! crate::InferenceSession::predict_links
 
-use std::collections::HashMap;
-
 use circuit_graph::{CircuitGraph, NodeStamps, NodeType};
-use rayon::prelude::*;
-use subgraph_sample::{SamplerConfig, Subgraph, SubgraphSampler, XcNormalizer};
+use subgraph_sample::{SamplerConfig, XcNormalizer};
 
 use crate::model::CircuitGps;
-use crate::prepared::PreparedSample;
+use crate::plan::Planner;
 
 /// Which per-pair quantity a sweep predicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +58,7 @@ pub struct SweepConfig {
     /// most one worker per core; 1 = inline).
     pub threads: usize,
     /// Deduplicate content-identical subgraphs within a window (exact
-    /// byte comparison — semantics-free, disable only for measurement).
+    /// content comparison — semantics-free, disable only for measurement).
     pub dedup: bool,
 }
 
@@ -104,75 +91,6 @@ pub struct SweepStats {
     pub peak_resident: usize,
     /// True if the emit callback stopped the sweep early.
     pub aborted: bool,
-}
-
-/// Serializes the forward-relevant content of a subgraph: everything
-/// except the parent node ids. Two subgraphs with equal keys produce
-/// bitwise-identical predictions (the forward pass never reads
-/// `Subgraph::nodes`), and comparison is by full byte equality, so a
-/// hash collision cannot merge distinct neighborhoods.
-fn neighborhood_key(sub: &Subgraph) -> Vec<u8> {
-    let n = sub.num_nodes();
-    let e = sub.src.len();
-    let mut key = Vec::with_capacity(16 + n * (1 + 4 * circuit_graph::XC_DIM / 4 + 2) + e * 9);
-    key.extend_from_slice(&(n as u32).to_le_bytes());
-    key.extend_from_slice(&(e as u32).to_le_bytes());
-    key.push(sub.num_anchors as u8);
-    for &t in &sub.node_types {
-        key.push(t as u8);
-    }
-    for &x in &sub.xc {
-        key.extend_from_slice(&x.to_bits().to_le_bytes());
-    }
-    for &s in &sub.src {
-        key.extend_from_slice(&(s as u32).to_le_bytes());
-    }
-    for &d in &sub.dst {
-        key.extend_from_slice(&(d as u32).to_le_bytes());
-    }
-    for &t in &sub.edge_types {
-        key.push(t as u8);
-    }
-    for &d in &sub.dist_a {
-        key.push(d as u8);
-    }
-    for &d in &sub.dist_b {
-        key.push(d as u8);
-    }
-    key
-}
-
-/// Runs the batched forward over `uniques` in size-binned order, split
-/// into `threads` slices that fan out through the rayon shim, returning
-/// one prediction per unique sample (in `uniques` order).
-fn predict_uniques(
-    model: &CircuitGps,
-    uniques: &[PreparedSample],
-    task: SweepTask,
-    threads: usize,
-) -> Vec<f32> {
-    // Size binning: order by node count so each tile packs graphs of
-    // similar size. Per-graph outputs are independent of batch
-    // composition (block-diagonal attention, per-graph pooling), so any
-    // order and any split is bitwise-equivalent.
-    let mut order: Vec<usize> = (0..uniques.len()).collect();
-    order.sort_by_key(|&i| (uniques[i].sub.num_nodes(), i));
-
-    let run = |idxs: &[usize]| -> Vec<f32> {
-        let refs: Vec<&PreparedSample> = idxs.iter().map(|&i| &uniques[i]).collect();
-        match task {
-            SweepTask::Link => model.predict_link_batch(&refs),
-            SweepTask::Coupling => model.predict_reg_batch(&refs),
-        }
-    };
-
-    let per = order.len().div_ceil(threads.max(1)).max(1);
-    let preds: Vec<f32> = order.par_chunks(per).flat_map_iter(run).collect();
-    let mut out = vec![0.0f32; uniques.len()];
-    for (&i, p) in order.iter().zip(preds) {
-        out[i] = p;
-    }
-    out
 }
 
 /// Per-window output sink for [`sweep_pairs`]: called with the window's
@@ -208,71 +126,26 @@ pub fn sweep_pairs(
 ) -> SweepStats {
     assert!(cfg.chunk > 0, "sweep chunk must be positive");
     let mut stats = SweepStats::default();
-    let mut sampler = SubgraphSampler::new(graph, cfg.sampler);
-    let mut scratch = Subgraph::default();
-
+    let mut planner = Planner::new(model, xcn.clone(), graph, cfg.sampler);
+    let reg = cfg.task == SweepTask::Coupling;
     let mut iter = pairs.into_iter();
     let mut window: Vec<(u32, u32)> = Vec::with_capacity(cfg.chunk);
-    // Window-local state, cleared per chunk (the bounded-memory window).
-    let mut memo: HashMap<Vec<u8>, usize> = HashMap::new();
-    let mut uniques: Vec<PreparedSample> = Vec::new();
-    let mut pair_class: Vec<usize> = Vec::with_capacity(cfg.chunk);
-
     loop {
         window.clear();
-        while window.len() < cfg.chunk {
-            match iter.next() {
-                Some(p) => window.push(p),
-                None => break,
-            }
-        }
+        window.extend(iter.by_ref().take(cfg.chunk));
         if window.is_empty() {
             break;
         }
-
-        memo.clear();
-        uniques.clear();
-        pair_class.clear();
-        for &(a, b) in &window {
-            sampler.extract_into(a, b, &mut scratch);
-            let class = if cfg.dedup {
-                let key = neighborhood_key(&scratch);
-                match memo.get(&key) {
-                    Some(&c) => {
-                        stats.dedup_hits += 1;
-                        c
-                    }
-                    None => {
-                        let c = uniques.len();
-                        memo.insert(key, c);
-                        uniques.push(PreparedSample::new(
-                            scratch.clone(),
-                            model.cfg.pe,
-                            xcn,
-                            1.0,
-                            0.0,
-                        ));
-                        c
-                    }
-                }
-            } else {
-                uniques.push(PreparedSample::new(
-                    scratch.clone(),
-                    model.cfg.pe,
-                    xcn,
-                    1.0,
-                    0.0,
-                ));
-                uniques.len() - 1
-            };
-            pair_class.push(class);
-        }
-
-        stats.peak_resident = stats.peak_resident.max(uniques.len());
-        stats.unique_forwards += uniques.len();
-        let class_preds = predict_uniques(model, &uniques, cfg.task, cfg.threads);
-        let values: Vec<f32> = pair_class.iter().map(|&c| class_preds[c]).collect();
-
+        // The planner reads `(n, n)` as a ground query; a sweep scores
+        // pairs only.
+        assert!(
+            window.iter().all(|&(a, b)| a != b),
+            "sweep pairs need two distinct nodes"
+        );
+        let (values, forwards) = planner.predict(&window, reg, cfg.threads, cfg.dedup);
+        stats.peak_resident = stats.peak_resident.max(forwards);
+        stats.unique_forwards += forwards;
+        stats.dedup_hits += window.len() - forwards;
         stats.pairs += window.len();
         stats.chunks += 1;
         if !emit(&window, &values) {
@@ -387,66 +260,11 @@ impl Iterator for CandidatePairs<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AttnKind, ModelConfig, MpnnKind};
-    use crate::infer::InferenceSession;
-    use circuit_graph::{Edge, EdgeType, GraphBuilder};
-
-    /// Two pin clusters joined by a device path, with injected coupling
-    /// links — the same shape as the inference tests, so sweeps see a
-    /// mix of repeated (dedupable) and distinct neighborhoods.
-    fn toy_graph_and_links() -> (CircuitGraph, Vec<(u32, u32)>) {
-        let mut b = GraphBuilder::new();
-        let cluster = |b: &mut GraphBuilder, tag: &str| -> Vec<u32> {
-            let hub = b.add_node(NodeType::Net, &format!("{tag}hub"));
-            let mut out = vec![hub];
-            for i in 0..6 {
-                let p = b.add_node(NodeType::Pin, &format!("{tag}p{i}"));
-                b.set_xc(p, 0, (i % 3) as f32);
-                b.add_edge(hub, p, EdgeType::NetPin);
-                out.push(p);
-            }
-            out
-        };
-        let c1 = cluster(&mut b, "a");
-        let c2 = cluster(&mut b, "b");
-        let mut prev = c1[0];
-        for i in 0..4 {
-            let mid = b.add_node(NodeType::Device, &format!("m{i}"));
-            b.add_edge(prev, mid, EdgeType::DevicePin);
-            prev = mid;
-        }
-        b.add_edge(prev, c2[0], EdgeType::DevicePin);
-        let g = b.build();
-
-        let mut links = Vec::new();
-        for i in 1..5 {
-            links.push((c1[i], c1[i + 1]));
-            links.push((c2[i], c2[i + 1]));
-            links.push((c1[i], c2[i]));
-            links.push((c1[i + 1], c2[i]));
-            links.push((c1[1], c2[i + 1]));
-        }
-        let injected: Vec<Edge> = links
-            .iter()
-            .map(|&(a, b2)| Edge {
-                a,
-                b: b2,
-                ty: EdgeType::CouplingPinPin,
-            })
-            .collect();
-        (g.with_injected_links(&injected), links)
-    }
+    use crate::config::AttnKind;
+    use crate::toy::{model_with, toy_graph_and_links, TOY_CFG};
 
     fn toy_model() -> CircuitGps {
-        CircuitGps::new(ModelConfig {
-            hidden_dim: 16,
-            pe_dim: 4,
-            heads: 2,
-            num_layers: 2,
-            mpnn: MpnnKind::GatedGcn,
-            attn: AttnKind::Performer { features: 8 },
-            ..Default::default()
-        })
+        model_with(AttnKind::Performer { features: 8 })
     }
 
     fn collect_sweep(
@@ -472,46 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_matches_session_bitwise_for_both_tasks() {
-        let (g, links) = toy_graph_and_links();
-        let xcn = XcNormalizer::fit(&[&g]);
-        let sampler = SamplerConfig {
-            hops: 1,
-            max_nodes: 64,
-        };
-        let model = toy_model();
-        let mut session =
-            InferenceSession::shared(&model, xcn.clone(), &g, sampler).with_batch_size(4);
-        let want_link = session.predict_links(&links);
-        let want_cap = session.predict_couplings(&links);
-
-        for (task, want) in [
-            (SweepTask::Link, &want_link),
-            (SweepTask::Coupling, &want_cap),
-        ] {
-            for threads in [1usize, 3] {
-                let cfg = SweepConfig {
-                    task,
-                    sampler,
-                    chunk: 7, // forces several windows over 20 pairs
-                    threads,
-                    dedup: true,
-                };
-                let (got, stats) = collect_sweep(&model, &xcn, &g, &links, &cfg);
-                assert_eq!(got.len(), links.len());
-                assert_eq!(stats.pairs, links.len());
-                for (i, (a, b)) in got.iter().zip(want).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{task:?} threads={threads} pair {i}: {a} vs {b}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn dedup_is_semantics_free_and_reduces_forwards() {
         let (g, links) = toy_graph_and_links();
         let xcn = XcNormalizer::fit(&[&g]);
@@ -521,10 +299,7 @@ mod tests {
         pairs.extend_from_slice(&links);
         let base = SweepConfig {
             task: SweepTask::Link,
-            sampler: SamplerConfig {
-                hops: 1,
-                max_nodes: 64,
-            },
+            sampler: TOY_CFG,
             chunk: pairs.len(),
             threads: 1,
             dedup: true,
@@ -561,10 +336,7 @@ mod tests {
         let model = toy_model();
         let cfg = SweepConfig {
             task: SweepTask::Link,
-            sampler: SamplerConfig {
-                hops: 1,
-                max_nodes: 64,
-            },
+            sampler: TOY_CFG,
             chunk: 4,
             threads: 1,
             dedup: true,
@@ -599,10 +371,7 @@ mod tests {
         let model = toy_model();
         let cfg = SweepConfig {
             chunk: 5,
-            sampler: SamplerConfig {
-                hops: 1,
-                max_nodes: 64,
-            },
+            sampler: TOY_CFG,
             ..Default::default()
         };
         let mut calls = 0;
@@ -669,10 +438,7 @@ mod tests {
         let model = toy_model();
         let cfg = SweepConfig {
             chunk: 8,
-            sampler: SamplerConfig {
-                hops: 1,
-                max_nodes: 64,
-            },
+            sampler: TOY_CFG,
             ..Default::default()
         };
         let mut count = 0usize;

@@ -26,6 +26,7 @@ use crate::checkpoint::{read_u32, read_u64, write_u32, write_u64};
 use crate::config::{FinetuneMode, TrainConfig};
 use crate::metrics::{link_metrics, reg_metrics, LinkMetrics, RegMetrics};
 use crate::model::CircuitGps;
+use crate::plan::forward;
 use crate::prepared::PreparedSample;
 
 /// Which loss the loop optimizes.
@@ -544,9 +545,6 @@ pub fn train_resumable(
 
         let mean = (epoch_loss / seen.max(1) as f64) as f32;
         history.epoch_losses.push(mean);
-        if cfg.log_every > 0 && (epoch + 1) % cfg.log_every == 0 {
-            eprintln!("epoch {:>3}: loss {:.4}", epoch + 1, mean);
-        }
         progress(
             model,
             &EpochProgress {
@@ -639,48 +637,26 @@ pub fn finetune_regression_with_progress(
     history
 }
 
-/// Chunk size for parallel batched evaluation: each rayon worker runs
-/// the tape-free batched engine over one chunk (the engine tiles for L2
-/// internally), so evaluation is batched *and* multicore.
-const EVAL_CHUNK: usize = 32;
-
-/// Batched tape-free predictions over `samples`, chunked across worker
-/// threads. ~2× faster per sample than the per-sample taped path the
-/// evaluation loops used before, with bitwise-identical outputs (see
-/// `docs/inference.md`).
-fn predict_batched(model: &CircuitGps, samples: &[PreparedSample], reg: bool) -> Vec<f32> {
-    samples
-        .par_chunks(EVAL_CHUNK)
-        .flat_map_iter(|chunk| {
-            let refs: Vec<&PreparedSample> = chunk.iter().collect();
-            if reg {
-                model.predict_reg_batch(&refs)
-            } else {
-                model.predict_link_batch(&refs)
-            }
-        })
-        .collect()
-}
-
 /// Evaluates link prediction (zero-shot when `samples` come from designs
-/// unseen in training). Runs on the batched tape-free engine.
+/// unseen in training). Runs the query planner's forward step (the one
+/// `predict` and `sweep` use) with one slice per core.
 pub fn evaluate_link(model: &CircuitGps, samples: &[PreparedSample]) -> LinkMetrics {
-    let scores = predict_batched(model, samples, false);
+    let scores = forward(model, samples, false, rayon::current_num_threads());
     let labels: Vec<f32> = samples.iter().map(|s| s.label).collect();
     link_metrics(&scores, &labels)
 }
 
-/// Evaluates regression. Runs on the batched tape-free engine.
+/// Evaluates regression, on the same forward step as [`evaluate_link`].
 pub fn evaluate_regression(model: &CircuitGps, samples: &[PreparedSample]) -> RegMetrics {
-    let preds = predict_batched(model, samples, true);
+    let preds = predict_regression(model, samples);
     let targets: Vec<f32> = samples.iter().map(|s| s.target).collect();
     reg_metrics(&preds, &targets)
 }
 
 /// Per-sample regression predictions (used by the energy-validation
-/// flow). Runs on the batched tape-free engine.
+/// flow), on the same forward step as [`evaluate_link`].
 pub fn predict_regression(model: &CircuitGps, samples: &[PreparedSample]) -> Vec<f32> {
-    predict_batched(model, samples, true)
+    forward(model, samples, true, rayon::current_num_threads())
 }
 
 #[cfg(test)]

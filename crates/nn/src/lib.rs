@@ -4,7 +4,7 @@
 //! CirGPS reproduction: dense 2-D tensors, a per-sample reverse-mode
 //! autograd [`Tape`], the layers the paper's model needs (linear, embedding,
 //! batch norm, dropout, multi-head attention, Performer linear attention and
-//! GatedGCN message passing), plus Adam/SGD optimizers and LR schedules.
+//! GatedGCN message passing), plus the Adam optimizer and an LR schedule.
 //!
 //! Every differentiable op has a finite-difference gradient check in the
 //! test suite, and the tape borrows parameters immutably so minibatch
@@ -58,7 +58,7 @@ mod tensor;
 pub use attention::{MultiHeadAttention, PerformerAttention};
 pub use gatedgcn::{EdgeIndex, GatedGcn};
 pub use layers::{Activation, BatchNorm1d, Embedding, Linear, Mlp};
-pub use optim::{Adam, CosineSchedule, Sgd};
+pub use optim::{Adam, CosineSchedule};
 pub use params::{
     normal_init, xavier_uniform, BufferId, BufferUpdate, GradStore, ParamId, ParamLoadError,
     ParamStore,

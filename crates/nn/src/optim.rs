@@ -55,13 +55,6 @@ impl Adam {
         self
     }
 
-    /// Overrides the default betas.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
     /// Current learning rate.
     pub fn lr(&self) -> f32 {
         self.lr
@@ -198,65 +191,6 @@ fn id_index(id: crate::params::ParamId) -> usize {
     id.0
 }
 
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Option<Tensor>>,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate and no momentum.
-    pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Enables classical momentum.
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum;
-        self
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Sets the learning rate.
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    /// Applies one update step.
-    pub fn step(&mut self, store: &mut ParamStore, grads: &GradStore) {
-        if self.velocity.len() < store.len() {
-            self.velocity.resize_with(store.len(), || None);
-        }
-        let ids: Vec<_> = store.iter().map(|(id, _, _)| id).collect();
-        for id in ids {
-            if !store.is_trainable(id) {
-                continue;
-            }
-            let Some(g) = grads.get(id) else { continue };
-            let g = g.clone();
-            let shape = store.get(id).shape();
-            let vel =
-                self.velocity[id_index(id)].get_or_insert_with(|| Tensor::zeros(shape.0, shape.1));
-            let p = store.get_mut(id);
-            for i in 0..p.len() {
-                let v = self.momentum * vel.as_slice()[i] + g.as_slice()[i];
-                vel.as_mut_slice()[i] = v;
-                p.as_mut_slice()[i] -= self.lr * v;
-            }
-        }
-    }
-}
-
 /// Cosine-annealing learning-rate schedule with linear warmup, as used by
 /// GraphGPS configs.
 #[derive(Debug, Clone, Copy)]
@@ -324,24 +258,6 @@ mod tests {
         for (got, want) in store.get(w).as_slice().iter().zip(&target) {
             assert!((got - want).abs() < 1e-2, "got {got}, want {want}");
         }
-    }
-
-    #[test]
-    fn sgd_with_momentum_converges() {
-        let mut store = ParamStore::new();
-        let w = store.register("w", Tensor::row(&[5.0]), true);
-        let mut opt = Sgd::new(0.05).with_momentum(0.9);
-        for _ in 0..200 {
-            let mut grads = GradStore::new(&store);
-            {
-                let mut tape = Tape::new(&store, true, 0);
-                let wv = tape.param(w);
-                let loss = tape.mse_loss(wv, &[1.0]);
-                tape.backward(loss, &mut grads);
-            }
-            opt.step(&mut store, &grads);
-        }
-        assert!((store.get(w).item() - 1.0).abs() < 1e-2);
     }
 
     #[test]

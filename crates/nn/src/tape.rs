@@ -101,16 +101,10 @@ enum Op {
     Gather(Var, Arc<Vec<usize>>),
     /// `out[idx[i]] += x[i]` into `n_out` rows (row scatter-add).
     ScatterAdd(Var, Arc<Vec<usize>>, usize),
-    /// `1×d` mean over rows.
-    MeanRows(Var),
-    /// `1×d` sum over rows.
-    SumRows(Var),
     /// `N×1` sum over columns of each row.
     RowSum(Var),
     /// `N×d ⊙ N×1` broadcast across columns.
     MulColVec(Var, Var),
-    /// `N×d / N×1` broadcast across columns.
-    DivColVec(Var, Var),
     /// `N×d − N×1` broadcast across columns.
     SubColVec(Var, Var),
     Dropout(Var, Arc<Vec<f32>>),
@@ -152,7 +146,6 @@ enum Op {
     BceWithLogits(Var, Arc<Vec<f32>>),
     MseLoss(Var, Arc<Vec<f32>>),
     L1Loss(Var, Arc<Vec<f32>>),
-    HuberLoss(Var, Arc<Vec<f32>>, f32),
     CrossEntropy {
         logits: Var,
         labels: Arc<Vec<usize>>,
@@ -651,18 +644,6 @@ impl<'p> Tape<'p> {
         self.push(out, Op::ScatterAdd(a, idx, n_out))
     }
 
-    /// Mean over rows, producing a `1×d` row vector.
-    pub fn mean_rows(&mut self, a: Var) -> Var {
-        let v = self.value(a).col_mean();
-        self.push(v, Op::MeanRows(a))
-    }
-
-    /// Sum over rows, producing a `1×d` row vector.
-    pub fn sum_rows(&mut self, a: Var) -> Var {
-        let v = self.value(a).col_sum();
-        self.push(v, Op::SumRows(a))
-    }
-
     /// Sum over columns of each row, producing an `N×1` column vector.
     pub fn row_sum(&mut self, a: Var) -> Var {
         let v = row_sum_fwd(self.value(a));
@@ -673,12 +654,6 @@ impl<'p> Tape<'p> {
     pub fn mul_colvec(&mut self, a: Var, v: Var) -> Var {
         let out = colvec_zip(self.value(a), self.value(v), |x, s| x * s);
         self.push(out, Op::MulColVec(a, v))
-    }
-
-    /// Broadcast divide: `N×d / N×1` across columns.
-    pub fn div_colvec(&mut self, a: Var, v: Var) -> Var {
-        let out = colvec_zip(self.value(a), self.value(v), |x, s| x / s);
-        self.push(out, Op::DivColVec(a, v))
     }
 
     /// Broadcast subtract: `N×d − N×1` across columns.
@@ -1000,31 +975,6 @@ impl<'p> Tape<'p> {
         self.push(
             Tensor::scalar(loss),
             Op::L1Loss(a, Arc::new(targets.to_vec())),
-        )
-    }
-
-    /// Huber (smooth-L1) loss with threshold `delta`.
-    pub fn huber_loss(&mut self, a: Var, targets: &[f32], delta: f32) -> Var {
-        let t = self.value(a);
-        assert_eq!(t.len(), targets.len(), "huber target length mismatch");
-        let n = targets.len().max(1) as f32;
-        let loss: f32 = t
-            .as_slice()
-            .iter()
-            .zip(targets)
-            .map(|(&p, &y)| {
-                let r = (p - y).abs();
-                if r < delta {
-                    0.5 * r * r
-                } else {
-                    delta * (r - 0.5 * delta)
-                }
-            })
-            .sum::<f32>()
-            / n;
-        self.push(
-            Tensor::scalar(loss),
-            Op::HuberLoss(a, Arc::new(targets.to_vec()), delta),
         )
     }
 
@@ -1356,25 +1306,6 @@ impl<'p> Tape<'p> {
                     acc(&mut local, *a, Tensor::from_vec(idx.len(), d, ga));
                     g.recycle();
                 }
-                Op::MeanRows(a) => {
-                    let (n, d) = self.shape(*a);
-                    let inv = 1.0 / n.max(1) as f32;
-                    let mut ga = pool::take_capacity(n * d);
-                    for _ in 0..n {
-                        ga.extend(g.row_slice(0).iter().map(|&x| x * inv));
-                    }
-                    acc(&mut local, *a, Tensor::from_vec(n, d, ga));
-                    g.recycle();
-                }
-                Op::SumRows(a) => {
-                    let (n, d) = self.shape(*a);
-                    let mut ga = pool::take_capacity(n * d);
-                    for _ in 0..n {
-                        ga.extend_from_slice(g.row_slice(0));
-                    }
-                    acc(&mut local, *a, Tensor::from_vec(n, d, ga));
-                    g.recycle();
-                }
                 Op::RowSum(a) => {
                     let (n, d) = self.shape(*a);
                     let mut ga = pool::take_capacity(n * d);
@@ -1396,24 +1327,6 @@ impl<'p> Tape<'p> {
                             .zip(av.row_slice(r))
                             .map(|(&x, &y)| x * y)
                             .sum::<f32>()
-                    }));
-                    acc(&mut local, *a, ga);
-                    acc(&mut local, *v, Tensor::from_vec(vv.rows(), 1, gv));
-                    g.recycle();
-                }
-                Op::DivColVec(a, v) => {
-                    let vv = self.value(*v);
-                    let cv = self.value(Var(i));
-                    let ga = colvec_zip(&g, vv, |gi, s| gi / s);
-                    let mut gv = pool::take_capacity(vv.rows());
-                    gv.extend((0..g.rows()).map(|r| {
-                        let s: f32 = g
-                            .row_slice(r)
-                            .iter()
-                            .zip(cv.row_slice(r))
-                            .map(|(&x, &y)| x * y)
-                            .sum();
-                        -s / vv.get(r, 0)
                     }));
                     acc(&mut local, *a, ga);
                     acc(&mut local, *v, Tensor::from_vec(vv.rows(), 1, gv));
@@ -1557,19 +1470,6 @@ impl<'p> Tape<'p> {
                             .iter()
                             .zip(y.iter())
                             .map(|(&pi, &yi)| (pi - yi).signum() * gscale),
-                    );
-                    acc(&mut local, *a, Tensor::from_vec(p.rows(), p.cols(), data));
-                    g.recycle();
-                }
-                Op::HuberLoss(a, y, delta) => {
-                    let p = self.value(*a);
-                    let gscale = g.item() / y.len().max(1) as f32;
-                    let mut data = pool::take_capacity(p.len());
-                    data.extend(
-                        p.as_slice()
-                            .iter()
-                            .zip(y.iter())
-                            .map(|(&pi, &yi)| (pi - yi).clamp(-delta, *delta) * gscale),
                     );
                     acc(&mut local, *a, Tensor::from_vec(p.rows(), p.cols(), data));
                     g.recycle();
@@ -2077,8 +1977,7 @@ mod tests {
         grad_check((3, 3), |t, w| {
             let s = t.row_sum(w);
             let s = t.add_scalar(s, 2.0);
-            let d = t.div_colvec(w, s);
-            let m = t.mul_colvec(d, s);
+            let m = t.mul_colvec(w, s);
             let sub = t.sub_colvec(m, s);
             t.mse_loss(sub, &[0.0; 9])
         });
@@ -2122,15 +2021,6 @@ mod tests {
     }
 
     #[test]
-    fn grad_huber() {
-        grad_check((2, 2), |t, w| {
-            let x = t.input(Tensor::from_rows(&[&[3.0, -2.0]]));
-            let y = t.matmul(x, w);
-            t.huber_loss(y, &[0.0, 10.0], 1.0)
-        });
-    }
-
-    #[test]
     fn grad_exp_div() {
         grad_check((2, 2), |t, w| {
             let e = t.exp(w);
@@ -2138,16 +2028,6 @@ mod tests {
             let s = t.add(e, one);
             let d = t.div(e, s);
             t.mse_loss(d, &[0.3, 0.4, 0.5, 0.6])
-        });
-    }
-
-    #[test]
-    fn grad_mean_sum_rows() {
-        grad_check((3, 2), |t, w| {
-            let m = t.mean_rows(w);
-            let s = t.sum_rows(w);
-            let both = t.concat_cols(&[m, s]);
-            t.mse_loss(both, &[0.1, 0.2, 0.3, 0.4])
         });
     }
 

@@ -31,6 +31,12 @@ use crate::http::{
 use crate::json::{escape, Json};
 use crate::metrics::Metrics;
 
+/// Per-connection socket write timeout: a peer that stops reading its
+/// response cannot wedge a connection thread forever. Read-side timing
+/// is governed by [`ServeConfig::idle_timeout`] and
+/// [`ServeConfig::ingress_timeout`].
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Tunables of the serving daemon; see `docs/serving.md` for how they
 /// interact with throughput and latency.
 #[derive(Debug, Clone)]
@@ -52,10 +58,6 @@ pub struct ServeConfig {
     /// Subgraph sampler for pair queries (ground queries use the same
     /// node cap at 2 hops, the training convention).
     pub sampler: SamplerConfig,
-    /// Per-connection socket *write* timeout (a peer that stops reading
-    /// its response cannot wedge a connection thread forever). Read-side
-    /// timing is governed by `idle_timeout` and `ingress_timeout`.
-    pub read_timeout: Duration,
     /// How long a graceful drain ([`Server::begin_drain`]) waits for
     /// open connections to finish before force-closing them.
     pub drain_timeout: Duration,
@@ -92,7 +94,6 @@ impl Default for ServeConfig {
                 hops: 1,
                 max_nodes: 2048,
             },
-            read_timeout: Duration::from_secs(30),
             drain_timeout: Duration::from_secs(5),
             request_timeout: Duration::from_secs(30),
             max_body_bytes: crate::http::MAX_BODY_BYTES,
@@ -432,7 +433,7 @@ impl Server {
         // Responses leave in one write each (see `http`), so nothing is
         // gained by holding a segment back for coalescing.
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(self.cfg.read_timeout));
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         let Ok(read_half) = stream.try_clone() else {
             return;
         };

@@ -131,7 +131,6 @@ fn injected_worker_panic_and_batch_stall_are_survived() {
                 hops: 1,
                 max_nodes: 64,
             },
-            read_timeout: Duration::from_secs(5),
             drain_timeout: Duration::from_secs(2),
             request_timeout: DEADLINE,
             ..ServeConfig::default()

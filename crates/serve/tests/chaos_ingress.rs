@@ -169,7 +169,6 @@ fn ingress_faults_and_overload_are_survived_with_named_answers() {
                 hops: 1,
                 max_nodes: 64,
             },
-            read_timeout: Duration::from_secs(5),
             drain_timeout: Duration::from_secs(2),
             request_timeout: DEADLINE,
             ingress_timeout: Duration::from_millis(250),

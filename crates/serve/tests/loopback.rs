@@ -238,7 +238,6 @@ fn concurrent_singletons_coalesce_and_match_direct_predictions() {
             hops: 1,
             max_nodes: 64,
         },
-        read_timeout: Duration::from_secs(5),
         drain_timeout: Duration::from_secs(2),
         request_timeout: Duration::from_secs(10),
         ..ServeConfig::default()
@@ -374,7 +373,6 @@ fn graceful_drain_answers_in_flight_bitwise_and_refuses_new_connections() {
             hops: 1,
             max_nodes: 64,
         },
-        read_timeout: Duration::from_secs(5),
         drain_timeout: Duration::from_secs(5),
         request_timeout: Duration::from_secs(10),
         ..ServeConfig::default()
@@ -469,7 +467,6 @@ fn sweep_endpoint_streams_chunked_jsonl_bitwise_equal_to_predict() {
         ServeConfig {
             max_wait: Duration::ZERO,
             workers: 1,
-            read_timeout: Duration::from_secs(5),
             ..ServeConfig::default()
         },
     );
@@ -610,7 +607,6 @@ fn protocol_errors_are_reported_not_fatal() {
         ServeConfig {
             max_wait: Duration::ZERO,
             workers: 1,
-            read_timeout: Duration::from_secs(5),
             ..ServeConfig::default()
         },
     );
@@ -696,7 +692,6 @@ fn hostile_ingress_is_bounded_and_the_daemon_survives() {
         ServeConfig {
             max_wait: Duration::ZERO,
             workers: 1,
-            read_timeout: Duration::from_secs(5),
             max_body_bytes: 1024,
             idle_timeout: Duration::from_millis(300),
             ingress_timeout: Duration::from_secs(2),
@@ -818,7 +813,6 @@ fn connection_cap_sheds_with_load_aware_retry_after() {
         ServeConfig {
             max_wait: Duration::ZERO,
             workers: 1,
-            read_timeout: Duration::from_secs(5),
             max_connections: 1,
             ..ServeConfig::default()
         },
@@ -900,7 +894,6 @@ fn keep_alive_client_with_nagle_on_sees_no_ack_stall() {
         ServeConfig {
             max_wait: Duration::ZERO,
             workers: 1,
-            read_timeout: Duration::from_secs(5),
             ..ServeConfig::default()
         },
     );

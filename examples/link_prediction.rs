@@ -8,7 +8,8 @@
 use cirgps::datagen::{generate_with_parasitics, DesignKind, SizePreset};
 use cirgps::graph::netlist_to_graph;
 use cirgps::model::{
-    evaluate_link, prepare_link_dataset, pretrain_link, CircuitGps, ModelConfig, TrainConfig,
+    evaluate_link, prepare_link_dataset, train_with_progress, CircuitGps, ModelConfig, Task,
+    TrainConfig,
 };
 use cirgps::pe::PeKind;
 use cirgps::sample::{CapNormalizer, DatasetConfig, LinkDataset, XcNormalizer};
@@ -47,14 +48,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut model = CircuitGps::new(ModelConfig::default());
     println!("pre-training on {} SSRAM link samples...", train.len());
-    pretrain_link(
+    train_with_progress(
         &mut model,
         &train,
+        Task::LinkPrediction,
         &TrainConfig {
             epochs: 5,
-            log_every: 1,
             ..Default::default()
         },
+        &mut |_, p| eprintln!("epoch {:>3}: loss {:.4}", p.epoch, p.loss),
     )
     .expect("training diverged");
 

@@ -9,8 +9,8 @@
 use cirgps::datagen::{generate_with_parasitics, DesignKind, SizePreset};
 use cirgps::graph::netlist_to_graph;
 use cirgps::model::{
-    evaluate_regression, finetune_regression, prepare_node_dataset, CircuitGps, FinetuneMode,
-    ModelConfig, TrainConfig,
+    evaluate_regression, finetune_regression_with_progress, prepare_node_dataset, CircuitGps,
+    FinetuneMode, ModelConfig, TrainConfig,
 };
 use cirgps::pe::PeKind;
 use cirgps::sample::{CapNormalizer, NodeDataset, XcNormalizer};
@@ -29,14 +29,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (train, test) = samples.split_at(samples.len() * 4 / 5);
 
     let mut model = CircuitGps::new(ModelConfig::default());
-    finetune_regression(
+    finetune_regression_with_progress(
         &mut model,
         train,
         FinetuneMode::Scratch,
         &TrainConfig {
             epochs: 6,
-            log_every: 2,
             ..Default::default()
+        },
+        &mut |_, p| {
+            if p.epoch % 2 == 0 {
+                eprintln!("epoch {:>3}: loss {:.4}", p.epoch, p.loss);
+            }
         },
     )?;
     let m = evaluate_regression(&model, test);

@@ -8,7 +8,8 @@
 use cirgps::datagen::{generate_with_parasitics, DesignKind, SizePreset};
 use cirgps::graph::{netlist_to_graph, GraphStats};
 use cirgps::model::{
-    evaluate_link, prepare_link_dataset, pretrain_link, CircuitGps, ModelConfig, TrainConfig,
+    evaluate_link, prepare_link_dataset, train_with_progress, CircuitGps, ModelConfig, Task,
+    TrainConfig,
 };
 use cirgps::pe::PeKind;
 use cirgps::sample::{CapNormalizer, DatasetConfig, LinkDataset, XcNormalizer};
@@ -58,14 +59,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 5. Pre-train CircuitGPS on link prediction.
     let mut model = CircuitGps::new(ModelConfig::default());
     println!("model: {} trainable parameters", model.num_params());
-    let history = pretrain_link(
+    let history = train_with_progress(
         &mut model,
         &samples,
+        Task::LinkPrediction,
         &TrainConfig {
             epochs: 4,
-            log_every: 1,
             ..Default::default()
         },
+        &mut |_, p| eprintln!("epoch {:>3}: loss {:.4}", p.epoch, p.loss),
     )
     .expect("training diverged");
     println!("trained in {:.1}s", history.seconds);

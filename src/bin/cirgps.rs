@@ -1310,8 +1310,8 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
         None => CircuitGps::new(ModelConfig::default()),
     };
     let xcn = XcNormalizer::fit(&[&graph]);
-    let mut session = InferenceSession::new(
-        model,
+    let mut session = InferenceSession::shared(
+        &model,
         xcn,
         &graph,
         SamplerConfig {
