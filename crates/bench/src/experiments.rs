@@ -752,20 +752,20 @@ pub fn fig4(preset: SizePreset, seed: u64, cmp: &MainComparison) -> String {
             hops: 1,
             max_nodes: 2048,
         };
-        use rayon::prelude::*;
-        let samples: Vec<PreparedSample> = entries
-            .par_chunks(64)
-            .flat_map_iter(|chunk| {
-                let mut sampler = subgraph_sample::SubgraphSampler::new(&aug, sampler_cfg);
-                chunk
-                    .iter()
-                    .map(|&(_, a, b)| {
-                        let sub = sampler.enclosing_subgraph(a, b);
-                        PreparedSample::new(sub, PeKind::Dspd, &cmp.xcn, 1.0, 0.0)
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let chunks: Vec<&[(usize, u32, u32)]> = entries.chunks(64).collect();
+        let samples: Vec<PreparedSample> = subgraph_sample::par_map(&chunks, |chunk| {
+            let mut sampler = subgraph_sample::SubgraphSampler::new(&aug, sampler_cfg);
+            chunk
+                .iter()
+                .map(|&(_, a, b)| {
+                    let sub = sampler.enclosing_subgraph(a, b);
+                    PreparedSample::new(sub, PeKind::Dspd, &cmp.xcn, 1.0, 0.0)
+                })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         let outputs = predict_regression(&cmp.model_all_ft, &samples);
         let predicted: std::collections::HashMap<usize, f64> = entries
             .iter()

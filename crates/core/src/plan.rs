@@ -17,8 +17,9 @@
 //! 3. **Size-sorted forward** — [`forward`] orders the unique samples by
 //!    node count, so each tile packs graphs of similar size, deals them
 //!    round-robin into `threads` slices (each still size-sorted, with an
-//!    even share of the work) that run through the rayon shim, and puts
-//!    the predictions back in input order.
+//!    even share of the work) that fan out through
+//!    [`subgraph_sample::par_map`], and puts the predictions back in
+//!    input order.
 //!
 //! A graph's prediction never depends on the rest of its batch
 //! (block-diagonal attention, per-graph pooling, eval-mode batch norm),
@@ -29,8 +30,7 @@
 use std::collections::HashMap;
 
 use circuit_graph::{CircuitGraph, XC_DIM};
-use rayon::prelude::*;
-use subgraph_sample::{SamplerConfig, Subgraph, SubgraphSampler, XcNormalizer};
+use subgraph_sample::{par_map, SamplerConfig, Subgraph, SubgraphSampler, XcNormalizer};
 
 use crate::model::CircuitGps;
 use crate::prepared::PreparedSample;
@@ -56,7 +56,7 @@ fn neighborhood_key(sub: &Subgraph) -> Vec<u32> {
 
 /// Runs the batched forward over `samples` (the link head, or the
 /// regression head when `reg`) in size-sorted order, dealt into
-/// `threads` slices that fan out through the rayon shim, and returns one
+/// `threads` slices that fan out through [`par_map`], and returns one
 /// prediction per sample in `samples` order.
 pub(crate) fn forward(
     model: &CircuitGps,
@@ -76,17 +76,14 @@ pub(crate) fn forward(
         .map(|k| order.iter().skip(k).step_by(t).copied().collect())
         .collect();
 
-    let preds: Vec<Vec<f32>> = slices
-        .par_iter()
-        .map(|idxs| {
-            let refs: Vec<&PreparedSample> = idxs.iter().map(|&i| &samples[i]).collect();
-            if reg {
-                model.predict_reg_batch(&refs)
-            } else {
-                model.predict_link_batch(&refs)
-            }
-        })
-        .collect();
+    let preds = par_map(&slices, |idxs| {
+        let refs: Vec<&PreparedSample> = idxs.iter().map(|&i| &samples[i]).collect();
+        if reg {
+            model.predict_reg_batch(&refs)
+        } else {
+            model.predict_link_batch(&refs)
+        }
+    });
     let mut out = vec![0.0f32; samples.len()];
     for (idxs, p) in slices.iter().zip(preds) {
         for (&i, v) in idxs.iter().zip(p) {
@@ -232,6 +229,38 @@ mod tests {
     }
 
     #[test]
+    fn neighborhood_key_tells_apart_every_forward_input() {
+        let (g, links) = toy_graph_and_links();
+        let (a, b) = links[0];
+        let base = SubgraphSampler::new(&g, TOY_CFG).enclosing_subgraph(a, b);
+        assert!(base.num_nodes() >= 2 && base.num_edges() > 0);
+        let key = neighborhood_key(&base);
+
+        // The forward pass never reads the parent ids.
+        let mut moved = base.clone();
+        moved.nodes.iter_mut().for_each(|n| *n += 1);
+        assert_eq!(neighborhood_key(&moved), key);
+
+        // Everything else it reads is in the key. The anchor count alone
+        // tells a pair subgraph from a node subgraph of equal content,
+        // which `predict_batch`'s shared coupling and ground memo needs.
+        type Edit = fn(&mut Subgraph);
+        let edits: [(&str, Edit); 6] = [
+            ("node_types", |s| s.node_types[0] ^= 1),
+            ("edge_types", |s| s.edge_types[0] ^= 1),
+            ("src", |s| s.src[0] = (s.src[0] + 1) % s.num_nodes()),
+            ("dst", |s| s.dst[0] = (s.dst[0] + 1) % s.num_nodes()),
+            ("xc", |s| s.xc[0] += 1.0),
+            ("num_anchors", |s| s.num_anchors = 1),
+        ];
+        for (field, edit) in edits {
+            let mut changed = base.clone();
+            edit(&mut changed);
+            assert_ne!(neighborhood_key(&changed), key, "{field}");
+        }
+    }
+
+    #[test]
     fn every_entry_point_matches_a_per_key_reference_bitwise() {
         // The plain design holds pairs that differ only in features; the
         // injected one mixes in distinct neighborhoods.
@@ -317,7 +346,7 @@ mod tests {
             .map(|(i, &k)| fresh_sample(&model, &xcn, g, k, (i % 2) as f32))
             .collect();
         let scores = reference(&model, &xcn, g, &keys, false);
-        for threads in [rayon::current_num_threads(), 3] {
+        for threads in [subgraph_sample::available_cores(), 3] {
             assert_eq!(
                 bits(&forward(&model, &samples, false, threads)),
                 bits(&scores)

@@ -3,8 +3,7 @@
 
 use circuit_graph::{NodeType, XC_DIM};
 use graph_pe::{compute_pe, PeFeatures, PeKind};
-use rayon::prelude::*;
-use subgraph_sample::{LinkDataset, NodeDataset, Subgraph, XcNormalizer};
+use subgraph_sample::{par_map, LinkDataset, NodeDataset, Subgraph, XcNormalizer};
 
 /// A training/evaluation sample with every model input materialized.
 #[derive(Debug, Clone)]
@@ -66,18 +65,15 @@ pub fn prepare_link_dataset(
     xcn: &XcNormalizer,
     cap_encode: impl Fn(f64) -> f32 + Sync,
 ) -> Vec<PreparedSample> {
-    ds.samples
-        .par_iter()
-        .map(|s| {
-            PreparedSample::new(
-                s.subgraph.clone(),
-                pe_kind,
-                xcn,
-                s.link.label,
-                cap_encode(s.link.cap),
-            )
-        })
-        .collect()
+    par_map(&ds.samples, |s| {
+        PreparedSample::new(
+            s.subgraph.clone(),
+            pe_kind,
+            xcn,
+            s.link.label,
+            cap_encode(s.link.cap),
+        )
+    })
 }
 
 /// Prepares a node dataset (ground-capacitance regression).
@@ -87,10 +83,9 @@ pub fn prepare_node_dataset(
     xcn: &XcNormalizer,
     cap_encode: impl Fn(f64) -> f32 + Sync,
 ) -> Vec<PreparedSample> {
-    ds.samples
-        .par_iter()
-        .map(|s| PreparedSample::new(s.subgraph.clone(), pe_kind, xcn, 1.0, cap_encode(s.cap)))
-        .collect()
+    par_map(&ds.samples, |s| {
+        PreparedSample::new(s.subgraph.clone(), pe_kind, xcn, 1.0, cap_encode(s.cap))
+    })
 }
 
 #[cfg(test)]

@@ -14,7 +14,8 @@
 //!   times) share one prepared sample and one forward
 //!   ([`SweepConfig::dedup`]);
 //! - the unique samples are forwarded sorted by node count, split into
-//!   [`SweepConfig::threads`] slices that run through the rayon shim.
+//!   [`SweepConfig::threads`] slices that run through
+//!   [`subgraph_sample::par_map`].
 //!
 //! Only one window of prepared samples and results is ever resident, so
 //! memory is bounded by the window, not the pair count
@@ -54,8 +55,9 @@ pub struct SweepConfig {
     /// Pairs per planned window: the bounded-memory knob. Results are
     /// emitted (and memory released) once per window.
     pub chunk: usize,
-    /// Slices of the batched forward, run through the rayon shim (at
-    /// most one worker per core; 1 = inline).
+    /// Slices of the batched forward, run through
+    /// [`subgraph_sample::par_map`] (at most one worker per core;
+    /// 1 = inline).
     pub threads: usize,
     /// Deduplicate content-identical subgraphs within a window (exact
     /// content comparison — semantics-free, disable only for measurement).

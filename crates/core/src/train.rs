@@ -1,9 +1,11 @@
 //! Training loops: link-prediction pre-training, regression fine-tuning
 //! (scratch / head-only / all, Section III-E) and evaluation.
 //!
-//! Minibatches are data-parallel: each sample's forward/backward runs on a
-//! rayon worker with its own tape; per-worker gradient stores are merged,
-//! averaged, clipped and applied with AdamW under a cosine schedule.
+//! Minibatches are data-parallel: each minibatch is split into one
+//! sub-batch per core, and each sub-batch's forward/backward runs on its
+//! own [`par_map`] worker with its own tape; the per-sub-batch gradient
+//! stores are merged in sub-batch order, averaged, clipped and applied
+//! with AdamW under a cosine schedule.
 //!
 //! Long runs are resumable: [`train_resumable`] reports a serializable
 //! [`TrainState`] (epoch counter, optimizer moments, RNG state) at every
@@ -20,7 +22,7 @@ use cirgps_nn::{Adam, BufferUpdate, CosineSchedule, GradStore, Tape};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
+use subgraph_sample::{available_cores, par_map};
 
 use crate::checkpoint::{read_u32, read_u64, write_u32, write_u64};
 use crate::config::{FinetuneMode, TrainConfig};
@@ -329,8 +331,8 @@ pub struct TrainOutcome {
 /// Trains the model on `samples` for the given task.
 ///
 /// Returns the per-epoch loss history. Training is deterministic for a
-/// fixed `TrainConfig::seed` and rayon-independent reduction order is
-/// enforced by merging gradients in sample order.
+/// fixed `TrainConfig::seed` and core count; gradients merge in
+/// sub-batch order, whichever worker finishes first.
 ///
 /// # Errors
 ///
@@ -469,19 +471,17 @@ pub fn train_resumable(
             // The batch is split into a few sub-batches, each packed
             // block-diagonally onto one tape (so batch norm sees many
             // graphs); the sub-batch count is part of the training
-            // semantics (BN statistics are per sub-batch). The compat
-            // rayon shim runs the chunks on real `std::thread::scope`
-            // workers, so sub-batches train in parallel on multicore
-            // hosts; the GEMM kernels inside them are serial, so this is
-            // the only fan-out. Batch-norm running-stat updates are held
-            // back per sub-batch and applied in sub-batch order below, so
-            // they never depend on which worker finishes first.
-            let n_sub = rayon::current_num_threads().clamp(1, batch.len().div_ceil(2).max(1));
+            // semantics (BN statistics are per sub-batch). `par_map` runs
+            // the sub-batches on scoped workers, so they train in
+            // parallel on multicore hosts; the GEMM kernels inside them
+            // are serial. Batch-norm running-stat updates are held back
+            // per sub-batch and applied in sub-batch order below, so they
+            // never depend on which worker finishes first.
+            let n_sub = available_cores().clamp(1, batch.len().div_ceil(2).max(1));
             let sub_size = batch.len().div_ceil(n_sub);
-            let results: Vec<(f64, GradStore, Vec<BufferUpdate>)> = batch
-                .par_chunks(sub_size)
-                .enumerate()
-                .map(|(ci, chunk)| {
+            let chunks: Vec<(usize, &[usize])> = batch.chunks(sub_size).enumerate().collect();
+            let results: Vec<(f64, GradStore, Vec<BufferUpdate>)> =
+                par_map(&chunks, |&(ci, chunk)| {
                     let subs: Vec<&PreparedSample> = chunk.iter().map(|&i| &samples[i]).collect();
                     let mut grads = GradStore::new(store);
                     let (loss_val, updates) = {
@@ -504,8 +504,7 @@ pub fn train_resumable(
                     // sub-batch size so merging yields the full-batch mean.
                     grads.scale(subs.len() as f32);
                     (loss_val as f64 * subs.len() as f64, grads, updates)
-                })
-                .collect();
+                });
 
             let mut merged = GradStore::new(model.store());
             let mut batch_loss = 0.0f64;
@@ -641,7 +640,7 @@ pub fn finetune_regression_with_progress(
 /// unseen in training). Runs the query planner's forward step (the one
 /// `predict` and `sweep` use) with one slice per core.
 pub fn evaluate_link(model: &CircuitGps, samples: &[PreparedSample]) -> LinkMetrics {
-    let scores = forward(model, samples, false, rayon::current_num_threads());
+    let scores = forward(model, samples, false, available_cores());
     let labels: Vec<f32> = samples.iter().map(|s| s.label).collect();
     link_metrics(&scores, &labels)
 }
@@ -656,7 +655,7 @@ pub fn evaluate_regression(model: &CircuitGps, samples: &[PreparedSample]) -> Re
 /// Per-sample regression predictions (used by the energy-validation
 /// flow), on the same forward step as [`evaluate_link`].
 pub fn predict_regression(model: &CircuitGps, samples: &[PreparedSample]) -> Vec<f32> {
-    forward(model, samples, true, rayon::current_num_threads())
+    forward(model, samples, true, available_cores())
 }
 
 #[cfg(test)]

@@ -11,47 +11,13 @@ use crate::params::{normal_init, xavier_uniform, BufferId, ParamId, ParamStore};
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
-/// Activation functions selectable in [`Mlp`] and model configs.
+/// Hidden-layer activation of an [`Mlp`]. ReLU is the only one any
+/// model uses; its fused `linear_relu` kernels run it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Activation {
     /// Rectified linear unit (the paper's default).
     #[default]
     Relu,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// No activation.
-    Identity,
-}
-
-impl Activation {
-    /// Applies the activation on the tape.
-    pub fn apply(self, tape: &mut Tape, x: Var) -> Var {
-        match self {
-            Activation::Relu => tape.relu(x),
-            Activation::Tanh => tape.tanh(x),
-            Activation::Sigmoid => tape.sigmoid(x),
-            Activation::Identity => x,
-        }
-    }
-
-    /// Tape-free activation (eval mode), mutating `x` in place. Uses the
-    /// same elementwise kernels as the taped ops, so results are
-    /// bitwise-equal.
-    pub fn infer(self, x: &mut Tensor) {
-        let backend = crate::simd::Backend::active();
-        match self {
-            Activation::Relu => crate::infer::relu_sweep_with(backend, x.as_mut_slice()),
-            Activation::Tanh => {
-                for v in x.as_mut_slice() {
-                    *v = v.tanh();
-                }
-            }
-            Activation::Sigmoid => crate::infer::sigmoid_sweep_with(backend, x.as_mut_slice()),
-            Activation::Identity => {}
-        }
-    }
 }
 
 /// Fully connected layer `y = xW + b`.
@@ -404,7 +370,6 @@ impl BatchNorm1d {
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    act: Activation,
     dropout: f32,
 }
 
@@ -426,16 +391,14 @@ impl Mlp {
             dims.len() >= 2,
             "Mlp needs at least input and output widths"
         );
+        // The only variant: hidden layers run the fused ReLU kernels.
+        let Activation::Relu = act;
         let layers = dims
             .windows(2)
             .enumerate()
             .map(|(i, w)| Linear::new(store, &format!("{name}.{i}"), w[0], w[1], true, rng))
             .collect();
-        Mlp {
-            layers,
-            act,
-            dropout,
-        }
+        Mlp { layers, dropout }
     }
 
     /// Input width.
@@ -449,19 +412,14 @@ impl Mlp {
     }
 
     /// Applies the MLP; the activation and dropout are applied between
-    /// layers, not after the last one. ReLU hidden layers use the fused
+    /// layers, not after the last one. Hidden layers use the fused
     /// `linear_relu` op.
     pub fn forward(&self, tape: &mut Tape, x: Var) -> Var {
         let n = self.layers.len();
         let mut h = x;
         for (i, layer) in self.layers.iter().enumerate() {
             if i + 1 < n {
-                h = if self.act == Activation::Relu {
-                    layer.forward_relu(tape, h)
-                } else {
-                    let y = layer.forward(tape, h);
-                    self.act.apply(tape, y)
-                };
+                h = layer.forward_relu(tape, h);
                 h = tape.dropout(h, self.dropout);
             } else {
                 h = layer.forward(tape, h);
@@ -479,13 +437,7 @@ impl Mlp {
         for (i, layer) in self.layers.iter().enumerate() {
             let input = cur.as_ref().unwrap_or(x);
             let next = if i + 1 < n {
-                if self.act == Activation::Relu {
-                    layer.infer_relu(params, input)
-                } else {
-                    let mut y = layer.infer(params, input);
-                    self.act.infer(&mut y);
-                    y
-                }
+                layer.infer_relu(params, input)
             } else {
                 layer.infer(params, input)
             };

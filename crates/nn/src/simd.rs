@@ -47,8 +47,6 @@
 //!   unavailable forced backend **panics** at first kernel use rather
 //!   than silently falling back (CI relies on this to keep its matrix
 //!   legs honest).
-//! * [`Backend::force`] does the same programmatically (the CLI's
-//!   `--backend` flag) with a `Result` instead of a panic.
 //!
 //! See `docs/simd.md` for the dispatch table and measurements.
 
@@ -87,8 +85,7 @@ impl Backend {
         }
     }
 
-    /// Parses a backend name (the `CIRGPS_FORCE_BACKEND` /
-    /// `--backend` vocabulary).
+    /// Parses a backend name (the `CIRGPS_FORCE_BACKEND` vocabulary).
     ///
     /// # Errors
     ///
@@ -154,31 +151,6 @@ impl Backend {
             }
             _ => Backend::detect(),
         })
-    }
-
-    /// Selects the process-wide backend programmatically (the CLI's
-    /// `--backend` flag). Must run before the first kernel dispatch.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the backend is unavailable on this CPU, or if dispatch
-    /// already latched a different backend (first selection wins).
-    pub fn force(b: Backend) -> Result<(), String> {
-        if !b.available() {
-            return Err(format!(
-                "backend {} is not available on this CPU (best: {})",
-                b.name(),
-                Backend::detect().name()
-            ));
-        }
-        let got = *ACTIVE.get_or_init(|| b);
-        if got != b {
-            return Err(format!(
-                "backend already selected as {} (a process picks its backend once)",
-                got.name()
-            ));
-        }
-        Ok(())
     }
 }
 

@@ -91,7 +91,6 @@ enum Op {
     AddScalar(Var, f32),
     Relu(Var),
     Sigmoid(Var),
-    Tanh(Var),
     Exp(Var),
     SoftmaxRows(Var),
     Transpose(Var),
@@ -571,12 +570,6 @@ impl<'p> Tape<'p> {
         let mut v = self.value(a).clone();
         sigmoid_sweep_with(Backend::active(), v.as_mut_slice());
         self.push(v, Op::Sigmoid(a))
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::tanh);
-        self.push(v, Op::Tanh(a))
     }
 
     /// Elementwise exponential (vectorized polynomial, rel. error < 1e-6;
@@ -1227,14 +1220,6 @@ impl<'p> Tape<'p> {
                     let mut g = g;
                     for (gi, &yi) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
                         *gi *= yi * (1.0 - yi);
-                    }
-                    acc(&mut local, *a, g);
-                }
-                Op::Tanh(a) => {
-                    let y = self.value(Var(i));
-                    let mut g = g;
-                    for (gi, &yi) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
-                        *gi *= 1.0 - yi * yi;
                     }
                     acc(&mut local, *a, g);
                 }
@@ -1937,12 +1922,11 @@ mod tests {
     }
 
     #[test]
-    fn grad_relu_tanh_chain() {
+    fn grad_relu_chain() {
         grad_check((2, 3), |t, w| {
             let x = t.input(Tensor::from_rows(&[&[1.0, -2.0], &[0.5, 0.25]]));
             let h = t.matmul(x, w);
             let h = t.relu(h);
-            let h = t.tanh(h);
             t.mse_loss(h, &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
         });
     }

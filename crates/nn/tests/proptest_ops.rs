@@ -183,7 +183,7 @@ proptest! {
     #[test]
     fn random_op_chain_gradcheck(
         data in proptest::collection::vec(-1.0f32..1.0, 6),
-        ops in proptest::collection::vec(0u8..5, 1..5),
+        ops in proptest::collection::vec(0u8..4, 1..5),
         targets in proptest::collection::vec(-1.0f32..1.0, 6),
     ) {
         // Build w (2x3), apply a random chain of shape-preserving unary
@@ -200,8 +200,7 @@ proptest! {
                 h = match op {
                     0 => tape.relu(h),
                     1 => tape.sigmoid(h),
-                    2 => tape.tanh(h),
-                    3 => tape.scale(h, 0.7),
+                    2 => tape.scale(h, 0.7),
                     _ => tape.add_scalar(h, 0.3),
                 };
             }

@@ -7,9 +7,9 @@ use circuit_graph::{CircuitGraph, Edge, NodeMap, NodeType};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use crate::links::{generate_negatives, Link, LinkSet};
+use crate::par::par_map;
 use crate::subgraph::{SamplerConfig, Subgraph, SubgraphSampler};
 
 /// Dataset assembly parameters.
@@ -127,19 +127,20 @@ impl LinkDataset {
             hops: cfg.hops,
             max_nodes: cfg.max_nodes,
         };
-        let samples: Vec<LinkSample> = links
-            .par_chunks(128)
-            .flat_map_iter(|chunk| {
-                let mut sampler = SubgraphSampler::new(&aug, sampler_cfg);
-                chunk
-                    .iter()
-                    .map(|&link| LinkSample {
-                        link,
-                        subgraph: sampler.enclosing_subgraph(link.a, link.b),
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let chunks: Vec<&[Link]> = links.chunks(128).collect();
+        let samples: Vec<LinkSample> = par_map(&chunks, |chunk| {
+            let mut sampler = SubgraphSampler::new(&aug, sampler_cfg);
+            chunk
+                .iter()
+                .map(|&link| LinkSample {
+                    link,
+                    subgraph: sampler.enclosing_subgraph(link.a, link.b),
+                })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
         let (sum_n, sum_e) = samples.iter().fold((0usize, 0usize), |(n, e), s| {
             (n + s.subgraph.num_nodes(), e + s.subgraph.num_edges())
@@ -225,20 +226,21 @@ impl NodeDataset {
             hops,
             max_nodes: 2048,
         };
-        let samples: Vec<NodeSample> = targets
-            .par_chunks(128)
-            .flat_map_iter(|chunk| {
-                let mut sampler = SubgraphSampler::new(graph, sampler_cfg);
-                chunk
-                    .iter()
-                    .map(|&(node, cap)| NodeSample {
-                        node,
-                        cap,
-                        subgraph: sampler.node_subgraph(node),
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let chunks: Vec<&[(u32, f64)]> = targets.chunks(128).collect();
+        let samples: Vec<NodeSample> = par_map(&chunks, |chunk| {
+            let mut sampler = SubgraphSampler::new(graph, sampler_cfg);
+            chunk
+                .iter()
+                .map(|&(node, cap)| NodeSample {
+                    node,
+                    cap,
+                    subgraph: sampler.node_subgraph(node),
+                })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         NodeDataset {
             design: design.to_string(),
             samples,

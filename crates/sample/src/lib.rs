@@ -11,6 +11,10 @@
 //! training datasets, inference and the full-chip sweep run the same
 //! code, with scratch reused across calls.
 //!
+//! [`par_map`] is the workspace's one data-parallel fan-out: dataset
+//! extraction here, and sample preparation, training sub-batches and
+//! batched forwards in the crates above.
+//!
 //! ## Example
 //!
 //! ```
@@ -33,9 +37,11 @@
 mod dataset;
 mod links;
 mod normalize;
+mod par;
 mod subgraph;
 
 pub use dataset::{DatasetConfig, LinkDataset, LinkSample, NodeDataset, NodeSample};
 pub use links::{generate_negatives, Link, LinkSet};
 pub use normalize::{CapNormalizer, XcNormalizer};
+pub use par::{available_cores, par_map};
 pub use subgraph::{SamplerConfig, Subgraph, SubgraphSampler, SweepSampler, UNREACHABLE};

@@ -56,7 +56,8 @@ pub struct ServeConfig {
     /// extraction, PE and the forward pass.
     pub cache_capacity: usize,
     /// Subgraph sampler for pair queries (ground queries use the same
-    /// node cap at 2 hops, the training convention).
+    /// node cap at 2 hops, the training convention). Its default is the
+    /// one served pair sampler: `cirgps predict` and `sweep` read it too.
     pub sampler: SamplerConfig,
     /// How long a graceful drain ([`Server::begin_drain`]) waits for
     /// open connections to finish before force-closing them.

@@ -34,7 +34,7 @@ use cirgps::model::{
     ResumableTrain, SweepConfig, SweepTask, Task, TrainConfig, TrainState, TRAIN_STATE_SECTION,
 };
 use cirgps::netlist::{Netlist, SpfFile, SpiceFile};
-use cirgps::sample::{CapNormalizer, DatasetConfig, LinkDataset, SamplerConfig, XcNormalizer};
+use cirgps::sample::{CapNormalizer, DatasetConfig, LinkDataset, XcNormalizer};
 use cirgps::serve::{ServeConfig, Server};
 use cirgps::spice::{net_capacitances, simulate_energy};
 
@@ -176,8 +176,7 @@ USAGE:
 
   cirgps predict --netlist FILE.sp --top NAME --spf FILE.spf
                 [--task link|cap] [--batch-size N] [--per-type N]
-                [--model FILE.ckpt] [--backend B]
-                [--out FILE.json]
+                [--model FILE.ckpt] [--out FILE.json]
       Score the design's candidate coupling pairs with the batched
       tape-free inference engine (block-diagonal attention).
         --task link|cap   link probability (default) or normalized +
@@ -190,16 +189,13 @@ USAGE:
                           config). Without it a freshly initialized
                           default model is used (structure-only smoke
                           predictions)
-        --backend B       force the SIMD dispatch backend: scalar, avx2
-                          or avx512 (default: best available; errors if
-                          the CPU lacks it — docs/simd.md)
         --out FILE.json   write JSON lines there instead of stdout
       Output: one JSON object per candidate pair.
 
   cirgps sweep  --netlist FILE.sp --top NAME [--model FILE.ckpt]
                 [--task link|cap] [--pairs FILE] [--per-node-cap N]
                 [--max-pairs N] [--chunk N] [--threads N]
-                [--format jsonl|csv] [--out FILE] [--backend B]
+                [--format jsonl|csv] [--out FILE]
       Plan and execute a full-chip sweep: score *every* candidate pair
       of the design (or an explicit pair list) as one batched job with
       shared subgraph extraction and neighborhood deduplication,
@@ -224,15 +220,12 @@ USAGE:
                           output format (default jsonl, same fields as
                           `cirgps predict` minus the dataset label)
         --out FILE        write results there instead of stdout
-        --backend B       SIMD backend, exactly as in `cirgps predict`
-                          (docs/simd.md)
       Prints planner statistics (pairs, unique forwards, dedup rate,
       amortized µs/pair) to stderr.
 
   cirgps serve  --netlist FILE.sp --top NAME [--model FILE.ckpt]
                 [--addr HOST:PORT] [--max-batch N] [--max-wait-us N]
                 [--workers N] [--queue-cap N] [--cache-cap N]
-                [--backend B]
                 [--drain-timeout-ms N] [--request-timeout-ms N]
       Run the long-lived inference daemon: model, graph and sample
       caches stay warm, and concurrent HTTP queries are coalesced into
@@ -265,9 +258,6 @@ USAGE:
                        408 (default 10000)
         --max-conns    concurrent-connection cap; excess connections are
                        shed with 503 + Retry-After (default 256)
-        --backend      SIMD backend, exactly as in `cirgps predict`;
-                       the selection is reported on /metrics
-                       (docs/simd.md)
       Endpoints: GET /healthz, GET /metrics, POST /v1/predict,
       POST /v1/sweep (chunked JSONL bulk sweep).
 
@@ -522,19 +512,6 @@ fn build_link_samples(
         samples.extend(prepare_link_dataset(ds, pe, &xcn, |c| cap.encode(c)));
     }
     Ok((names, samples))
-}
-
-/// Applies `--backend scalar|avx2|avx512`: forces the SIMD dispatch
-/// backend process-wide before any kernel runs. Fails loudly when the
-/// requested backend is unsupported by this CPU or was already latched
-/// to something else — silently falling back would invalidate any
-/// parity or benchmark run that asked for a specific backend.
-fn apply_backend_flag(flags: &HashMap<String, String>) -> Result<(), String> {
-    if let Some(name) = flags.get("backend") {
-        let backend = cirgps::nn::Backend::parse(name)?;
-        cirgps::nn::Backend::force(backend).map_err(|e| format!("--backend {name}: {e}"))?;
-    }
-    Ok(())
 }
 
 /// Loads a checkpoint file via the self-describing container.
@@ -1271,11 +1248,9 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
             "batch-size",
             "per-type",
             "model",
-            "backend",
             "out",
         ],
     )?;
-    apply_backend_flag(flags)?;
     let netlist = load_netlist(flags)?;
     let spf = load_spf(flags)?;
     let per_type: usize = flag_parse(flags, "per-type", 200)?;
@@ -1310,16 +1285,8 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
         None => CircuitGps::new(ModelConfig::default()),
     };
     let xcn = XcNormalizer::fit(&[&graph]);
-    let mut session = InferenceSession::shared(
-        &model,
-        xcn,
-        &graph,
-        SamplerConfig {
-            hops: 1,
-            max_nodes: 2048,
-        },
-    )
-    .with_batch_size(batch_size);
+    let mut session = InferenceSession::shared(&model, xcn, &graph, ServeConfig::default().sampler)
+        .with_batch_size(batch_size);
 
     let pairs: Vec<(u32, u32)> = links.iter().map(|l| (l.a, l.b)).collect();
     let preds = match task {
@@ -1414,10 +1381,8 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
             "threads",
             "format",
             "out",
-            "backend",
         ],
     )?;
-    apply_backend_flag(flags)?;
     let netlist = load_netlist(flags)?;
     let task = match flags.get("task").map(String::as_str).unwrap_or("link") {
         "link" => SweepTask::Link,
@@ -1452,10 +1417,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
     let xcn = XcNormalizer::fit(&[&graph]);
     let cfg = SweepConfig {
         task,
-        sampler: SamplerConfig {
-            hops: 1,
-            max_nodes: 2048,
-        },
+        sampler: ServeConfig::default().sampler,
         chunk,
         threads,
         dedup: true,
@@ -1577,10 +1539,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             "idle-timeout-ms",
             "ingress-timeout-ms",
             "max-conns",
-            "backend",
         ],
     )?;
-    apply_backend_flag(flags)?;
     let defaults = ServeConfig::default();
     let max_batch = flag_parse(flags, "max-batch", defaults.max_batch)?;
     let max_wait_us = flag_parse(flags, "max-wait-us", defaults.max_wait.as_micros() as usize)?;

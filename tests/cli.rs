@@ -759,7 +759,7 @@ fn cli_serve_boots_and_answers_queries() {
     result.unwrap();
 }
 
-/// SIMD backends this host can run, as `--backend` values. Scalar is
+/// SIMD backends this host can run, as `CIRGPS_FORCE_BACKEND` values. Scalar is
 /// always first; the cross-backend assertions are vacuous (self vs
 /// self) on hosts with nothing wider, and CI pins an AVX2 runner.
 fn host_backends() -> Vec<&'static str> {
@@ -777,32 +777,31 @@ fn host_backends() -> Vec<&'static str> {
     v
 }
 
-/// Boots `serve` with the given extra flags, POSTs one predict request,
+/// Boots `serve` on the given SIMD backend, POSTs one predict request,
 /// and returns the raw response body. Wire format across backends is
 /// compared on these bytes.
-fn serve_once(sp: &str, extra: &[&str]) -> String {
+fn serve_once(sp: &str, backend: &str) -> String {
     use std::io::{BufRead, BufReader, Read, Write};
     let port = {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         l.local_addr().unwrap().port()
     };
     let addr = format!("127.0.0.1:{port}");
-    let mut args = vec![
-        "serve",
-        "--netlist",
-        sp,
-        "--top",
-        "TIMING_CONTROL",
-        "--addr",
-        &addr,
-        "--workers",
-        "1",
-        "--max-wait-us",
-        "100",
-    ];
-    args.extend_from_slice(extra);
     let mut daemon = cirgps()
-        .args(&args)
+        .args([
+            "serve",
+            "--netlist",
+            sp,
+            "--top",
+            "TIMING_CONTROL",
+            "--addr",
+            &addr,
+            "--workers",
+            "1",
+            "--max-wait-us",
+            "100",
+        ])
+        .env("CIRGPS_FORCE_BACKEND", backend)
         .stderr(std::process::Stdio::piped())
         .spawn()
         .expect("spawn serve");
@@ -886,16 +885,15 @@ fn cli_cross_backend_wire_format_is_stable() {
                 &spf,
                 "--per-type",
                 "20",
-                "--backend",
-                backend,
                 "--out",
                 &out_path,
             ])
+            .env("CIRGPS_FORCE_BACKEND", backend)
             .output()
             .expect("run predict");
         assert!(
             out.status.success(),
-            "predict --backend {backend} failed: {}",
+            "predict on {backend} failed: {}",
             String::from_utf8_lossy(&out.stderr)
         );
         let bytes = std::fs::read(&out_path).expect("predict output");
@@ -919,21 +917,20 @@ fn cli_cross_backend_wire_format_is_stable() {
             "TIMING_CONTROL",
             "--spf",
             &spf,
-            "--backend",
-            "neon",
         ])
+        .env("CIRGPS_FORCE_BACKEND", "neon")
         .output()
         .expect("run predict");
     assert!(!out.status.success());
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("backend"),
-        "error must name the backend flag"
+        String::from_utf8_lossy(&out.stderr).contains("CIRGPS_FORCE_BACKEND"),
+        "error must name the backend variable"
     );
 
     // Serve wire format: identical response bytes under every backend.
     let mut reference: Option<(String, String)> = None;
     for backend in host_backends() {
-        let body = serve_once(&sp, &["--backend", backend]);
+        let body = serve_once(&sp, backend);
         assert!(body.contains("\"probs\":["), "bad predict body {body}");
         match &reference {
             None => reference = Some((backend.to_string(), body)),
