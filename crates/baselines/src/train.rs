@@ -7,7 +7,7 @@
 //! pre-training.
 
 use circuitgps::{link_metrics, reg_metrics, LinkMetrics, RegMetrics};
-use cirgps_nn::{Adam, GradStore, Tape};
+use cirgps_nn::{Adam, GradStore, Tape, Var};
 use subgraph_sample::Link;
 
 use crate::models::{Baseline, BaselineKind};
@@ -86,30 +86,16 @@ pub fn train_link(
     designs: &[(&FullGraphInputs, &PairTask)],
     cfg: &BaselineTrainConfig,
 ) -> f32 {
-    let mut opt = Adam::new(cfg.lr);
-    let mut last = f32::NAN;
-    for _ in 0..cfg.epochs {
-        let mut total = 0.0f32;
-        for &(g, task) in designs {
-            if task.is_empty() {
-                continue;
-            }
-            let mut grads = GradStore::new(model.store());
-            {
-                // Inner scope: the tape borrows the store and recycles its
-                // buffers on drop, so it must die before the optimizer step.
-                let mut tape = Tape::new(model.store(), true, 0);
-                let logits = model.link_logits(&mut tape, g, &task.pairs);
-                let loss = tape.bce_with_logits(logits, &task.labels);
-                tape.backward(loss, &mut grads);
-                total += tape.value(loss).item();
-            }
-            grads.clip_global_norm(cfg.clip);
-            opt.step(model.store_mut(), &grads);
-        }
-        last = total / designs.len().max(1) as f32;
-    }
-    last
+    train_full_batch(
+        model,
+        designs,
+        cfg,
+        PairTask::is_empty,
+        |m, tape, g, task| {
+            let logits = m.link_logits(tape, g, &task.pairs);
+            tape.bce_with_logits(logits, &task.labels)
+        },
+    )
 }
 
 /// Trains edge regression (with DLPL-Cap's router supervision).
@@ -118,40 +104,25 @@ pub fn train_regression(
     designs: &[(&FullGraphInputs, &PairTask)],
     cfg: &BaselineTrainConfig,
 ) -> f32 {
-    let mut opt = Adam::new(cfg.lr);
-    let mut last = f32::NAN;
-    for _ in 0..cfg.epochs {
-        let mut total = 0.0f32;
-        for &(g, task) in designs {
-            if task.is_empty() {
-                continue;
+    train_full_batch(
+        model,
+        designs,
+        cfg,
+        PairTask::is_empty,
+        |m, tape, g, task| {
+            let h = m.node_embeddings(tape, g);
+            let emb = m.pair_embeddings(tape, h, &task.pairs);
+            let outs = m.expert_outputs(tape, emb);
+            let loss = tape.l1_loss(outs, &task.targets);
+            if m.kind != BaselineKind::DlplCap || cfg.router_weight <= 0.0 {
+                return loss;
             }
-            let mut grads = GradStore::new(model.store());
-            {
-                let mut tape = Tape::new(model.store(), true, 0);
-                let h = model.node_embeddings(&mut tape, g);
-                let emb = model.pair_embeddings(&mut tape, h, &task.pairs);
-                let outs = model.expert_outputs(&mut tape, emb);
-                let mut loss = tape.l1_loss(outs, &task.targets);
-                if model.kind == BaselineKind::DlplCap && cfg.router_weight > 0.0 {
-                    let bins: Vec<usize> = task
-                        .targets
-                        .iter()
-                        .map(|&t| model.magnitude_bin(t))
-                        .collect();
-                    let aux = model.router_loss(&mut tape, emb, &bins);
-                    let aux = tape.scale(aux, cfg.router_weight);
-                    loss = tape.add(loss, aux);
-                }
-                tape.backward(loss, &mut grads);
-                total += tape.value(loss).item();
-            }
-            grads.clip_global_norm(cfg.clip);
-            opt.step(model.store_mut(), &grads);
-        }
-        last = total / designs.len().max(1) as f32;
-    }
-    last
+            let bins: Vec<usize> = task.targets.iter().map(|&t| m.magnitude_bin(t)).collect();
+            let aux = m.router_loss(tape, emb, &bins);
+            let aux = tape.scale(aux, cfg.router_weight);
+            tape.add(loss, aux)
+        },
+    )
 }
 
 /// Trains node-level ground-capacitance regression.
@@ -160,21 +131,39 @@ pub fn train_node_regression(
     designs: &[(&FullGraphInputs, &NodeTask)],
     cfg: &BaselineTrainConfig,
 ) -> f32 {
+    let is_empty = |task: &NodeTask| task.nodes.is_empty();
+    train_full_batch(model, designs, cfg, is_empty, |m, tape, g, task| {
+        let outs = m.node_reg_outputs(tape, g, &task.nodes);
+        tape.l1_loss(outs, &task.targets)
+    })
+}
+
+/// The trainers' shared loop: every epoch, one Adam step per non-empty
+/// design on the clipped gradient of `loss`. Returns the last epoch's
+/// summed loss over the number of designs.
+fn train_full_batch<T>(
+    model: &mut Baseline,
+    designs: &[(&FullGraphInputs, &T)],
+    cfg: &BaselineTrainConfig,
+    is_empty: impl Fn(&T) -> bool,
+    loss: impl Fn(&Baseline, &mut Tape, &FullGraphInputs, &T) -> Var,
+) -> f32 {
     let mut opt = Adam::new(cfg.lr);
     let mut last = f32::NAN;
     for _ in 0..cfg.epochs {
         let mut total = 0.0f32;
         for &(g, task) in designs {
-            if task.nodes.is_empty() {
+            if is_empty(task) {
                 continue;
             }
             let mut grads = GradStore::new(model.store());
             {
+                // Inner scope: the tape borrows the store and recycles its
+                // buffers on drop, so it must die before the optimizer step.
                 let mut tape = Tape::new(model.store(), true, 0);
-                let outs = model.node_reg_outputs(&mut tape, g, &task.nodes);
-                let loss = tape.l1_loss(outs, &task.targets);
-                tape.backward(loss, &mut grads);
-                total += tape.value(loss).item();
+                let l = loss(model, &mut tape, g, task);
+                tape.backward(l, &mut grads);
+                total += tape.value(l).item();
             }
             grads.clip_global_norm(cfg.clip);
             opt.step(model.store_mut(), &grads);

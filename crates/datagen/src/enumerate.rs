@@ -127,11 +127,6 @@ impl DesignEnumerator {
     pub fn skipped(&self) -> usize {
         self.skipped
     }
-
-    /// Terms not yet yielded (upper bound on designs left).
-    pub fn terms_left(&self) -> usize {
-        self.terms.len()
-    }
 }
 
 impl Iterator for DesignEnumerator {

@@ -7,10 +7,10 @@
 //! are bit for bit the same: column sums run per column in row order as
 //! separate multiplies and adds (no FMA), scatters start from `+0.0`
 //! and add in edge order, and the ReLU masks by the sign of its own
-//! output. The scalar loops are the reference; the AVX2 and AVX-512
-//! kernels in [`crate::simd`] vectorize *across columns*, one lane per
-//! column, so every lane runs the scalar chain (checked by
-//! `tests/simd_parity.rs`).
+//! output. The scalar loops are the reference; the AVX2 kernels in
+//! [`crate::simd`], which the AVX-512 backend runs too, vectorize
+//! *across columns*, one lane per column, so every lane runs the scalar
+//! chain (checked by `tests/simd_parity.rs`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
@@ -89,11 +89,9 @@ pub(crate) fn col_sums_with(backend: Backend, x: &[f32], acc: &mut [f32]) {
     }
     debug_assert_eq!(x.len() % acc.len(), 0);
     #[cfg(target_arch = "x86_64")]
-    match backend {
+    if backend != Backend::Scalar {
         // SAFETY: the backend's CPU probe succeeded; `x` holds whole rows.
-        Backend::Avx512 => return unsafe { crate::simd::avx512::col_sums(x, acc) },
-        Backend::Avx2 => return unsafe { crate::simd::avx2::col_sums(x, acc) },
-        Backend::Scalar => {}
+        return unsafe { crate::simd::avx2::col_sums(x, acc) };
     }
     for row in x.chunks_exact(acc.len()) {
         for (o, &v) in acc.iter_mut().zip(row) {
@@ -127,11 +125,9 @@ pub(crate) fn batch_stats_with(backend: Backend, x: &Tensor) -> (Tensor, Tensor)
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 fn sq_devs_with(backend: Backend, x: &[f32], mean: &[f32], acc: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    match backend {
+    if backend != Backend::Scalar {
         // SAFETY: the backend's CPU probe succeeded; `x` holds whole rows.
-        Backend::Avx512 => return unsafe { crate::simd::avx512::col_sq_devs(x, mean, acc) },
-        Backend::Avx2 => return unsafe { crate::simd::avx2::col_sq_devs(x, mean, acc) },
-        Backend::Scalar => {}
+        return unsafe { crate::simd::avx2::col_sq_devs(x, mean, acc) };
     }
     for row in x.chunks_exact(acc.len()) {
         for ((v, &xv), &mu) in acc.iter_mut().zip(row).zip(mean) {
@@ -160,7 +156,7 @@ pub(crate) fn bn_backward_with(
     let mut gx = pool::take_capacity(n * d);
     #[cfg(target_arch = "x86_64")]
     if backend != Backend::Scalar && d > 0 {
-        use crate::simd::{avx2, avx512};
+        use crate::simd::avx2;
         let k1: Vec<f32> = invstd.iter().map(|&is| is / nf).collect();
         gx.reserve(n * d);
         let out = gx.as_mut_ptr();
@@ -168,15 +164,9 @@ pub(crate) fn bn_backward_with(
         // floats and `reserve` guarantees `gx` room for the n·d writes
         // before `set_len`.
         unsafe {
-            if backend == Backend::Avx512 {
-                avx512::bn_backward_sums(&src, gamma, invstd, n, &mut sums);
-                let (s1, s2) = sums[2 * d..].split_at(d);
-                avx512::bn_backward_gx(&src, gamma, invstd, n, &k1, s1, s2, out);
-            } else {
-                avx2::bn_backward_sums(&src, gamma, invstd, n, &mut sums);
-                let (s1, s2) = sums[2 * d..].split_at(d);
-                avx2::bn_backward_gx(&src, gamma, invstd, n, &k1, s1, s2, out);
-            }
+            avx2::bn_backward_sums(&src, gamma, invstd, n, &mut sums);
+            let (s1, s2) = sums[2 * d..].split_at(d);
+            avx2::bn_backward_gx(&src, gamma, invstd, n, &k1, s1, s2, out);
             gx.set_len(n * d);
         }
         return split_sums(gx, sums, d);
@@ -401,16 +391,11 @@ pub(crate) fn gated_aggregate_backward(
     #[cfg(target_arch = "x86_64")]
     if backend != Backend::Scalar {
         ge.reserve(ne * d);
-        let kernel = if backend == Backend::Avx512 {
-            crate::simd::avx512::gated_edge_backward
-        } else {
-            crate::simd::avx2::gated_edge_backward
-        };
         for (i, (&j_src, &j_dst)) in src.iter().zip(dst).enumerate() {
             // SAFETY: the backend's CPU probe succeeded; `reserve`
             // guarantees room for edge `i`'s `d` writes.
             unsafe {
-                kernel(
+                crate::simd::avx2::gated_edge_backward(
                     e_hat.row_slice(i),
                     bx.row_slice(j_src),
                     gnum.row_slice(j_dst),

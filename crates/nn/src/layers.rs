@@ -160,11 +160,6 @@ impl Embedding {
         Embedding { w, num, dim }
     }
 
-    /// Number of entries in the table.
-    pub fn num_embeddings(&self) -> usize {
-        self.num
-    }
-
     /// Embedding width.
     pub fn dim(&self) -> usize {
         self.dim

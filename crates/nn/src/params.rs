@@ -228,11 +228,6 @@ impl ParamStore {
             .sum()
     }
 
-    /// Total number of scalar parameters including frozen ones.
-    pub fn num_scalars(&self) -> usize {
-        self.params.iter().map(|p| p.len()).sum()
-    }
-
     /// Reads a buffer by cloning it (buffers are behind a mutex so that
     /// training forward passes on worker threads can update running stats).
     pub fn buffer(&self, id: BufferId) -> Tensor {

@@ -5,9 +5,11 @@
 //! generic blocked GEMM, the backward `a·bᵀ`/`aᵀ·b` GEMMs, the
 //! `fast_exp`/sigmoid/softmax sweeps, the fused infer epilogues, the
 //! fused Performer attention forward and backward and the training
-//! batch-norm and gated-aggregation kernels) has
-//! explicit `std::arch` implementations for
-//! AVX2+FMA and AVX-512F, selected **once per process** by
+//! batch-norm and gated-aggregation kernels) has an explicit
+//! `std::arch` implementation for AVX2+FMA, and the ones that measured
+//! faster end to end at 16 lanes (the GEMMs and the Performer
+//! attention's feature maps, `φ(K)ᵀV`, key pass and `dφ` rows) one for
+//! AVX-512F too. The set is selected **once per process** by
 //! [`Backend::active`] from runtime CPU-feature detection. The same
 //! binary runs at full speed on machines it was not compiled on, and
 //! falls back to the portable scalar kernels everywhere else.
@@ -43,10 +45,11 @@
 //! # Selecting a backend
 //!
 //! * Default: best available, probed once (`Avx512` → `Avx2` → `Scalar`).
-//! * `CIRGPS_FORCE_BACKEND=scalar|avx2|avx512` forces one; an
-//!   unavailable forced backend **panics** at first kernel use rather
-//!   than silently falling back (CI relies on this to keep its matrix
-//!   legs honest).
+//! * `CIRGPS_FORCE_BACKEND=scalar|avx2|avx512` forces one; an unknown
+//!   or unavailable forced backend is an error, never a silent fallback
+//!   (CI relies on this to keep its matrix legs honest):
+//!   [`Backend::from_env`] returns it, and [`Backend::active`] panics
+//!   with it at first kernel use.
 //!
 //! See `docs/simd.md` for the dispatch table and measurements.
 
@@ -63,9 +66,9 @@ pub enum Backend {
     /// 8-lane AVX2 + FMA kernels.
     Avx2,
     /// 16-lane AVX-512F kernels for the wide GEMM microkernels, the
-    /// backward GEMMs and the Performer feature maps; narrower and
-    /// reduction-order-sensitive kernels reuse the AVX2 set (an AVX-512
-    /// machine always has AVX2+FMA).
+    /// backward GEMMs and the Performer feature-map, `φ(K)ᵀV`, key-pass
+    /// and `dφ` kernels; every other kernel reuses the AVX2 set (an
+    /// AVX-512 machine always has AVX2+FMA).
     Avx512,
 }
 
@@ -126,31 +129,47 @@ impl Backend {
             .unwrap_or(&Backend::Scalar)
     }
 
+    /// The backend `CIRGPS_FORCE_BACKEND` forces, or the best this CPU
+    /// supports when the variable is unset or empty. Binaries call this
+    /// at startup to report a bad value as an ordinary error.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message starting `CIRGPS_FORCE_BACKEND` if the variable
+    /// names an unknown backend or one this CPU cannot run — a forced
+    /// backend must never silently degrade to another implementation.
+    pub fn from_env() -> Result<Backend, String> {
+        Backend::from_env_value(std::env::var("CIRGPS_FORCE_BACKEND").ok().as_deref())
+    }
+
+    /// [`Backend::from_env`] for the variable's value.
+    fn from_env_value(value: Option<&str>) -> Result<Backend, String> {
+        let Some(name) = value.filter(|v| !v.is_empty()) else {
+            return Ok(Backend::detect());
+        };
+        let b = Backend::parse(name).map_err(|e| format!("CIRGPS_FORCE_BACKEND: {e}"))?;
+        if !b.available() {
+            return Err(format!(
+                "CIRGPS_FORCE_BACKEND={} but this CPU does not support it \
+                 (refusing to silently fall back)",
+                b.name()
+            ));
+        }
+        Ok(b)
+    }
+
     /// The process-wide backend every kernel dispatches on.
     ///
-    /// First call wins: probes the CPU, honoring `CIRGPS_FORCE_BACKEND`
-    /// if set; later calls return the cached choice.
+    /// First call wins: [`Backend::from_env`]; later calls return the
+    /// cached choice.
     ///
     /// # Panics
     ///
-    /// Panics if `CIRGPS_FORCE_BACKEND` names an unknown backend or one
-    /// this CPU cannot run — a forced backend must never silently
-    /// degrade to another implementation.
+    /// Panics with [`Backend::from_env`]'s message if
+    /// `CIRGPS_FORCE_BACKEND` names an unknown backend or one this CPU
+    /// cannot run.
     pub fn active() -> Backend {
-        *ACTIVE.get_or_init(|| match std::env::var("CIRGPS_FORCE_BACKEND") {
-            Ok(name) if !name.is_empty() => {
-                let b =
-                    Backend::parse(&name).unwrap_or_else(|e| panic!("CIRGPS_FORCE_BACKEND: {e}"));
-                assert!(
-                    b.available(),
-                    "CIRGPS_FORCE_BACKEND={} but this CPU does not support it \
-                     (refusing to silently fall back)",
-                    b.name()
-                );
-                b
-            }
-            _ => Backend::detect(),
-        })
+        *ACTIVE.get_or_init(|| Backend::from_env().unwrap_or_else(|e| panic!("{e}")))
     }
 }
 
@@ -2023,17 +2042,18 @@ pub(crate) mod avx2 {
 
 // ---------------------------------------------------------------------------
 // AVX-512F kernels (16 lanes) for the wide GEMM microkernels, the
-// backward GEMMs and the Performer feature maps. Narrow widths and
-// order-sensitive reductions delegate to the AVX2 set (see the
-// dispatchers in `tensor`/`infer`).
+// backward GEMMs, the Performer forward (feature maps and `φ(K)ᵀV`) and
+// the Performer backward's key pass and `dφ` rows. Only kernels that
+// measured faster end to end than their AVX2 twin live here; every other
+// op, the training batch-norm and gated-aggregation kernels included,
+// runs the AVX2 set on this backend (see the dispatchers in
+// `tensor`/`fused`/`infer`).
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::needless_range_loop)] // same `acc[v]` idiom as `avx2`
 pub(crate) mod avx512 {
     use std::arch::x86_64::*;
-
-    use crate::fused::BnGrad;
 
     /// `out += a · b` for compile-time width `N` (multiple of 16):
     /// 16-lane twin of [`super::avx2::gemm_fixed`]; per-element k-order
@@ -2146,240 +2166,6 @@ pub(crate) mod avx512 {
     #[inline]
     fn lane_mask(cols: usize) -> __mmask16 {
         ((1u32 << cols) - 1) as __mmask16
-    }
-
-    /// 16-lane `stable_sigmoid`: the twin of [`super::avx2::sigmoid_v`]
-    /// (`e = fast_exp(−|x|)`, `s = e/(1+e)`, `1 − s` where `x ≥ 0`).
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn sigmoid_v(x: __m512) -> __m512 {
-        let sign = _mm512_castps_si512(_mm512_set1_ps(-0.0));
-        let nabs = _mm512_castsi512_ps(_mm512_or_si512(
-            _mm512_andnot_si512(sign, _mm512_castps_si512(x)),
-            sign,
-        ));
-        let e = fast_exp_v(nabs);
-        let one = _mm512_set1_ps(1.0);
-        let s = _mm512_div_ps(e, _mm512_add_ps(one, e));
-        let ge = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(x, _mm512_setzero_ps());
-        _mm512_mask_blend_ps(ge, s, _mm512_sub_ps(one, s))
-    }
-
-    /// 16-lane twin of [`super::avx2::gated_edge_backward`]; the ragged
-    /// column tail runs in masked lanes.
-    ///
-    /// # Safety
-    ///
-    /// As [`super::avx2::gated_edge_backward`], under the AVX-512F
-    /// contract.
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn gated_edge_backward(
-        er: &[f32],
-        bxr: &[f32],
-        gnum: &[f32],
-        gden: &[f32],
-        ge: *mut f32,
-        gbx: &mut [f32],
-    ) {
-        let d = er.len();
-        let (ep, bp, np, dp, gp) = (
-            er.as_ptr(),
-            bxr.as_ptr(),
-            gnum.as_ptr(),
-            gden.as_ptr(),
-            gbx.as_mut_ptr(),
-        );
-        let one = _mm512_set1_ps(1.0);
-        let mut j = 0;
-        while j < d {
-            let k = lane_mask((d - j).min(16));
-            let eta = sigmoid_v(_mm512_maskz_loadu_ps(k, ep.add(j)));
-            let gn = _mm512_maskz_loadu_ps(k, np.add(j));
-            let geta = _mm512_add_ps(
-                _mm512_maskz_loadu_ps(k, dp.add(j)),
-                _mm512_mul_ps(gn, _mm512_maskz_loadu_ps(k, bp.add(j))),
-            );
-            let dsig = _mm512_mul_ps(eta, _mm512_sub_ps(one, eta));
-            _mm512_mask_storeu_ps(ge.add(j), k, _mm512_mul_ps(geta, dsig));
-            let acc = _mm512_add_ps(_mm512_maskz_loadu_ps(k, gp.add(j)), _mm512_mul_ps(gn, eta));
-            _mm512_mask_storeu_ps(gp.add(j), k, acc);
-            j += 16;
-        }
-    }
-
-    /// 16-lane twin of [`super::avx2::col_sums`]; the ragged column tail
-    /// runs in masked lanes.
-    ///
-    /// # Safety
-    ///
-    /// As [`super::avx2::col_sums`], under the AVX-512F contract.
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn col_sums(x: &[f32], acc: &mut [f32]) {
-        let d = acc.len();
-        let ap = acc.as_mut_ptr();
-        for row in x.chunks_exact(d) {
-            let rp = row.as_ptr();
-            let mut j = 0;
-            while j < d {
-                let k = lane_mask((d - j).min(16));
-                let s = _mm512_add_ps(
-                    _mm512_maskz_loadu_ps(k, ap.add(j)),
-                    _mm512_maskz_loadu_ps(k, rp.add(j)),
-                );
-                _mm512_mask_storeu_ps(ap.add(j), k, s);
-                j += 16;
-            }
-        }
-    }
-
-    /// 16-lane twin of [`super::avx2::col_sq_devs`].
-    ///
-    /// # Safety
-    ///
-    /// As [`super::avx2::col_sq_devs`], under the AVX-512F contract.
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn col_sq_devs(x: &[f32], mean: &[f32], acc: &mut [f32]) {
-        let d = acc.len();
-        let (ap, mp) = (acc.as_mut_ptr(), mean.as_ptr());
-        for row in x.chunks_exact(d) {
-            let rp = row.as_ptr();
-            let mut j = 0;
-            while j < d {
-                let k = lane_mask((d - j).min(16));
-                let diff = _mm512_sub_ps(
-                    _mm512_maskz_loadu_ps(k, rp.add(j)),
-                    _mm512_maskz_loadu_ps(k, mp.add(j)),
-                );
-                let s = _mm512_add_ps(
-                    _mm512_maskz_loadu_ps(k, ap.add(j)),
-                    _mm512_mul_ps(diff, diff),
-                );
-                _mm512_mask_storeu_ps(ap.add(j), k, s);
-                j += 16;
-            }
-        }
-    }
-
-    /// 16-lane twin of the AVX2 `bn_grad_pair`, lanes outside `k` zero.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn bn_grad_pair(
-        src: &BnGrad<'_>,
-        k: __mmask16,
-        off: usize,
-        c: usize,
-        gamma: *const f32,
-        invstd: *const f32,
-    ) -> (__m512, __m512) {
-        match *src {
-            BnGrad::Saved { g, xhat } => (
-                _mm512_maskz_loadu_ps(k, g.as_ptr().add(off)),
-                _mm512_maskz_loadu_ps(k, xhat.as_ptr().add(off)),
-            ),
-            BnGrad::Fused {
-                g,
-                x,
-                mask,
-                mean,
-                beta,
-            } => {
-                let xh = _mm512_mul_ps(
-                    _mm512_sub_ps(
-                        _mm512_maskz_loadu_ps(k, x.as_ptr().add(off)),
-                        _mm512_maskz_loadu_ps(k, mean.as_ptr().add(c)),
-                    ),
-                    _mm512_maskz_loadu_ps(k, invstd.add(c)),
-                );
-                let y = _mm512_add_ps(
-                    _mm512_mul_ps(xh, _mm512_maskz_loadu_ps(k, gamma.add(c))),
-                    _mm512_maskz_loadu_ps(k, beta.as_ptr().add(c)),
-                );
-                let mut gy = _mm512_maskz_loadu_ps(k, g.as_ptr().add(off));
-                if let Some(m) = mask {
-                    gy = _mm512_mul_ps(gy, _mm512_maskz_loadu_ps(k, m.as_ptr().add(off)));
-                }
-                let live = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(y, _mm512_setzero_ps());
-                (_mm512_maskz_mov_ps(live & k, gy), xh)
-            }
-        }
-    }
-
-    /// 16-lane twin of [`super::avx2::bn_backward_sums`].
-    ///
-    /// # Safety
-    ///
-    /// As [`super::avx2::bn_backward_sums`], under the AVX-512F contract.
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn bn_backward_sums(
-        src: &BnGrad<'_>,
-        gamma: &[f32],
-        invstd: &[f32],
-        n: usize,
-        sums: &mut [f32],
-    ) {
-        let d = gamma.len();
-        let (gp, ip, sp) = (gamma.as_ptr(), invstd.as_ptr(), sums.as_mut_ptr());
-        let (dg, db, s1, s2) = (sp, sp.add(d), sp.add(2 * d), sp.add(3 * d));
-        for r in 0..n {
-            let base = r * d;
-            let mut j = 0;
-            while j < d {
-                let k = lane_mask((d - j).min(16));
-                let (gr, xh) = bn_grad_pair(src, k, base + j, j, gp, ip);
-                let dxh = _mm512_mul_ps(gr, _mm512_maskz_loadu_ps(k, gp.add(j)));
-                for (p, v) in [
-                    (dg, _mm512_mul_ps(gr, xh)),
-                    (db, gr),
-                    (s1, dxh),
-                    (s2, _mm512_mul_ps(dxh, xh)),
-                ] {
-                    let s = _mm512_add_ps(_mm512_maskz_loadu_ps(k, p.add(j)), v);
-                    _mm512_mask_storeu_ps(p.add(j), k, s);
-                }
-                j += 16;
-            }
-        }
-    }
-
-    /// 16-lane twin of [`super::avx2::bn_backward_gx`].
-    ///
-    /// # Safety
-    ///
-    /// As [`super::avx2::bn_backward_gx`], under the AVX-512F contract.
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) unsafe fn bn_backward_gx(
-        src: &BnGrad<'_>,
-        gamma: &[f32],
-        invstd: &[f32],
-        n: usize,
-        k1: &[f32],
-        s1: &[f32],
-        s2: &[f32],
-        gx: *mut f32,
-    ) {
-        let d = gamma.len();
-        let vn = _mm512_set1_ps(n.max(1) as f32);
-        let (gp, ip) = (gamma.as_ptr(), invstd.as_ptr());
-        for r in 0..n {
-            let base = r * d;
-            let mut j = 0;
-            while j < d {
-                let k = lane_mask((d - j).min(16));
-                let (gr, xh) = bn_grad_pair(src, k, base + j, j, gp, ip);
-                let dxh = _mm512_mul_ps(gr, _mm512_maskz_loadu_ps(k, gp.add(j)));
-                let t = _mm512_sub_ps(
-                    _mm512_sub_ps(
-                        _mm512_mul_ps(vn, dxh),
-                        _mm512_maskz_loadu_ps(k, s1.as_ptr().add(j)),
-                    ),
-                    _mm512_mul_ps(xh, _mm512_maskz_loadu_ps(k, s2.as_ptr().add(j))),
-                );
-                let out = _mm512_mul_ps(_mm512_maskz_loadu_ps(k, k1.as_ptr().add(j)), t);
-                _mm512_mask_storeu_ps(gx.add(base + j), k, out);
-                j += 16;
-            }
-        }
     }
 
     /// The masks of one column block of up to `16·NV` columns, `cols`
@@ -3457,6 +3243,20 @@ mod tests {
             assert_eq!(Backend::parse(b.name()).unwrap(), b);
         }
         assert!(Backend::parse("neon").is_err());
+    }
+
+    #[test]
+    fn forced_backend_errors_name_the_variable() {
+        let err = Backend::from_env_value(Some("neon")).unwrap_err();
+        assert!(err.starts_with("CIRGPS_FORCE_BACKEND: "), "{err}");
+        assert!(err.contains("\"neon\"") && err.contains("avx512"), "{err}");
+        assert_eq!(Backend::from_env_value(Some("")), Ok(Backend::detect()));
+        assert_eq!(Backend::from_env_value(None), Ok(Backend::detect()));
+        assert_eq!(Backend::from_env_value(Some("Scalar")), Ok(Backend::Scalar));
+        for b in Backend::ALL.into_iter().filter(|b| !b.available()) {
+            let err = Backend::from_env_value(Some(b.name())).unwrap_err();
+            assert!(err.starts_with("CIRGPS_FORCE_BACKEND="), "{err}");
+        }
     }
 
     #[test]

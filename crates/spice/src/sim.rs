@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 
-use ams_netlist::{DeviceKind, NetId, Netlist};
+use ams_netlist::{DeviceKind, Netlist};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -178,11 +178,6 @@ impl SwitchSim {
         self.driven[id] = Some(value);
     }
 
-    /// Drives a net by id.
-    pub fn drive_id(&mut self, net: NetId, value: Logic) {
-        self.driven[net.0 as usize] = Some(value);
-    }
-
     /// Releases an input (the net then floats / retains charge).
     pub fn release(&mut self, net: &str) {
         if let Some(id) = self.net_index(net) {
@@ -199,11 +194,6 @@ impl SwitchSim {
         self.values[self
             .net_index(net)
             .unwrap_or_else(|| panic!("unknown net {net:?}"))]
-    }
-
-    /// Current value by id.
-    pub fn value_id(&self, net: NetId) -> Logic {
-        self.values[net.0 as usize]
     }
 
     /// Toggle count (0↔1 transitions observed by [`SwitchSim::settle`])

@@ -50,21 +50,25 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let result = parse_flags(&args[1..]).and_then(|flags| match cmd.as_str() {
-        "gen" => cmd_gen(&flags),
-        "datagen" => cmd_datagen(&flags),
-        "stats" => cmd_stats(&flags),
-        "sample" => cmd_sample(&flags),
-        "pretrain" => cmd_pretrain(&flags),
-        "finetune" => cmd_finetune(&flags),
-        "eval" => cmd_eval(&flags),
-        "predict" => cmd_predict(&flags),
-        "sweep" => cmd_sweep(&flags),
-        "serve" => cmd_serve(&flags),
-        "client" => cmd_client(&flags),
-        "energy" => cmd_energy(&flags),
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
-    });
+    // A bad `CIRGPS_FORCE_BACKEND` fails like any other usage error, not
+    // as a panic at the first kernel call.
+    let result = cirgps::nn::Backend::from_env()
+        .and_then(|_| parse_flags(&args[1..]))
+        .and_then(|flags| match cmd.as_str() {
+            "gen" => cmd_gen(&flags),
+            "datagen" => cmd_datagen(&flags),
+            "stats" => cmd_stats(&flags),
+            "sample" => cmd_sample(&flags),
+            "pretrain" => cmd_pretrain(&flags),
+            "finetune" => cmd_finetune(&flags),
+            "eval" => cmd_eval(&flags),
+            "predict" => cmd_predict(&flags),
+            "sweep" => cmd_sweep(&flags),
+            "serve" => cmd_serve(&flags),
+            "client" => cmd_client(&flags),
+            "energy" => cmd_energy(&flags),
+            other => Err(format!("unknown command {other:?}\n{USAGE}")),
+        });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

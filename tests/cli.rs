@@ -907,7 +907,8 @@ fn cli_cross_backend_wire_format_is_stable() {
         }
     }
 
-    // An unsupported forced backend must fail loudly, not fall back.
+    // An unknown forced backend is a clean CLI error, not a fallback or
+    // a panic.
     let out = cirgps()
         .args([
             "predict",
@@ -921,11 +922,13 @@ fn cli_cross_backend_wire_format_is_stable() {
         .env("CIRGPS_FORCE_BACKEND", "neon")
         .output()
         .expect("run predict");
-    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("CIRGPS_FORCE_BACKEND"),
-        "error must name the backend variable"
+        stderr.starts_with("error: CIRGPS_FORCE_BACKEND"),
+        "error must name the backend variable: {stderr}"
     );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 
     // Serve wire format: identical response bytes under every backend.
     let mut reference: Option<(String, String)> = None;
