@@ -5,15 +5,15 @@
 //! Data flow: producer threads (HTTP connections, or a bench driver)
 //! call [`Engine::submit`] with one request's queries — each query
 //! becomes a [`Job`] holding a shared [`ResponseSlot`]. Scheduler
-//! workers loop on [`Engine::run_worker`]: drain one kind-pure batch
-//! from the queue (up to `max_batch` jobs or `max_wait`, whichever
-//! flushes first), run it through an [`InferenceSession`]'s
+//! workers loop on [`Engine::run_worker`]: take one kind-pure batch of
+//! the jobs already queued (up to `max_batch`; a worker never waits for
+//! more), run it through an [`InferenceSession`]'s
 //! heterogeneous batch entry point, and write each result back into its
 //! slot, waking the waiting producer. The producer observes exactly the
 //! numbers a direct `predict_link_batch`/`predict_reg_batch` call would
 //! produce — batching changes throughput, never values.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -150,28 +150,21 @@ pub struct Engine {
     queue: BoundedQueue<Job>,
     metrics: Metrics,
     max_batch: usize,
-    max_wait: Duration,
     /// Exponentially-weighted moving average of batch service time in
     /// µs (`new = (7·old + sample) / 8`; 0 until the first batch). The
     /// load-shedding layer uses it to predict queue sojourn and to
     /// compute the `Retry-After` it advertises on `503`.
     recent_batch_us: AtomicU64,
-    /// Brownout latch with hysteresis: set when the queue climbs past
-    /// 3/4 of capacity, cleared when it falls back under 1/4. While set,
-    /// workers shrink the batching wait window to 1/8 of `max_wait` —
-    /// trading batch occupancy for drain rate under sustained pressure.
-    brownout: AtomicBool,
 }
 
 impl Engine {
-    /// Creates an engine whose workers flush a batch at `max_batch` jobs
-    /// or after `max_wait`, whichever comes first, over a queue of
-    /// `queue_capacity` jobs.
+    /// Creates an engine whose workers take batches of at most
+    /// `max_batch` queued jobs, over a queue of `queue_capacity` jobs.
     ///
     /// # Panics
     ///
     /// Panics if `max_batch == 0` or `queue_capacity < max_batch`.
-    pub fn new(max_batch: usize, max_wait: Duration, queue_capacity: usize) -> Self {
+    pub fn new(max_batch: usize, queue_capacity: usize) -> Self {
         assert!(max_batch > 0, "max_batch must be positive");
         assert!(
             queue_capacity >= max_batch,
@@ -181,9 +174,7 @@ impl Engine {
             queue: BoundedQueue::new(queue_capacity),
             metrics: Metrics::default(),
             max_batch,
-            max_wait,
             recent_batch_us: AtomicU64::new(0),
-            brownout: AtomicBool::new(false),
         }
     }
 
@@ -205,25 +196,6 @@ impl Engine {
     /// EWMA of batch service time in µs (0 until the first batch runs).
     pub fn recent_batch_us(&self) -> u64 {
         self.recent_batch_us.load(Ordering::Relaxed)
-    }
-
-    /// Whether the brownout latch is set (see [`Engine`]'s field docs).
-    pub fn in_brownout(&self) -> bool {
-        self.brownout.load(Ordering::Relaxed)
-    }
-
-    /// Re-evaluates the brownout latch against the current queue depth.
-    /// Called on every submit and batch pop; cheap (two relaxed atomics).
-    fn update_pressure(&self) {
-        let depth = self.queue.len();
-        let cap = self.queue.capacity();
-        if depth * 4 >= cap * 3 {
-            if !self.brownout.swap(true, Ordering::Relaxed) {
-                Metrics::inc(&self.metrics.brownout_entered_total);
-            }
-        } else if depth * 4 <= cap {
-            self.brownout.store(false, Ordering::Relaxed);
-        }
     }
 
     /// The queue's capacity — the largest request that can ever be
@@ -279,7 +251,6 @@ impl Engine {
                 self.metrics
                     .queries_total
                     .fetch_add(keys.len() as u64, Ordering::Relaxed);
-                self.update_pressure();
                 Ok(slot)
             }
             Err(PushError::Full(_)) => {
@@ -303,22 +274,10 @@ impl Engine {
     /// bumped, and the worker keeps serving — producers blocked in
     /// [`ResponseSlot::wait`] are never stranded.
     pub fn run_worker(&self, session: &mut InferenceSession<'_>) {
-        loop {
-            // Under brownout, stop waiting around for batch company:
-            // pressure guarantees company, and a shorter window drains
-            // the queue faster.
-            let wait = if self.in_brownout() {
-                self.max_wait / 8
-            } else {
-                self.max_wait
-            };
-            let Some(batch) = self
-                .queue
-                .pop_batch_by(self.max_batch, wait, |job: &Job| job.kind)
-            else {
-                break;
-            };
-            self.update_pressure();
+        while let Some(batch) = self
+            .queue
+            .pop_batch_by(self.max_batch, |job: &Job| job.kind)
+        {
             // Chaos hook: `delay:MS` here stalls the batch after it left
             // the queue — producers hit their request deadline (504)
             // instead of hanging.
@@ -378,7 +337,7 @@ mod tests {
 
     #[test]
     fn submit_is_rejected_under_backpressure_and_after_shutdown() {
-        let engine = Engine::new(4, Duration::ZERO, 4);
+        let engine = Engine::new(4, 4);
         // No worker running: jobs stay queued.
         let _slot = engine
             .submit(TaskKind::Link, &[(0, 1), (1, 2), (2, 3)])
@@ -394,6 +353,7 @@ mod tests {
             3,
             "rejected request left no jobs behind"
         );
+        assert_eq!(engine.recent_batch_us(), 0, "no batch has run yet");
         engine.shutdown();
         assert_eq!(
             engine.submit(TaskKind::Link, &[(5, 6)]).unwrap_err(),
@@ -402,33 +362,8 @@ mod tests {
     }
 
     #[test]
-    fn brownout_latch_sets_at_three_quarters_depth_once() {
-        let engine = Engine::new(2, Duration::ZERO, 8);
-        // No worker running: jobs accumulate.
-        let _a = engine
-            .submit(TaskKind::Link, &[(0, 1), (1, 2), (2, 3)])
-            .unwrap();
-        assert!(!engine.in_brownout(), "3/8 is under the 3/4 threshold");
-        let _b = engine
-            .submit(TaskKind::Link, &[(3, 4), (4, 5), (5, 6)])
-            .unwrap();
-        assert!(engine.in_brownout(), "6/8 crosses the 3/4 threshold");
-        let _c = engine.submit(TaskKind::Link, &[(6, 7)]).unwrap();
-        assert!(engine.in_brownout());
-        assert_eq!(
-            engine
-                .metrics()
-                .brownout_entered_total
-                .load(Ordering::Relaxed),
-            1,
-            "the transition counts once, not per submit"
-        );
-        assert_eq!(engine.recent_batch_us(), 0, "no batch has run yet");
-    }
-
-    #[test]
     fn identical_pair_endpoints_are_rejected_at_submit() {
-        let engine = Engine::new(4, Duration::ZERO, 8);
+        let engine = Engine::new(4, 8);
         assert_eq!(
             engine
                 .submit(TaskKind::Link, &[(0, 1), (3, 3)])

@@ -8,15 +8,16 @@
 //! philosophy).
 //!
 //! The core is a **dynamic micro-batcher**: connection threads push
-//! queries into a bounded MPMC [`queue`], scheduler workers drain up to
-//! `max_batch` queries or wait at most `max_wait` (whichever flushes
-//! first) and run the whole batch through the tape-free block-diagonal
+//! queries into a bounded MPMC [`queue`], and each scheduler worker takes
+//! the queries already queued, up to `max_batch` and never waiting for
+//! more, and runs the whole batch through the tape-free block-diagonal
 //! engine (`CircuitGps::predict_link_batch` and friends, via
-//! [`circuitgps::InferenceSession::predict_batch`]). Concurrent
-//! singleton requests therefore pay batch-class per-sample cost instead
-//! of per-request model invocations — and because the batched engine is
-//! bitwise-equal to per-sample prediction, batching is *observably
-//! invisible* except in the throughput counters.
+//! [`circuitgps::InferenceSession::predict_batch`]). A lone request
+//! starts at once; under load, queries pile up while the workers are
+//! busy, so concurrent singleton requests pay batch-class per-sample
+//! cost instead of per-request model invocations. Because the batched
+//! engine is bitwise-equal to per-sample prediction, batching is
+//! *observably invisible* except in the throughput counters.
 //!
 //! Protocol reference and capacity-planning numbers: `docs/serving.md`.
 //! The CLI front end is `cirgps serve` (see `cirgps help`).

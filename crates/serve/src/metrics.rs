@@ -64,9 +64,6 @@ pub struct Metrics {
     /// Connections shed with `503` at accept time because the open
     /// connection cap was reached.
     pub rejected_max_conns: AtomicU64,
-    /// Times the engine entered brownout (queue pressure shrank the
-    /// batching window).
-    pub brownout_entered_total: AtomicU64,
     /// Last `Retry-After` value advertised on a `503`, in seconds
     /// (gauge; load-aware, see `docs/serving.md`).
     pub retry_after_s: AtomicU64,
@@ -95,7 +92,7 @@ impl Metrics {
     }
 
     /// Renders the counters in Prometheus text format. `queue_depth`,
-    /// `draining`, `brownout` and `recent_batch_us` are sampled by the
+    /// `draining` and `recent_batch_us` are sampled by the
     /// caller (they live in the queue, the server and the engine, not
     /// here); `backend` names the SIMD backend a deployment runs and is
     /// emitted as an info-style gauge for dashboards.
@@ -103,12 +100,11 @@ impl Metrics {
         &self,
         queue_depth: usize,
         draining: bool,
-        brownout: bool,
         recent_batch_us: u64,
         backend: &str,
     ) -> String {
         let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let rows: [(&str, &str, u64); 24] = [
+        let rows: [(&str, &str, u64); 23] = [
             ("requests_healthz_total", "counter", c(&self.http_healthz)),
             ("requests_metrics_total", "counter", c(&self.http_metrics)),
             ("requests_predict_total", "counter", c(&self.http_predict)),
@@ -167,11 +163,6 @@ impl Metrics {
                 "counter",
                 c(&self.rejected_max_conns),
             ),
-            (
-                "brownout_entered_total",
-                "counter",
-                c(&self.brownout_entered_total),
-            ),
             ("retry_after_s", "gauge", c(&self.retry_after_s)),
         ];
         let mut out = String::with_capacity(1024);
@@ -186,10 +177,6 @@ impl Metrics {
         out.push_str(&format!(
             "# TYPE cirgps_serve_draining gauge\ncirgps_serve_draining {}\n",
             draining as u8
-        ));
-        out.push_str(&format!(
-            "# TYPE cirgps_serve_brownout gauge\ncirgps_serve_brownout {}\n",
-            brownout as u8
         ));
         out.push_str(&format!(
             "# TYPE cirgps_serve_recent_batch_us gauge\ncirgps_serve_recent_batch_us {recent_batch_us}\n"
@@ -215,7 +202,7 @@ mod tests {
         m.observe_latency_us(100);
         m.observe_latency_us(250);
         Metrics::inc(&m.http_predict);
-        let text = m.render(11, true, true, 1500, "scalar");
+        let text = m.render(11, true, 1500, "scalar");
         assert!(text.contains("cirgps_serve_batches_total 3"), "{text}");
         assert!(
             text.contains("cirgps_serve_batch_occupancy_sum 15"),
@@ -233,7 +220,6 @@ mod tests {
         );
         assert!(text.contains("cirgps_serve_queue_depth 11"), "{text}");
         assert!(text.contains("cirgps_serve_draining 1"), "{text}");
-        assert!(text.contains("cirgps_serve_brownout 1"), "{text}");
         assert!(text.contains("cirgps_serve_recent_batch_us 1500"), "{text}");
         assert!(
             text.contains("cirgps_serve_requests_timeout_total 0"),
@@ -255,7 +241,7 @@ mod tests {
         m.sweep_pairs_total.fetch_add(100, Ordering::Relaxed);
         m.sweep_forwards_total.fetch_add(9, Ordering::Relaxed);
         Metrics::inc(&m.http_sweep);
-        let text = m.render(0, false, false, 0, "avx2");
+        let text = m.render(0, false, 0, "avx2");
         assert!(
             text.contains("cirgps_serve_requests_sweep_total 1"),
             "{text}"

@@ -1,6 +1,6 @@
 //! A bounded MPMC queue built on `std::sync::{Mutex, Condvar}`, with the
 //! one compound operation the micro-batcher needs: an atomically drained
-//! *batch pop* that waits up to a deadline for the batch to fill and
+//! *batch pop* that takes what is queued, never waits for more, and
 //! never mixes items of different kinds (see
 //! [`BoundedQueue::pop_batch_by`]).
 //!
@@ -11,7 +11,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
 struct Inner<T> {
     items: VecDeque<T>,
@@ -108,18 +107,22 @@ impl<T> BoundedQueue<T> {
         self.not_empty.notify_all();
     }
 
-    /// Atomically drains one *kind-pure* batch, dynamic-batching style.
+    /// Atomically drains one *kind-pure* batch, work-conserving style.
     ///
     /// Blocks until at least one item is available (or the queue is
     /// closed and empty, returning `None`). The first item fixes the
-    /// batch's kind (via `kind_of`) and starts the `max_wait` window;
-    /// the batch is then grown until one of three flush conditions:
+    /// batch's kind (via `kind_of`); the batch then takes the items
+    /// already queued behind it and never waits for more. It stops at
+    /// the first of:
     ///
     /// * **max-batch flush** — `max` items collected;
-    /// * **timeout flush** — `max_wait` elapsed since the batch opened;
     /// * **kind flush** — the next queued item has a different kind
     ///   (it stays queued for the next batch, preserving FIFO order —
-    ///   link and capacitance queries are never packed together).
+    ///   link and capacitance queries are never packed together);
+    /// * **dry flush** — the queue is empty.
+    ///
+    /// Batches still fill under load: items pile up while the consumers
+    /// are busy with the previous batch.
     ///
     /// # Panics
     ///
@@ -127,7 +130,6 @@ impl<T> BoundedQueue<T> {
     pub fn pop_batch_by<K: PartialEq>(
         &self,
         max: usize,
-        max_wait: Duration,
         kind_of: impl Fn(&T) -> K,
     ) -> Option<Vec<T>> {
         assert!(max > 0, "batch size must be positive");
@@ -136,27 +138,12 @@ impl<T> BoundedQueue<T> {
             if let Some(first) = inner.items.pop_front() {
                 let kind = kind_of(&first);
                 let mut batch = vec![first];
-                let deadline = Instant::now() + max_wait;
-                'grow: while batch.len() < max {
-                    while inner.items.is_empty() {
-                        if inner.closed {
-                            break 'grow;
-                        }
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break 'grow;
-                        }
-                        let (guard, _) = self
-                            .not_empty
-                            .wait_timeout(inner, deadline - now)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        inner = guard;
-                    }
+                while batch.len() < max {
                     match inner.items.front() {
                         Some(next) if kind_of(next) == kind => {
                             batch.push(inner.items.pop_front().expect("front checked"));
                         }
-                        _ => break 'grow,
+                        _ => break,
                     }
                 }
                 return Some(batch);
@@ -193,35 +180,27 @@ impl<T> std::fmt::Debug for PushError<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const NO_WAIT: Duration = Duration::ZERO;
+    use std::time::Duration;
 
     #[test]
     fn max_batch_flush_drains_exactly_max_and_keeps_the_rest() {
         let q = BoundedQueue::new(64);
         q.try_push_all((0..10).collect()).unwrap();
-        let batch = q.pop_batch_by(8, Duration::from_secs(5), |_| 0u8).unwrap();
+        let batch = q.pop_batch_by(8, |_| 0u8).unwrap();
         assert_eq!(batch, (0..8).collect::<Vec<_>>());
         assert_eq!(q.len(), 2, "items beyond max stay queued");
-        // Even with a generous wait, a full queue never waits: the batch
-        // fills from the backlog immediately.
-        let rest = q.pop_batch_by(8, NO_WAIT, |_| 0u8).unwrap();
+        let rest = q.pop_batch_by(8, |_| 0u8).unwrap();
         assert_eq!(rest, vec![8, 9]);
     }
 
     #[test]
-    fn timeout_flush_returns_partial_batch() {
+    fn dry_queue_flushes_a_partial_batch_and_later_pushes_start_the_next() {
         let q = BoundedQueue::new(64);
         q.try_push_all(vec![1, 2]).unwrap();
-        let t0 = Instant::now();
-        let batch = q
-            .pop_batch_by(8, Duration::from_millis(20), |_| 0u8)
-            .unwrap();
-        assert_eq!(batch, vec![1, 2]);
-        assert!(
-            t0.elapsed() >= Duration::from_millis(20),
-            "partial batch must wait out the window before flushing"
-        );
+        assert_eq!(q.pop_batch_by(8, |_| 0u8).unwrap(), vec![1, 2]);
+        assert!(q.is_empty());
+        q.try_push_all(vec![3]).unwrap();
+        assert_eq!(q.pop_batch_by(8, |_| 0u8).unwrap(), vec![3]);
         assert!(q.is_empty());
     }
 
@@ -231,9 +210,9 @@ mod tests {
         let q = BoundedQueue::new(64);
         q.try_push_all(vec![0, 2, 1, 4, 6]).unwrap();
         let kind = |v: &i32| v % 2;
-        assert_eq!(q.pop_batch_by(8, NO_WAIT, kind).unwrap(), vec![0, 2]);
-        assert_eq!(q.pop_batch_by(8, NO_WAIT, kind).unwrap(), vec![1]);
-        assert_eq!(q.pop_batch_by(8, NO_WAIT, kind).unwrap(), vec![4, 6]);
+        assert_eq!(q.pop_batch_by(8, kind).unwrap(), vec![0, 2]);
+        assert_eq!(q.pop_batch_by(8, kind).unwrap(), vec![1]);
+        assert_eq!(q.pop_batch_by(8, kind).unwrap(), vec![4, 6]);
         assert!(q.is_empty());
     }
 
@@ -257,19 +236,16 @@ mod tests {
         q.close();
         assert!(matches!(q.try_push_all(vec![8]), Err(PushError::Closed(_))));
         // Backlog still drains after close...
-        assert_eq!(
-            q.pop_batch_by(4, Duration::from_secs(5), |_| 0u8).unwrap(),
-            vec![7]
-        );
+        assert_eq!(q.pop_batch_by(4, |_| 0u8).unwrap(), vec![7]);
         // ...then consumers get the exit signal without blocking.
-        assert_eq!(q.pop_batch_by(4, Duration::from_secs(5), |_| 0u8), None);
+        assert_eq!(q.pop_batch_by(4, |_| 0u8), None);
     }
 
     #[test]
     fn blocked_consumer_receives_items_pushed_later() {
         let q = std::sync::Arc::new(BoundedQueue::new(8));
         let q2 = q.clone();
-        let h = std::thread::spawn(move || q2.pop_batch_by(2, Duration::from_secs(5), |_| 0u8));
+        let h = std::thread::spawn(move || q2.pop_batch_by(2, |_| 0u8));
         std::thread::sleep(Duration::from_millis(10));
         q.try_push_all(vec![1, 2]).unwrap();
         assert_eq!(h.join().unwrap().unwrap(), vec![1, 2]);

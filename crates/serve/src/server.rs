@@ -41,12 +41,10 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 /// interact with throughput and latency.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Flush a batch at this many queries (the tape-free engine's sweet
-    /// spot is around 32 on the bench workload).
+    /// Most queries in one batch (the tape-free engine's sweet spot is
+    /// around 32 on the bench workload). A worker takes what is queued
+    /// up to this and never waits for more.
     pub max_batch: usize,
-    /// Flush a partial batch after this long (the latency bound an idle
-    /// singleton request pays while the batcher hopes for company).
-    pub max_wait: Duration,
     /// Scheduler threads, each with its own session and answer cache.
     pub workers: usize,
     /// Bounded queue depth; beyond it requests get `503`.
@@ -87,7 +85,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 32,
-            max_wait: Duration::from_micros(2000),
             workers: 2,
             queue_capacity: 1024,
             cache_capacity: 65_536,
@@ -229,7 +226,7 @@ impl Server {
     /// queue smaller than one batch).
     pub fn new(model: CircuitGps, graph: CircuitGraph, design: String, cfg: ServeConfig) -> Self {
         assert!(cfg.workers > 0, "need at least one scheduler worker");
-        let engine = Engine::new(cfg.max_batch, cfg.max_wait, cfg.queue_capacity);
+        let engine = Engine::new(cfg.max_batch, cfg.queue_capacity);
         let xcn = XcNormalizer::fit(&[&graph]);
         Server {
             model,
@@ -602,7 +599,6 @@ impl Server {
                     metrics.render(
                         self.engine.queue_depth(),
                         self.is_draining(),
-                        self.engine.in_brownout(),
                         self.engine.recent_batch_us(),
                         circuitgps::Backend::active().name(),
                     ),
@@ -667,14 +663,13 @@ impl Server {
     fn healthz_body(&self) -> String {
         format!(
             "{{\"status\":\"{}\",\"design\":\"{}\",\"graph_nodes\":{},\"graph_edges\":{},\
-             \"workers\":{},\"max_batch\":{},\"max_wait_us\":{},\"uptime_s\":{}}}",
+             \"workers\":{},\"max_batch\":{},\"uptime_s\":{}}}",
             if self.is_draining() { "draining" } else { "ok" },
             escape(&self.design),
             self.graph.num_nodes(),
             self.graph.num_edges(),
             self.cfg.workers,
             self.cfg.max_batch,
-            self.cfg.max_wait.as_micros(),
             self.started.elapsed().as_secs()
         )
     }

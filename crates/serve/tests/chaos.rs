@@ -123,7 +123,6 @@ fn injected_worker_panic_and_batch_stall_are_survived() {
         "CHAOS".into(),
         ServeConfig {
             max_batch: 4,
-            max_wait: Duration::from_millis(1),
             workers: 1,
             queue_capacity: 64,
             cache_capacity: 64,

@@ -161,7 +161,6 @@ fn ingress_faults_and_overload_are_survived_with_named_answers() {
         "CHAOS".into(),
         ServeConfig {
             max_batch: MAX_BATCH,
-            max_wait: Duration::from_millis(1),
             workers: 1,
             queue_capacity: QUEUE_CAPACITY,
             cache_capacity: 64,

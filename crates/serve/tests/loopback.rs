@@ -2,8 +2,8 @@
 //! `TcpListener` on port 0, concurrent HTTP clients, and two
 //! acceptance-criteria assertions —
 //!
-//! 1. concurrent singleton requests are *coalesced* by the dynamic
-//!    batcher (observed batch occupancy > 1), and
+//! 1. singleton requests queued behind a busy worker are *coalesced*
+//!    by the dynamic batcher (a full first batch), and
 //! 2. every served prediction is **bitwise-equal** to a direct
 //!    `predict_link_batch`/`predict_reg_batch` call through an
 //!    [`InferenceSession`] over the same model and graph.
@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use circuit_graph::{CircuitGraph, EdgeType, GraphBuilder, NodeType};
 use circuitgps::{AttnKind, CircuitGps, ModelConfig, MpnnKind};
-use cirgps_serve::{ServeConfig, Server};
+use cirgps_serve::{ServeConfig, Server, TaskKind};
 use subgraph_sample::SamplerConfig;
 
 /// Two pin clusters bridged by a device chain — enough structure that
@@ -229,8 +229,6 @@ fn concurrent_singletons_coalesce_and_match_direct_predictions() {
     let model = small_model();
     let cfg = ServeConfig {
         max_batch: 4,
-        // Generous window so slow CI threads still land in one batch.
-        max_wait: Duration::from_millis(300),
         workers: 1,
         queue_capacity: 64,
         cache_capacity: 64,
@@ -252,11 +250,36 @@ fn concurrent_singletons_coalesce_and_match_direct_predictions() {
     let want_caps = session.predict_couplings(&pairs[..4]);
     let want_ground = session.predict_ground(&[pairs[0].0, pairs[1].0]);
 
+    // Seven singletons queued before the one worker exists: its first
+    // batch must take the first four of them (max-batch flush) and its
+    // second the remaining three (dry flush).
+    let slots: Vec<_> = pairs[..7]
+        .iter()
+        .map(|&pair| server.engine().submit(TaskKind::Link, &[pair]).unwrap())
+        .collect();
+
     std::thread::scope(|s| {
         s.spawn(|| server.serve(listener));
+        let _shutdown = ShutdownOnDrop(&server, addr);
+
+        // Phase 0: the queued singletons, coalesced and bitwise-equal.
+        for (i, slot) in slots.iter().enumerate() {
+            let prob = slot.wait()[0];
+            assert_eq!(
+                prob.to_bits(),
+                want_links[i].to_bits(),
+                "pair {i}: batched {prob} != direct {}",
+                want_links[i]
+            );
+        }
+        let m = server.engine().metrics();
+        let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
+        assert_eq!(load(&m.batches_total), 2, "batches of 4 and 3");
+        assert_eq!(load(&m.batch_occupancy_max), 4, "first batch is full");
+        assert_eq!(load(&m.batch_occupancy_sum), 7);
 
         // Phase 1: one singleton request per client thread, all released
-        // together — the dynamic batcher must coalesce them.
+        // together, round-trip bitwise over HTTP.
         let barrier = Barrier::new(pairs.len());
         let got: Vec<(usize, f32)> = std::thread::scope(|cs| {
             let handles: Vec<_> = pairs
@@ -287,16 +310,6 @@ fn concurrent_singletons_coalesce_and_match_direct_predictions() {
                 want_links[i]
             );
         }
-        let max_occupancy = server
-            .engine()
-            .metrics()
-            .batch_occupancy_max
-            .load(Ordering::Relaxed);
-        assert!(
-            max_occupancy > 1,
-            "dynamic batcher never coalesced concurrent singletons \
-             (max occupancy {max_occupancy})"
-        );
 
         // Phase 2: multi-query cap and ground requests round-trip
         // bitwise too.
@@ -352,8 +365,6 @@ fn concurrent_singletons_coalesce_and_match_direct_predictions() {
             )),
             "{body}"
         );
-
-        server.shutdown(addr);
     });
 }
 
@@ -363,9 +374,6 @@ fn graceful_drain_answers_in_flight_bitwise_and_refuses_new_connections() {
     let model = small_model();
     let cfg = ServeConfig {
         max_batch: 8,
-        // Long batching window: the in-flight singletons below are still
-        // parked in the batcher when the drain begins.
-        max_wait: Duration::from_millis(400),
         workers: 1,
         queue_capacity: 64,
         cache_capacity: 64,
@@ -386,6 +394,7 @@ fn graceful_drain_answers_in_flight_bitwise_and_refuses_new_connections() {
 
     std::thread::scope(|s| {
         s.spawn(|| server.serve(listener));
+        let _shutdown = ShutdownOnDrop(&server, addr);
 
         // A keep-alive connection opened before the drain, to observe
         // /healthz flip to "draining" from inside it.
@@ -397,24 +406,29 @@ fn graceful_drain_answers_in_flight_bitwise_and_refuses_new_connections() {
         assert_eq!(status, 200);
         assert!(body.contains("\"status\":\"ok\""), "{body}");
 
-        // Three in-flight singleton predicts, parked in the 400 ms
-        // batch window when the drain begins.
-        let in_flight: Vec<_> = pairs[..3]
+        // Three predicts in flight by construction: each connection is
+        // accepted (one keep-alive round trip proves it) and has sent
+        // its request headers, but not its body, when the drain begins.
+        let mut in_flight: Vec<(TcpStream, BufReader<TcpStream>, String)> = pairs[..3]
             .iter()
-            .enumerate()
-            .map(|(i, &(a, b))| {
-                s.spawn(move || {
-                    let (status, body) = http(
-                        addr,
-                        "POST",
-                        "/v1/predict",
-                        &format!("{{\"task\":\"link\",\"pairs\":[[{a},{b}]]}}"),
-                    );
-                    (i, status, body)
-                })
+            .map(|&(a, b)| {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(5)))
+                    .unwrap();
+                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                send_request(&mut stream, "GET", "/healthz", "");
+                assert_eq!(read_response(&mut reader).0, 200);
+                let body = format!("{{\"task\":\"link\",\"pairs\":[[{a},{b}]]}}");
+                write!(
+                    stream,
+                    "POST /v1/predict HTTP/1.1\r\nHost: loopback\r\nContent-Length: {}\r\n\r\n",
+                    body.len()
+                )
+                .expect("send headers");
+                (stream, reader, body)
             })
             .collect();
-        std::thread::sleep(Duration::from_millis(120));
         server.begin_drain(addr);
 
         // The pre-drain keep-alive connection is still answered — and
@@ -435,10 +449,11 @@ fn graceful_drain_answers_in_flight_bitwise_and_refuses_new_connections() {
             std::thread::sleep(Duration::from_millis(10));
         }
 
-        // Every request in flight before the drain is answered,
-        // bitwise-identical to a direct session call.
-        for h in in_flight {
-            let (i, status, body) = h.join().unwrap();
+        // Every request in flight before the drain is answered once its
+        // body arrives, bitwise-identical to a direct session call.
+        for (i, (stream, reader, body)) in in_flight.iter_mut().enumerate() {
+            stream.write_all(body.as_bytes()).expect("send body");
+            let (status, body) = read_response(reader);
             assert_eq!(status, 200, "{body}");
             let got = parse_f32_array(&body, "probs")[0];
             assert_eq!(
@@ -465,7 +480,6 @@ fn sweep_endpoint_streams_chunked_jsonl_bitwise_equal_to_predict() {
         graph,
         "TOY".into(),
         ServeConfig {
-            max_wait: Duration::ZERO,
             workers: 1,
             ..ServeConfig::default()
         },
@@ -605,7 +619,6 @@ fn protocol_errors_are_reported_not_fatal() {
         graph,
         "TOY".into(),
         ServeConfig {
-            max_wait: Duration::ZERO,
             workers: 1,
             ..ServeConfig::default()
         },
@@ -690,7 +703,6 @@ fn hostile_ingress_is_bounded_and_the_daemon_survives() {
         graph,
         "TOY".into(),
         ServeConfig {
-            max_wait: Duration::ZERO,
             workers: 1,
             max_body_bytes: 1024,
             idle_timeout: Duration::from_millis(300),
@@ -811,7 +823,6 @@ fn connection_cap_sheds_with_load_aware_retry_after() {
         graph,
         "TOY".into(),
         ServeConfig {
-            max_wait: Duration::ZERO,
             workers: 1,
             max_connections: 1,
             ..ServeConfig::default()
@@ -892,7 +903,6 @@ fn keep_alive_client_with_nagle_on_sees_no_ack_stall() {
         graph,
         "TOY".into(),
         ServeConfig {
-            max_wait: Duration::ZERO,
             workers: 1,
             ..ServeConfig::default()
         },

@@ -228,16 +228,15 @@ USAGE:
       amortized µs/pair) to stderr.
 
   cirgps serve  --netlist FILE.sp --top NAME [--model FILE.ckpt]
-                [--addr HOST:PORT] [--max-batch N] [--max-wait-us N]
-                [--workers N] [--queue-cap N] [--cache-cap N]
+                [--addr HOST:PORT] [--max-batch N] [--workers N]
+                [--queue-cap N] [--cache-cap N]
                 [--drain-timeout-ms N] [--request-timeout-ms N]
       Run the long-lived inference daemon: model, graph and sample
       caches stay warm, and concurrent HTTP queries are coalesced into
       packed batches by the dynamic micro-batcher (see docs/serving.md).
         --addr         listen address (default 127.0.0.1:8321)
-        --max-batch    flush a batch at N queries (default 32)
-        --max-wait-us  flush a partial batch after N microseconds
-                       (default 2000)
+        --max-batch    at most N queries per batch; a worker takes what
+                       is queued and never waits for more (default 32)
         --workers      scheduler threads (default 2)
         --queue-cap    queue depth before 503 backpressure (default 1024)
         --cache-cap    per-worker answer cache, in predictions (default 65536)
@@ -1532,7 +1531,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             "model",
             "addr",
             "max-batch",
-            "max-wait-us",
             "workers",
             "queue-cap",
             "cache-cap",
@@ -1547,7 +1545,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     )?;
     let defaults = ServeConfig::default();
     let max_batch = flag_parse(flags, "max-batch", defaults.max_batch)?;
-    let max_wait_us = flag_parse(flags, "max-wait-us", defaults.max_wait.as_micros() as usize)?;
     let workers = flag_parse(flags, "workers", defaults.workers)?;
     let queue_cap = flag_parse(flags, "queue-cap", defaults.queue_capacity)?;
     let cache_cap = flag_parse(flags, "cache-cap", defaults.cache_capacity)?;
@@ -1619,7 +1616,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 
     let cfg = ServeConfig {
         max_batch,
-        max_wait: Duration::from_micros(max_wait_us as u64),
         workers,
         queue_capacity: queue_cap,
         cache_capacity: cache_cap,
@@ -1636,7 +1632,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let local = listener.local_addr().map_err(|e| e.to_string())?;
     eprintln!(
         "cirgps-serve: design {} ({} nodes, {} edges) on http://{local} \
-         ({workers} workers, batch ≤ {max_batch}, wait ≤ {max_wait_us} µs)",
+         ({workers} workers, batch ≤ {max_batch})",
         netlist.name,
         graph.num_nodes(),
         graph.num_edges()

@@ -226,6 +226,26 @@ fn cli_unknown_flags_name_the_failing_flag() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--queue-cap"), "{err}");
+
+    // `--max-wait-us` is not a serve flag: a script passing it fails loudly.
+    let out = cirgps()
+        .args([
+            "serve",
+            "--max-wait-us",
+            "100",
+            "--netlist",
+            "x.sp",
+            "--top",
+            "X",
+        ])
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown flag --max-wait-us for `cirgps serve`"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -244,7 +264,7 @@ fn cli_usage_documents_every_subcommand() {
         assert!(text.contains(&format!("cirgps {cmd}")), "usage lacks {cmd}");
     }
     for flag in [
-        "--max-wait-us",
+        "--max-batch",
         "--batch-size",
         "--out FILE.json",
         "--shots",
@@ -688,8 +708,6 @@ fn cli_serve_boots_and_answers_queries() {
             &addr,
             "--workers",
             "1",
-            "--max-wait-us",
-            "100",
         ])
         .stderr(std::process::Stdio::piped())
         .spawn()
@@ -798,8 +816,6 @@ fn serve_once(sp: &str, backend: &str) -> String {
             &addr,
             "--workers",
             "1",
-            "--max-wait-us",
-            "100",
         ])
         .env("CIRGPS_FORCE_BACKEND", backend)
         .stderr(std::process::Stdio::piped())
